@@ -275,55 +275,67 @@ def _positions(A: KroneckerMatrix) -> list[tuple[int, int]]:
     return ps
 
 
-def _strict_pairs(A: KroneckerMatrix) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """Ordered position pairs ((i,j),(k,l)) with a_{ij} > a_{kl}, restricted
-    to consecutive value levels.
+def _strict_system(A: KroneckerMatrix) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of the strict system r . z >= 1 that decides additivity of A,
+    and the number of variables.
 
-    Restricting to consecutive levels is sound: a solution with slack 1 on
-    each consecutive pair has slack >= 2 on pairs two levels apart, so the
-    full strict system is satisfied by exactly the same potentials."""
+    Variables: the free row potentials, the free column potentials, then
+    one threshold t_g for each gap g between consecutive value levels (for
+    cornered matrices x_1 = y_1 = 0 is encoded by omitting them).  Writing
+    s(i, j) = x_i + y_j, each cell on the level above gap g gets the row
+    s(cell) - t_g >= 1 and each cell on the level below gets
+    t_g - s(cell) >= 1: one row per cell and gap it borders, instead of one
+    per cell pair on consecutive levels.
+
+    The two systems are feasible together.  Threshold rows give
+    s(a) - s(b) >= 2 for every a just above a gap and b just below it.
+    Conversely, any solution of the pair rows, scaled by 2, leaves a gap of
+    at least 2 between the levels at each g, and t_g at its midpoint
+    satisfies every threshold row.  Consecutive levels suffice: slack 1 on
+    each consecutive pair gives slack >= 2 on pairs two levels apart, so
+    the full strict order holds for the same potentials."""
+    n_rows, n_cols = len(A.rows), len(A.rows[0])
+    skip = 1 if isinstance(A, HeisenbergMatrix) else 0
+    n_potentials = n_rows + n_cols - 2 * skip
+
     by_value: dict[int, list[tuple[int, int]]] = {}
     for i, j in _positions(A):
         by_value.setdefault(A.rows[i][j], []).append((i, j))
     levels = sorted(by_value, reverse=True)
-    for hi, lo in zip(levels, levels[1:]):
-        for a in by_value[hi]:
-            for b in by_value[lo]:
-                yield a, b
+    num_vars = n_potentials + max(len(levels) - 1, 0)
+
+    def cell_row(cell: tuple[int, int], gap: int, sign: int) -> tuple[int, ...]:
+        i, j = cell
+        coeffs = [0] * num_vars
+        if i >= skip:
+            coeffs[i - skip] = sign
+        if j >= skip:
+            coeffs[n_rows + j - 2 * skip] = sign
+        coeffs[n_potentials + gap] = -sign
+        return tuple(coeffs)
+
+    rows = []
+    for gap, (hi, lo) in enumerate(zip(levels, levels[1:])):
+        rows.extend(cell_row(cell, gap, 1) for cell in by_value[hi])
+        rows.extend(cell_row(cell, gap, -1) for cell in by_value[lo])
+    return rows, num_vars
 
 
 def _solve_additivity(A: KroneckerMatrix) -> Optional[AdditivityCertificate]:
-    n_rows, n_cols = len(A.rows), len(A.rows[0])
-    cornered = isinstance(A, HeisenbergMatrix)
-    # Variables: free row potentials then free column potentials.  For
-    # cornered matrices x_1 = y_1 = 0 is encoded by omitting them.
-    row_var = {i: (i - 1 if cornered else i) for i in range(n_rows)}
-    col_off = n_rows - 1 if cornered else n_rows
-    col_var = {j: col_off + (j - 1 if cornered else j) for j in range(n_cols)}
-    num_vars = col_off + (n_cols - 1 if cornered else n_cols)
-
-    rows = set()
-    for (i, j), (k, l) in _strict_pairs(A):
-        coeffs = [0] * num_vars
-        for idx, sign in ((i, 1), (k, -1)):
-            if not (cornered and idx == 0):
-                coeffs[row_var[idx]] += sign
-        for idx, sign in ((j, 1), (l, -1)):
-            if not (cornered and idx == 0):
-                coeffs[col_var[idx]] += sign
-        assert any(coeffs), "strict pair between identical positions"
-        rows.add(tuple(coeffs))
-    z = solve_strict(sorted(rows), num_vars)
+    rows, num_vars = _strict_system(A)
+    z = solve_strict(rows, num_vars)
     if z is None:
         return None
-    if cornered:
-        x = (Fraction(0),) + z[: n_rows - 1]
-        y = (Fraction(0),) + z[n_rows - 1:]
-    else:
-        x = z[:n_rows]
-        y = z[n_rows:]
-    cert = AdditivityCertificate(x=x, y=y)
-    assert check_certificate(A, cert), "solver certificate failed re-validation"
+    # z holds the free row potentials, the free column potentials, then the
+    # thresholds, which are dropped
+    n_rows, n_cols = len(A.rows), len(A.rows[0])
+    skip = 1 if isinstance(A, HeisenbergMatrix) else 0
+    pinned = (Fraction(0),) * skip
+    cert = AdditivityCertificate(
+        x=pinned + z[: n_rows - skip],
+        y=pinned + z[n_rows - skip: n_rows + n_cols - 2 * skip])
+    if not check_certificate(A, cert):
+        raise RuntimeError("solver certificate failed re-validation")
     return cert
 
 

@@ -265,10 +265,6 @@ def cmd_stable(args) -> int:
     return EXIT_OK
 
 
-def _certificate_json(cert: AdditivityCertificate) -> dict:
-    return {"x": [str(v) for v in cert.x], "y": [str(v) for v in cert.y]}
-
-
 def cmd_additive(args) -> int:
     try:
         with open(args.matrix, "r", encoding="utf-8") as fh:
@@ -288,14 +284,14 @@ def cmd_additive(args) -> int:
             cert = is_kronecker_additive(A)
             out = {"kind": args.kind, "additive": cert is not None}
             if cert is not None:
-                out["certificate"] = _certificate_json(cert)
+                out["certificate"] = cert.as_json()
                 _warn("margins have different totals: no triple emitted")
             _emit(out)
             return EXIT_OK
         result = kronecker_stable_triple(A)
     out = {"kind": args.kind, "additive": result is not None}
     if result is not None:
-        out["certificate"] = _certificate_json(result.certificate)
+        out["certificate"] = result.certificate.as_json()
         out["triple"] = {
             "alpha": str(result.alpha),
             "beta": ",".join(map(str, result.beta)) or "0",

@@ -221,7 +221,8 @@ def kron_coeff(lam, mu, nu) -> int:
         sizes = class_sizes(n)
         total = sum(s * x * y * z for s, x, y, z in zip(sizes, a, b, c))
         nf = factorial(n)
-        assert total % nf == 0, "character sum is not an integer"
+        if total % nf:
+            raise RuntimeError("character sum is not an integer")
         val = total // nf
         _KRON_CACHE[key] = val
     return val

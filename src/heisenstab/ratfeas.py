@@ -1,10 +1,14 @@
 """Exact rational feasibility for small systems of strict inequalities.
 
-A system is a list of integer rows r, each demanding r . z >= 1 (strict
-inequalities are normalized to slack 1 beforehand: any rational solution
-of the strict system scales to one with slack 1 and vice versa).  The
-solver runs Fourier-Motzkin elimination over `fractions.Fraction`, so the
-answer is exact: either a rational point satisfying every row, or None.
+A system is a list of rational rows r, each demanding r . z >= 1.  Every
+right-hand side is the same positive constant, so the system is feasible
+exactly when the homogeneous strict system r . z > 0 is: a solution of
+the first satisfies the second, and a solution z of the second, divided
+by min(r . z), satisfies the first.  The solver decides the homogeneous
+system by Fourier-Motzkin elimination on integer rows (rows with
+`Fraction` entries are multiplied by the lcm of their denominators), so
+the answer is exact: either a rational point satisfying every row, or
+None.
 
 Every returned point is re-checked against all original rows before it is
 handed back; an internal inconsistency raises instead of returning.
@@ -13,105 +17,95 @@ handed back; an internal inconsistency raises instead of returning.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-def _dedup(rows: list[tuple[tuple[Fraction, ...], Fraction]]) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """Drop duplicate rows and keep only the largest rhs per coefficient vector."""
-    best: dict[tuple[Fraction, ...], Fraction] = {}
-    for coeffs, rhs in rows:
-        if coeffs not in best or rhs > best[coeffs]:
-            best[coeffs] = rhs
-    return [(c, r) for c, r in best.items()]
+
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """The row divided by the gcd of its entries (all-zero rows unchanged)."""
+    g = gcd(*row)
+    return tuple(c // g for c in row) if g > 1 else tuple(row)
 
 
 def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Fraction, ...]]:
     """Find rational z with row . z >= 1 for every row, or None if infeasible."""
-    system = []
+    exact = []
+    system: set[tuple[int, ...]] = set()
     for row in rows:
-        coeffs = tuple(Fraction(c) for c in row)
-        if len(coeffs) != num_vars:
-            raise ValueError(f"row length {len(coeffs)} != num_vars {num_vars}")
-        system.append((coeffs, Fraction(1)))
+        if len(row) != num_vars:
+            raise ValueError(f"row length {len(row)} != num_vars {num_vars}")
+        if all(type(c) is int for c in row):
+            row = tuple(row)
+            system.add(_primitive(row))
+        else:
+            # a positive integer multiple keeps the solutions of r . z > 0
+            row = tuple(Fraction(c) for c in row)
+            m = lcm(*(c.denominator for c in row))
+            system.add(_primitive([int(c * m) for c in row]))
+        exact.append(row)
 
-    # Constant rows (no live variables) are checked immediately.
-    def split_constant(rows_):
-        live, ok = [], True
-        for coeffs, rhs in rows_:
-            if any(coeffs):
-                live.append((coeffs, rhs))
-            elif rhs > 0:
-                ok = False
-        return live, ok
-
-    system, ok = split_constant(_dedup(system))
-    if not ok:
-        return None
-
+    zero = (0,) * num_vars
     alive = list(range(num_vars))
-    # each stage: (eliminated variable, alive list at that point, rows)
-    stages: list[tuple[int, list[int], list]] = []
-
-    while alive:
-        # pick the variable minimizing the pos*neg fill-in
-        best_k, best_cost = 0, None
-        for k in range(len(alive)):
-            pos = sum(1 for c, _ in system if c[k] > 0)
-            neg = sum(1 for c, _ in system if c[k] < 0)
-            cost = pos * neg - pos - neg
-            if best_cost is None or cost < best_cost:
-                best_k, best_cost = k, cost
-        k = best_k
-        stages.append((alive[k], alive.copy(), list(system)))
-
-        pos = [(c, r) for c, r in system if c[k] > 0]
-        neg = [(c, r) for c, r in system if c[k] < 0]
-        zero = [(c, r) for c, r in system if c[k] == 0]
-        combined = []
-        for cp, rp in pos:
-            for cn, rn in neg:
-                # cancel variable k: row_p / cp[k] + row_n / (-cn[k])
-                fp, fn = Fraction(1) / cp[k], Fraction(1) / (-cn[k])
-                coeffs = tuple(
-                    cp[i] * fp + cn[i] * fn for i in range(len(cp)) if i != k
-                )
-                combined.append((coeffs, rp * fp + rn * fn))
-        reduced = [(tuple(c for i, c in enumerate(cs) if i != k), r) for cs, r in zero]
-        system, ok = split_constant(_dedup(reduced + combined))
-        if not ok:
+    # each stage: (eliminated variable, the rows in which it occurred)
+    stages: list[tuple[int, list[tuple[int, ...]]]] = []
+    while system:
+        if zero in system:  # 0 > 0: infeasible
             return None
-        alive.pop(k)
+        # among the variables still occurring, pick the one minimizing the
+        # pos*neg fill-in
+        best_k, best_cost = -1, None
+        for k in alive:
+            pos = neg = 0
+            for r in system:
+                if r[k] > 0:
+                    pos += 1
+                elif r[k] < 0:
+                    neg += 1
+            if pos or neg:
+                cost = pos * neg - pos - neg
+                if best_cost is None or cost < best_cost:
+                    best_k, best_cost = k, cost
+        k = best_k
+        alive.remove(k)
+        pos_rows = [r for r in system if r[k] > 0]
+        neg_rows = [r for r in system if r[k] < 0]
+        stages.append((k, pos_rows + neg_rows))
+        system = {r for r in system if r[k] == 0}
+        # |b| * rp + a * rn cancels column k; both multipliers are positive,
+        # so the new row holds wherever rp and rn do.
+        for rp in pos_rows:
+            a = rp[k]
+            for rn in neg_rows:
+                b = -rn[k]
+                system.add(_primitive([b * p + a * n for p, n in zip(rp, rn)]))
 
-    # Back-substitution in reverse elimination order.
-    values: dict[int, Fraction] = {}
-    for var, stage_alive, stage_rows in reversed(stages):
-        col = stage_alive.index(var)
+    # Back-substitution in reverse elimination order: each row c*z_k + rest > 0
+    # bounds z_k strictly by -rest/c, from below when c > 0, above when c < 0.
+    # Variables no stage eliminated stay 0.
+    values = [Fraction(0)] * num_vars
+    for k, stage_rows in reversed(stages):
         lo: Optional[Fraction] = None
         hi: Optional[Fraction] = None
-        for coeffs, rhs in stage_rows:
-            c_var = coeffs[col]
-            if c_var == 0:
-                continue
-            rest = rhs
-            for i, v in enumerate(stage_alive):
-                if v != var:
-                    rest -= coeffs[i] * values[v]
-            bound = rest / c_var
-            if c_var > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
+        for r in stage_rows:
+            rest = sum(c * values[i] for i, c in enumerate(r) if c and i != k)
+            bound = Fraction(-rest, r[k])
+            if r[k] > 0:
+                if lo is None or bound > lo:
+                    lo = bound
+            elif hi is None or bound < hi:
+                hi = bound
         if lo is not None and hi is not None:
-            assert lo <= hi, "Fourier-Motzkin back-substitution interval empty"
-            values[var] = (lo + hi) / 2
+            if not lo < hi:
+                raise RuntimeError("Fourier-Motzkin back-substitution interval empty")
+            values[k] = (lo + hi) / 2
         elif lo is not None:
-            values[var] = lo
+            values[k] = lo + 1
         elif hi is not None:
-            values[var] = hi
-        else:
-            values[var] = Fraction(0)
+            values[k] = hi - 1
 
-    z = tuple(values[i] for i in range(num_vars))
-    for row in rows:
-        if sum(Fraction(c) * zi for c, zi in zip(row, z)) < 1:
-            raise AssertionError("solver produced an invalid assignment")
-    return z
+    if not exact:
+        return tuple(values)
+    low = min(sum(c * v for c, v in zip(row, values)) for row in exact)
+    if not low > 0:
+        raise RuntimeError("solver produced an invalid assignment")
+    return tuple(v / low for v in values)

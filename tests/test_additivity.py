@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from heisenstab import additivity
 from heisenstab.additivity import (
     AdditivityCertificate,
     BudgetExceededError,
@@ -27,9 +28,11 @@ from heisenstab.additivity import (
     parse_matrix,
     permutohedron_contains,
     unflatten,
+    _strict_system,
 )
 from heisenstab.coefficients import h_basis_heisenberg_product
 from heisenstab.partitions import Partition, partitions_up_to
+from heisenstab.ratfeas import solve_strict
 
 P = Partition
 
@@ -189,6 +192,75 @@ def test_kind_dispatch_guards():
         is_kronecker_additive(WORKED)
     with pytest.raises(TypeError):
         is_heisenberg_additive(KroneckerMatrix([(1,)]))
+
+
+def test_bad_solver_point_is_rejected(monkeypatch):
+    # the re-validation must raise, also under python -O
+    monkeypatch.setattr(additivity, "solve_strict", lambda rows, n: (F(0),) * n)
+    with pytest.raises(RuntimeError, match="re-validation"):
+        is_heisenberg_additive(WORKED)
+
+
+# ---------------------------------------------------------------------------
+# Threshold encoding against the consecutive-level pair encoding
+
+
+def _pair_rows(A):
+    """Reference encoding: one row s(a) - s(b) >= 1 per cell pair (a, b) on
+    consecutive value levels, over the free potentials only."""
+    cornered = isinstance(A, HeisenbergMatrix)
+    n_rows, n_cols = len(A.rows), len(A.rows[0])
+    skip = 1 if cornered else 0
+    num_vars = n_rows + n_cols - 2 * skip
+
+    def potential_sum(i, j):
+        v = [0] * num_vars
+        if i >= skip:
+            v[i - skip] += 1
+        if j >= skip:
+            v[n_rows - skip + j - skip] += 1
+        return v
+
+    levels = {}
+    for i, row in enumerate(A.rows):
+        for j, e in enumerate(row):
+            if not (cornered and i == j == 0):
+                levels.setdefault(e, []).append((i, j))
+    values = sorted(levels, reverse=True)
+    rows = {tuple(p - q for p, q in zip(potential_sum(*a), potential_sum(*b)))
+            for hi, lo in zip(values, values[1:])
+            for a in levels[hi] for b in levels[lo]}
+    return sorted(rows), num_vars
+
+
+def _same_verdict(A, decide):
+    return (solve_strict(*_pair_rows(A)) is not None) == (decide(A) is not None)
+
+
+def test_threshold_encoding_matches_pair_encoding_cornered():
+    matrices = list(heisenberg_matrices((2, 2, 2), (2, 2, 2)))
+    assert len(matrices) == 451
+    assert all(_same_verdict(A, is_heisenberg_additive) for A in matrices)
+
+
+def test_threshold_encoding_matches_pair_encoding_plain():
+    margins = [c for k in (1, 2, 3) for c in itertools.product((1, 2), repeat=k)]
+    seen = additive = 0
+    for beta, gamma in itertools.product(margins, repeat=2):
+        for A in kronecker_matrices(beta, gamma):
+            assert _same_verdict(A, is_kronecker_additive), A
+            seen += 1
+            additive += is_kronecker_additive(A) is not None
+    assert seen > 200 and 0 < additive < seen
+
+
+def test_heavy_matrix_system_is_small_and_not_additive():
+    # 11 ones and 13 zeros: 143 cell pairs, one threshold row per cell
+    A = HeisenbergMatrix(((0, 1, 1, 1, 1), (1, 0, 0, 1, 0), (1, 1, 0, 0, 0),
+                          (1, 0, 1, 0, 0), (1, 0, 0, 0, 0)))
+    rows, num_vars = _strict_system(A)
+    assert len(rows) <= 40 and num_vars == 9
+    assert is_heisenberg_additive(A) is None
 
 
 # ---------------------------------------------------------------------------
