@@ -13,7 +13,6 @@ from .partitions import (
     is_dominated_by,
     partitions_of,
     pi_sequence,
-    rational_vector,
     scale,
     shifted_partition,
     subtract,

@@ -68,6 +68,11 @@ class KroneckerMatrix:
         object.__setattr__(self, "rows", _validated_rows(rows))
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, columns); a matrix with no rows has no columns."""
+        return len(self.rows), len(self.rows[0]) if self.rows else 0
+
+    @property
     def row_margins(self) -> Composition:
         return Composition(sum(r) for r in self.rows)
 
@@ -269,7 +274,8 @@ class AdditivityCertificate:
 
 
 def _positions(A: KroneckerMatrix) -> list[tuple[int, int]]:
-    ps = [(i, j) for i in range(len(A.rows)) for j in range(len(A.rows[0]))]
+    n_rows, n_cols = A.shape
+    ps = [(i, j) for i in range(n_rows) for j in range(n_cols)]
     if isinstance(A, HeisenbergMatrix):
         ps.remove((0, 0))
     return ps
@@ -294,7 +300,7 @@ def _strict_system(A: KroneckerMatrix) -> tuple[list[tuple[int, ...]], int]:
     satisfies every threshold row.  Consecutive levels suffice: slack 1 on
     each consecutive pair gives slack >= 2 on pairs two levels apart, so
     the full strict order holds for the same potentials."""
-    n_rows, n_cols = len(A.rows), len(A.rows[0])
+    n_rows, n_cols = A.shape
     skip = 1 if isinstance(A, HeisenbergMatrix) else 0
     n_potentials = n_rows + n_cols - 2 * skip
 
@@ -328,7 +334,7 @@ def _solve_additivity(A: KroneckerMatrix) -> Optional[AdditivityCertificate]:
         return None
     # z holds the free row potentials, the free column potentials, then the
     # thresholds, which are dropped
-    n_rows, n_cols = len(A.rows), len(A.rows[0])
+    n_rows, n_cols = A.shape
     skip = 1 if isinstance(A, HeisenbergMatrix) else 0
     pinned = (Fraction(0),) * skip
     cert = AdditivityCertificate(
@@ -357,7 +363,7 @@ def is_heisenberg_additive(A: HeisenbergMatrix) -> Optional[AdditivityCertificat
 def check_certificate(A: KroneckerMatrix, cert: AdditivityCertificate) -> bool:
     """Independent verification: every strict entry pair must have strictly
     ordered potential sums.  Checks all pairs, not just consecutive levels."""
-    if len(cert.x) != len(A.rows) or len(cert.y) != len(A.rows[0]):
+    if (len(cert.x), len(cert.y)) != A.shape:
         raise ValueError("certificate dimensions do not match the matrix")
     pos = _positions(A)
     for (i, j), (k, l) in itertools.permutations(pos, 2):

@@ -34,27 +34,22 @@ from .additivity import (
     heisenberg_matrices,
     heisenberg_stable_triple,
     is_heisenberg_additive,
-    is_kronecker_additive,
     kronecker_class,
     kronecker_matrices,
     kronecker_stable_triple,
     parse_matrix,
     AdditivityCertificate,
 )
-from .coefficients import (
-    heisenberg_coeff,
-    heisenberg_coeff_oracle,
-    kron_coeff,
-    kron_coeff_oracle,
-    lr_coeff,
-    lr_coeff_hive,
-)
+from .coefficients import kron_coeff, lr_coeff
 from .partitions import Composition, NotAPartitionError, Partition
 from .stability import (
+    ORACLE,
+    PRIMARY,
     Kind,
     NotATripleError,
     classify_triple,
     detect_stable_limit,
+    size_pattern_ok,
     stability_check,
     stabilization_sequence,
 )
@@ -134,43 +129,16 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _parse_partition(text: str) -> Partition:
-    return Partition.parse(text)
-
-
-def _query_text(kind: str, lam: Partition, mu: Partition, nu: Partition) -> str:
-    return f"{kind} {lam} {mu} {nu}"
-
-
-_PRIMARY = {
-    "lr": lr_coeff,
-    "kron": kron_coeff,
-    "heis": heisenberg_coeff,
-}
-_ORACLE = {
-    "lr": lr_coeff_hive,
-    "kron": kron_coeff_oracle,
-    "heis": heisenberg_coeff_oracle,
-}
-
-
-def _sizes_ok(kind: str, lam: Partition, mu: Partition, nu: Partition) -> bool:
-    if kind == "lr":
-        return lam.size == mu.size + nu.size
-    if kind == "kron":
-        return lam.size == mu.size == nu.size
-    return max(mu.size, nu.size) <= lam.size <= mu.size + nu.size
-
-
 def cmd_coeff(args) -> int:
     try:
-        lam = _parse_partition(args.lam)
-        mu = _parse_partition(args.mu)
-        nu = _parse_partition(args.nu)
+        lam = Partition.parse(args.lam)
+        mu = Partition.parse(args.mu)
+        nu = Partition.parse(args.nu)
     except NotAPartitionError as exc:
         _warn(str(exc))
         return EXIT_PARSE
-    if not _sizes_ok(args.kind, lam, mu, nu):
+    kind = Kind(args.kind)
+    if not size_pattern_ok(kind, lam, mu, nu):
         _warn(f"sizes ({lam.size}; {mu.size}, {nu.size}) do not fit kind {args.kind}")
         return EXIT_SIZES
     path = cache_path()
@@ -179,13 +147,13 @@ def cmd_coeff(args) -> int:
     except CacheIntegrityError as exc:
         _warn(str(exc))
         return EXIT_MISMATCH
-    q = _query_text(args.kind, lam, mu, nu)
+    q = f"{args.kind} {lam} {mu} {nu}"
 
     def run(engine: str) -> int:
         key = (q, engine)
         if key in cache:
             return cache[key]
-        fn = (_PRIMARY if engine == "primary" else _ORACLE)[args.kind]
+        fn = (PRIMARY if engine == "primary" else ORACLE)[kind]
         value = fn(lam, mu, nu)
         append_cache(path, q, engine, value)
         return value
@@ -207,12 +175,12 @@ def cmd_coeff(args) -> int:
 
 def cmd_seq(args) -> int:
     try:
-        base = tuple(_parse_partition(t) for t in (args.lam, args.mu, args.nu))
-        direction = tuple(_parse_partition(t) for t in (args.alpha, args.beta, args.gamma))
+        base = tuple(Partition.parse(t) for t in (args.lam, args.mu, args.nu))
+        direction = tuple(Partition.parse(t) for t in (args.alpha, args.beta, args.gamma))
     except NotAPartitionError as exc:
         _warn(str(exc))
         return EXIT_PARSE
-    kind = Kind.from_token(args.kind)
+    kind = Kind(args.kind)
     try:
         seq = stabilization_sequence(kind, base, direction, range(0, args.n + 1))
     except ValueError as exc:
@@ -236,9 +204,9 @@ def cmd_seq(args) -> int:
 
 def cmd_stable(args) -> int:
     try:
-        alpha = _parse_partition(args.alpha)
-        beta = _parse_partition(args.beta)
-        gamma = _parse_partition(args.gamma)
+        alpha = Partition.parse(args.alpha)
+        beta = Partition.parse(args.beta)
+        gamma = Partition.parse(args.gamma)
     except NotAPartitionError as exc:
         _warn(str(exc))
         return EXIT_PARSE
@@ -280,14 +248,6 @@ def cmd_additive(args) -> int:
     if args.kind == "h":
         result = heisenberg_stable_triple(A)
     else:
-        if A.row_margins.size != A.col_margins.size:
-            cert = is_kronecker_additive(A)
-            out = {"kind": args.kind, "additive": cert is not None}
-            if cert is not None:
-                out["certificate"] = cert.as_json()
-                _warn("margins have different totals: no triple emitted")
-            _emit(out)
-            return EXIT_OK
         result = kronecker_stable_triple(A)
     out = {"kind": args.kind, "additive": result is not None}
     if result is not None:
@@ -305,7 +265,7 @@ def cmd_enumerate(args) -> int:
     try:
         beta = Composition.parse(args.rows)
         gamma = Composition.parse(args.cols)
-        pi = _parse_partition(args.pi) if args.pi is not None else None
+        pi = Partition.parse(args.pi) if args.pi is not None else None
     except (NotAPartitionError, ValueError) as exc:
         _warn(str(exc))
         return EXIT_PARSE

@@ -11,7 +11,10 @@
   the product is a sum over margin-constrained matrices.
 
 All values are exact nonnegative integers and every engine memoizes
-process-wide: stabilization sequences hammer overlapping subqueries.
+process-wide: stabilization sequences hammer overlapping subqueries.  The
+public functions validate their partitions once; the cores behind them
+(`_lr`, `_kron`, the quintuple formula) take valid partitions, look up
+their memo first and compute only on a miss.
 """
 
 from __future__ import annotations
@@ -46,8 +49,7 @@ def clear_caches() -> None:
     _LR_CACHE.clear()
     _KRON_CACHE.clear()
     _HEIS_CACHE.clear()
-    _heis_h_expansion.cache_clear()
-    _kron_h_expansion.cache_clear()
+    _h_expansion.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +119,18 @@ def lr_coeff(lam, mu, nu) -> int:
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size != mu.size + nu.size:
         return 0
+    return _lr(lam, mu, nu)
+
+
+def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """LR core on valid partitions with |lam| = |mu| + |nu|."""
     # symmetric in (mu, nu): fill the smaller content over the bigger inner shape
     if (mu.size, mu) < (nu.size, nu):
         mu, nu = nu, mu
-    key = (tuple(lam), tuple(mu), tuple(nu))
+    key = (lam, mu, nu)
     val = _LR_CACHE.get(key)
     if val is None:
-        val = _lr_count(*key)
-        _LR_CACHE[key] = val
+        val = _LR_CACHE[key] = _lr_count(lam, mu, nu)
     return val
 
 
@@ -209,22 +215,22 @@ def kron_coeff(lam, mu, nu) -> int:
     """Kronecker coefficient via the exact character sum; fully symmetric in
     its three arguments."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    n = lam.size
-    if mu.size != n or nu.size != n:
+    if mu.size != lam.size or nu.size != lam.size:
         raise ValueError(f"Kronecker query needs equal sizes, got {lam.size}, {mu.size}, {nu.size}")
-    key = tuple(sorted((tuple(lam), tuple(mu), tuple(nu))))
+    return _kron(lam, mu, nu)
+
+
+def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Kronecker core on valid partitions of one size."""
+    key = tuple(sorted((lam, mu, nu)))
     val = _KRON_CACHE.get(key)
     if val is None:
-        a = character_vector(key[0])
-        b = character_vector(key[1])
-        c = character_vector(key[2])
-        sizes = class_sizes(n)
-        total = sum(s * x * y * z for s, x, y, z in zip(sizes, a, b, c))
-        nf = factorial(n)
-        if total % nf:
+        n = lam.size
+        a, b, c = (character_vector(x) for x in key)
+        total = sum(s * x * y * z for s, x, y, z in zip(class_sizes(n), a, b, c))
+        if total % factorial(n):
             raise RuntimeError("character sum is not an integer")
-        val = total // nf
-        _KRON_CACHE[key] = val
+        val = _KRON_CACHE[key] = total // factorial(n)
     return val
 
 
@@ -237,17 +243,16 @@ def heisenberg_coeff(lam, mu, nu) -> int:
     mu- and nu-irreducibles.  Zero outside max(|mu|,|nu|) <= |lam| <=
     |mu|+|nu|."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if (mu.size, tuple(mu)) < (nu.size, tuple(nu)):
+    if (mu.size, mu) < (nu.size, nu):
         mu, nu = nu, mu  # the product is commutative
     l, m, n = lam.size, mu.size, nu.size
     p, q, r = l - n, m + n - l, l - m
     if p < 0 or q < 0 or r < 0:
         return 0
-    key = (tuple(lam), tuple(mu), tuple(nu))
+    key = (lam, mu, nu)
     val = _HEIS_CACHE.get(key)
     if val is None:
-        val = _heis_by_formula(lam, mu, nu, p, q, r)
-        _HEIS_CACHE[key] = val
+        val = _HEIS_CACHE[key] = _heis_by_formula(lam, mu, nu, p, q, r)
     return val
 
 
@@ -261,7 +266,7 @@ def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
     for alpha in partitions_of(p):
         terms = []
         for beta in beta_cands:
-            c1 = lr_coeff(mu, alpha, beta)
+            c1 = _lr(mu, alpha, beta)
             if c1:
                 terms.append((beta, c1))
         if terms:
@@ -273,24 +278,24 @@ def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
     for rho in partitions_of(r):
         eta_terms = []
         for eta in subpartitions_of_size(nu, q):
-            c2 = lr_coeff(nu, eta, rho)
+            c2 = _lr(nu, eta, rho)
             if c2:
                 eta_terms.append((eta, c2))
         if not eta_terms:
             continue
         for tau in subpartitions_of_size(lam, lam.size - r):
-            c4 = lr_coeff(lam, tau, rho)
+            c4 = _lr(lam, tau, rho)
             if not c4:
                 continue
             for alpha, c1_terms in c1_by_alpha.items():
                 for delta in subpartitions_of_size(tau, q):
-                    c3 = lr_coeff(tau, alpha, delta)
+                    c3 = _lr(tau, alpha, delta)
                     if not c3:
                         continue
                     inner = 0
                     for beta, c1 in c1_terms:
                         for eta, c2 in eta_terms:
-                            g = kron_coeff(delta, beta, eta)
+                            g = _kron(delta, beta, eta)
                             if g:
                                 inner += c1 * c2 * g
                     total += c4 * c3 * inner
@@ -303,9 +308,6 @@ class Decomposition:
 
     terms: dict
     degree_range: tuple[int, int]
-
-    def restricted(self, degree: int) -> dict:
-        return {k: v for k, v in self.terms.items() if k.size == degree}
 
 
 def heisenberg_component(mu, nu, degree: int) -> Decomposition:
@@ -354,38 +356,25 @@ def h_basis_heisenberg_product(beta, gamma) -> CounterT[Partition]:
 
 
 @lru_cache(maxsize=None)
-def _heis_h_expansion(mu: tuple, nu: tuple) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Signed h-basis coefficients of the Heisenberg product of two Schur
-    elements, grouped by sorted margin sequence."""
+def _h_expansion(product, mu: Partition, nu: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Signed h-basis coefficients of the product of two Schur elements,
+    grouped by sorted margin sequence; `product` is
+    `h_basis_heisenberg_product` or `h_basis_kron_product`."""
     out: CounterT[Partition] = Counter()
-    for delta, a in schur_in_h_basis(Partition(mu)).items():
-        for eps, b in schur_in_h_basis(Partition(nu)).items():
+    for delta, a in schur_in_h_basis(mu).items():
+        for eps, b in schur_in_h_basis(nu).items():
             w = a * b
-            for theta, mult in h_basis_heisenberg_product(delta, eps).items():
+            for theta, mult in product(delta, eps).items():
                 out[theta] += w * mult
     return tuple((tuple(k), v) for k, v in out.items() if v != 0)
 
 
-@lru_cache(maxsize=None)
-def _kron_h_expansion(mu: tuple, nu: tuple) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out: CounterT[Partition] = Counter()
-    for delta, a in schur_in_h_basis(Partition(mu)).items():
-        for eps, b in schur_in_h_basis(Partition(nu)).items():
-            w = a * b
-            for theta, mult in h_basis_kron_product(delta, eps).items():
-                out[theta] += w * mult
-    return tuple((tuple(k), v) for k, v in out.items() if v != 0)
-
-
-def heisenberg_coeff_oracle(lam, mu, nu) -> int:
-    """Second, independent route: expand both factors into the h-basis,
-    multiply there via cornered matrices, and convert back through Kostka
-    numbers.  The signed total must be a nonnegative integer."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if (mu.size, tuple(mu)) < (nu.size, tuple(nu)):
-        mu, nu = nu, mu
+def _from_h_basis(product, lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Multiplicity of s_lam in the product of s_mu and s_nu, converted back
+    from the h-basis through Kostka numbers.  The signed total must be a
+    nonnegative integer."""
     total = 0
-    for theta, w in _heis_h_expansion(tuple(mu), tuple(nu)):
+    for theta, w in _h_expansion(product, mu, nu):
         if sum(theta) == lam.size:
             k = kostka(lam, theta)
             if k:
@@ -397,18 +386,20 @@ def heisenberg_coeff_oracle(lam, mu, nu) -> int:
     return total
 
 
+def heisenberg_coeff_oracle(lam, mu, nu) -> int:
+    """Second, independent route: expand both factors into the h-basis,
+    multiply there via cornered matrices, and convert back through Kostka
+    numbers."""
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    if (mu.size, mu) < (nu.size, nu):
+        mu, nu = nu, mu
+    return _from_h_basis(h_basis_heisenberg_product, lam, mu, nu)
+
+
 def kron_coeff_oracle(lam, mu, nu) -> int:
     """h-basis route for Kronecker coefficients (second engine for the CLI
     cross-check)."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size != mu.size or lam.size != nu.size:
         raise ValueError("Kronecker query needs equal sizes")
-    total = 0
-    for theta, w in _kron_h_expansion(tuple(mu), tuple(nu)):
-        if sum(theta) == lam.size:
-            k = kostka(lam, theta)
-            if k:
-                total += w * k
-    if total < 0:
-        raise ArithmeticError("h-basis route produced a negative multiplicity")
-    return total
+    return _from_h_basis(h_basis_kron_product, lam, mu, nu)

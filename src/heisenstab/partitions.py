@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -21,13 +22,31 @@ class NotAPartitionError(ValueError):
     """Raised when a coordinatewise operation leaves the partition lattice."""
 
 
+def _integer_parts(parts: Iterable[int], error: type[ValueError]) -> tuple[int, ...]:
+    """The parts as exact ints, in one pass (parts may be a generator).
+
+    Anything `operator.index` refuses (floats, strings, Fractions) and
+    bools are rejected instead of being coerced."""
+    out = []
+    for p in parts:
+        if isinstance(p, bool):
+            raise error(f"bool part {p!r}")
+        try:
+            out.append(operator.index(p))
+        except TypeError:
+            raise error(f"non-integer part {p!r}") from None
+    return tuple(out)
+
+
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers."""
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        ps = tuple(int(p) for p in parts)
+        if type(parts) is cls:
+            return parts  # immutable and already validated
+        ps = _integer_parts(parts, NotAPartitionError)
         while ps and ps[-1] == 0:
             ps = ps[:-1]
         for i, p in enumerate(ps):
@@ -78,13 +97,19 @@ class Partition(tuple):
         return Partition(parts)
 
 
+def _trusted(parts: Iterable[int]) -> Partition:
+    """A Partition from parts the caller built weakly decreasing and
+    positive, without the checks of Partition()."""
+    return tuple.__new__(Partition, parts)
+
+
 class Composition(tuple):
     """Finite sequence of nonnegative integers; order and padding preserved."""
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
-        ps = tuple(int(p) for p in parts)
+        ps = _integer_parts(parts, ValueError)
         if any(p < 0 for p in ps):
             raise ValueError(f"negative entry in composition {ps}")
         return super().__new__(cls, ps)
@@ -102,13 +127,6 @@ class Composition(tuple):
         if text in ("", "0"):
             return Composition()
         return Composition(int(tok) for tok in text.split(","))
-
-
-RationalVector = tuple  # entries are int or Fraction, always exact
-
-
-def rational_vector(entries: Iterable[Rational]) -> RationalVector:
-    return tuple(Fraction(e) for e in entries)
 
 
 def pi_sequence(data) -> Partition:
@@ -219,7 +237,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
     def gen(rem: int, bound: int, acc: list[int]) -> Iterator[Partition]:
         if rem == 0:
-            yield Partition(acc)
+            yield _trusted(acc)
             return
         for head in range(min(rem, bound), 0, -1):
             acc.append(head)
@@ -242,7 +260,7 @@ def subpartitions_of_size(outer: Sequence[int], size: int) -> Iterator[Partition
 
     def gen(i: int, rem: int, bound: int, acc: list[int]) -> Iterator[Partition]:
         if rem == 0:
-            yield Partition(acc)
+            yield _trusted(acc)
             return
         if i >= len(outer):
             return

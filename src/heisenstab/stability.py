@@ -17,7 +17,14 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coefficients import heisenberg_coeff, kron_coeff, lr_coeff
+from .coefficients import (
+    heisenberg_coeff,
+    heisenberg_coeff_oracle,
+    kron_coeff,
+    kron_coeff_oracle,
+    lr_coeff,
+    lr_coeff_hive,
+)
 from .partitions import Partition, add, scale
 
 
@@ -48,12 +55,15 @@ def size_pattern_ok(kind: Kind, a: Partition, b: Partition, c: Partition) -> boo
     return max(b.size, c.size) <= a.size <= b.size + c.size
 
 
+# The engine of each kind, and its independent second route.
+PRIMARY = {Kind.KRONECKER: kron_coeff, Kind.LR: lr_coeff,
+           Kind.HEISENBERG: heisenberg_coeff}
+ORACLE = {Kind.KRONECKER: kron_coeff_oracle, Kind.LR: lr_coeff_hive,
+          Kind.HEISENBERG: heisenberg_coeff_oracle}
+
+
 def coefficient(kind: Kind, lam, mu, nu) -> int:
-    if kind is Kind.KRONECKER:
-        return kron_coeff(lam, mu, nu)
-    if kind is Kind.LR:
-        return lr_coeff(lam, mu, nu)
-    return heisenberg_coeff(lam, mu, nu)
+    return PRIMARY[kind](lam, mu, nu)
 
 
 @dataclass(frozen=True)

@@ -255,3 +255,24 @@ def test_oracle_agrees_exhaustively_small():
 def test_oracle_unit_law():
     for lam in partitions_up_to(3):
         assert heisenberg_coeff_oracle(lam, lam, ()) == 1
+
+
+def test_heisenberg_dimension_identity():
+    # sum_lam h^lam_{mu nu} f^lam = f^mu f^nu l!/(p! q! r!) at every degree
+    # l, with p = l - |nu|, q = |mu| + |nu| - l, r = l - |mu|: a global check
+    # at sizes the pointwise oracles do not reach
+    from math import factorial
+
+    cases = 0
+    for mu in partitions_up_to(4):
+        for nu in partitions_up_to(4):
+            m, n = mu.size, nu.size
+            for l in range(max(m, n), m + n + 1):
+                p, q, r = l - n, m + n - l, l - m
+                terms = heisenberg_component(mu, nu, l).terms
+                lhs = sum(h * hook_length_dimension(lam) for lam, h in terms.items())
+                rhs = (hook_length_dimension(mu) * hook_length_dimension(nu)
+                       * factorial(l) // (factorial(p) * factorial(q) * factorial(r)))
+                assert lhs == rhs, (mu, nu, l)
+                cases += 1
+    assert cases == 454
