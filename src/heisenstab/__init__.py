@@ -28,6 +28,7 @@ from .symfun import (
 )
 from .coefficients import (
     Decomposition,
+    clear_caches,
     h_basis_heisenberg_product,
     h_basis_kron_product,
     heisenberg_coeff,

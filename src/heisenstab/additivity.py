@@ -24,6 +24,7 @@ from typing import Iterator, Optional, Sequence
 from .partitions import (
     Composition,
     Partition,
+    _integer_parts,
     is_dominated_by,
     pi_sequence,
 )
@@ -49,7 +50,7 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 
 def _validated_rows(rows) -> tuple[tuple[int, ...], ...]:
-    rs = tuple(tuple(int(e) for e in row) for row in rows)
+    rs = tuple(_integer_parts(row, MatrixParseError) for row in rows)
     if rs:
         width = len(rs[0])
         if any(len(r) != width for r in rs):

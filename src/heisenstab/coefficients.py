@@ -9,6 +9,9 @@
   degree, and two LR recombinations; the second route expands Schur
   functions into the complete-homogeneous basis and multiplies there, where
   the product is a sum over margin-constrained matrices.
+* Whole degrees of the Heisenberg product by the same decomposition run
+  once per degree, with both recombinations taken as Schur products by the
+  LR rule (`_lr_product`).
 
 All values are exact nonnegative integers and every engine memoizes
 process-wide: stabilization sequences hammer overlapping subqueries.  The
@@ -19,16 +22,19 @@ their memo first and compute only on a miss.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Counter as CounterT
 
+from . import symfun
 from .additivity import heisenberg_matrices, kronecker_matrices
 from .partitions import (
     Composition,
     Partition,
+    _trusted,
     contains,
     partitions_of,
     subpartitions_of_size,
@@ -43,13 +49,18 @@ from .symfun import (
 _LR_CACHE: dict[tuple, int] = {}
 _KRON_CACHE: dict[tuple, int] = {}
 _HEIS_CACHE: dict[tuple, int] = {}
+_LR_PRODUCT_CACHE: dict[tuple, dict[Partition, int]] = {}
 
 
 def clear_caches() -> None:
+    """Empty every memo of the package: the engines' memos here and the
+    character, Kostka and Jacobi-Trudi memos of `symfun`."""
     _LR_CACHE.clear()
     _KRON_CACHE.clear()
     _HEIS_CACHE.clear()
+    _LR_PRODUCT_CACHE.clear()
     _h_expansion.cache_clear()
+    symfun.clear_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +143,63 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     if val is None:
         val = _LR_CACHE[key] = _lr_count(lam, mu, nu)
     return val
+
+
+def _lr_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """The Schur product s_mu s_nu as {lam: c^lam_{mu nu}}, by the LR rule.
+
+    The letters i = 1..k of the smaller factor go onto the bigger one as
+    horizontal strips, nu_i cells each, row by row.  The reverse reading
+    word is a lattice word iff, for every row j, the number of i's in rows
+    <= j is at most the number of (i-1)'s in rows <= j-1.  So a partial
+    filling matters only through its shape and the row-cumulative counts of
+    its last letter, and fillings that agree there are counted together.
+    Memoized per pair; callers must not mutate the result."""
+    if (mu.size, mu) < (nu.size, nu):
+        mu, nu = nu, mu  # fewer letters to place
+    key = (mu, nu)
+    out = _LR_PRODUCT_CACHE.get(key)
+    if out is not None:
+        return out
+    rows = len(mu) + len(nu)  # each letter opens at most one new row
+    # (shape, cumulative counts of the last letter by row) -> fillings; the
+    # first letter has no lattice bound, the last one bounds nothing
+    states: dict[tuple, int] = {(tuple(mu) + (0,) * len(nu), None): 1}
+    for i, n in enumerate(nu):
+        last = i == len(nu) - 1
+        grown: dict[tuple, int] = {}
+        for (shape, below), c in states.items():
+            new, cum = list(shape), [0] * rows
+
+            def place(j: int, placed: int) -> None:
+                left = n - placed
+                if left == 0:
+                    cum[j:] = [n] * (rows - j)
+                    state = (tuple(new), None if last else tuple(cum))
+                    grown[state] = grown.get(state, 0) + c
+                    return
+                if j:
+                    room = shape[j - 1]
+                    if left > room:
+                        return  # from row j on a horizontal strip holds shape[j-1] cells
+                    top = room - shape[j]
+                    if top > left:
+                        top = left
+                    if below is not None and below[j - 1] - placed < top:
+                        top = below[j - 1] - placed
+                else:
+                    top = left if below is None else 0
+                for a in range(top, -1, -1):
+                    new[j] = shape[j] + a
+                    cum[j] = placed + a
+                    place(j + 1, placed + a)
+                new[j] = shape[j]
+
+            place(0, 0)
+        states = grown
+    out = _LR_PRODUCT_CACHE[key] = {
+        _trusted(p for p in shape if p): c for (shape, _), c in states.items()}
+    return out
 
 
 def lr_coeff_hive(lam, mu, nu) -> int:
@@ -312,16 +380,61 @@ class Decomposition:
 
 def heisenberg_component(mu, nu, degree: int) -> Decomposition:
     """The degree-l piece of the Heisenberg product: all partitions of l with
-    their multiplicities."""
+    their multiplicities.
+
+    One pass over the degree:
+    s_mu # s_nu |_l = sum c^mu_{alpha beta} c^nu_{eta rho} g_{delta beta eta}
+    s_alpha s_delta s_rho (Aguiar-Ferrer-Moreira), with alpha |- p,
+    beta, eta, delta |- q, rho |- r.  The splits and the Kronecker
+    contraction are done once; the two Schur products come from
+    `_lr_product`.  One term is then checked against the pointwise
+    formula (`heisenberg_coeff`), which shares only `_lr` and `_kron` with
+    this pass: the lexicographically largest lam, whose few subdiagrams make
+    it the cheapest query for that formula."""
     mu, nu = Partition(mu), Partition(nu)
+    if isinstance(degree, bool) or not hasattr(type(degree), "__index__"):
+        raise ValueError(f"degree must be an integer, got {degree!r}")
+    degree = operator.index(degree)
     lo, hi = max(mu.size, nu.size), mu.size + nu.size
     if not lo <= degree <= hi:
         raise ValueError(f"degree {degree} outside [{lo}, {hi}]")
-    terms = {}
-    for lam in partitions_of(degree):
-        h = heisenberg_coeff(lam, mu, nu)
-        if h:
-            terms[lam] = h
+    if (mu.size, mu) < (nu.size, nu):
+        mu, nu = nu, mu  # the product is commutative
+    p, q, r = degree - nu.size, mu.size + nu.size - degree, degree - mu.size
+
+    betas = list(subpartitions_of_size(mu, q))
+    mu_splits = [(alpha, beta, c1) for alpha in subpartitions_of_size(mu, p)
+                 for beta in betas if (c1 := _lr(mu, alpha, beta))]
+    rhos = list(subpartitions_of_size(nu, r))
+    nu_splits = [(eta, rho, c2) for eta in subpartitions_of_size(nu, q)
+                 for rho in rhos if (c2 := _lr(nu, eta, rho))]
+
+    # inner[(alpha, delta)][rho] = sum c1 c2 g(delta, beta, eta)
+    deltas = list(partitions_of(q))
+    inner: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+    for alpha, beta, c1 in mu_splits:
+        for eta, rho, c2 in nu_splits:
+            for delta in deltas:
+                g = _kron(delta, beta, eta)
+                if g:
+                    by_rho = inner.setdefault((alpha, delta), {})
+                    by_rho[rho] = by_rho.get(rho, 0) + c1 * c2 * g
+
+    # W[(tau, rho)] = sum c^tau_{alpha delta} inner, then lam from tau and rho
+    W: CounterT[tuple[Partition, Partition]] = Counter()
+    for (alpha, delta), by_rho in inner.items():
+        for tau, c3 in _lr_product(alpha, delta).items():
+            for rho, v in by_rho.items():
+                W[(tau, rho)] += c3 * v
+    terms: CounterT[Partition] = Counter()
+    for (tau, rho), w in W.items():
+        for lam, c4 in _lr_product(tau, rho).items():
+            terms[lam] += c4 * w
+    # in partitions_of(degree) order
+    terms = dict(sorted(terms.items(), reverse=True))
+    lam, h = next(iter(terms.items()))
+    if heisenberg_coeff(lam, mu, nu) != h:
+        raise RuntimeError(f"degree pass and pointwise formula disagree at {lam}")
     return Decomposition(terms=terms, degree_range=(degree, degree))
 
 

@@ -235,3 +235,13 @@ def schur_in_h_basis(lam: Sequence[int]) -> dict[Partition, int]:
     """Signed expansion s_lam = sum_delta coef_delta * h_delta."""
     lam = Partition(lam)
     return {Partition(k): v for k, v in _schur_in_h(tuple(lam))}
+
+
+# the originals, so that a caller who rebinds the module names still clears them
+_MEMOS = (_mn_character, character_vector, _kostka, _schur_in_h, cycle_types, class_sizes)
+
+
+def clear_caches() -> None:
+    """Empty every memo of this module."""
+    for memo in _MEMOS:
+        memo.cache_clear()

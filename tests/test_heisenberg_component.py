@@ -1,0 +1,135 @@
+"""The one-pass degree engine behind `heisenberg_component`: its Schur
+products, its agreement with the pointwise quintuple formula and the
+h-basis oracle, its one pointwise spot check per degree, and a global
+dimension identity at sizes the pointwise engines do not reach."""
+
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+import heisenstab
+from heisenstab import coefficients, symfun
+from heisenstab.coefficients import (
+    _lr_product,
+    clear_caches,
+    heisenberg_coeff,
+    heisenberg_coeff_oracle,
+    heisenberg_component,
+    heisenberg_product,
+    lr_coeff,
+)
+from heisenstab.partitions import partitions_of, partitions_up_to
+from support import hook_length_dimension
+from test_input_validation import Three
+
+
+def test_lr_product_matches_lr_coeff():
+    small = list(partitions_up_to(5))
+    for mu in small:
+        for nu in small:
+            size = mu.size + nu.size
+            expected = {lam: c for lam in partitions_of(size) if (c := lr_coeff(lam, mu, nu))}
+            assert _lr_product(mu, nu) == expected, (mu, nu)
+            assert _lr_product(nu, mu) == expected, (nu, mu)
+
+
+def test_component_matches_pointwise_formula():
+    small = list(partitions_up_to(4))
+    for mu in small:
+        for nu in small:
+            for l in range(max(mu.size, nu.size), mu.size + nu.size + 1):
+                expected = {lam: h for lam in partitions_of(l)
+                            if (h := heisenberg_coeff(lam, mu, nu))}
+                assert heisenberg_component(mu, nu, l).terms == expected, (mu, nu, l)
+
+
+def test_component_matches_h_basis_oracle():
+    small = list(partitions_up_to(3))
+    for mu in small:
+        for nu in small:
+            for l in range(max(mu.size, nu.size), mu.size + nu.size + 1):
+                expected = {lam: h for lam in partitions_of(l)
+                            if (h := heisenberg_coeff_oracle(lam, mu, nu))}
+                assert heisenberg_component(mu, nu, l).terms == expected, (mu, nu, l)
+
+
+def test_component_asks_the_pointwise_engine_once_per_degree(monkeypatch):
+    mu, nu = (3, 2, 1), (2, 2)
+    expected = {l: {lam: h for lam in partitions_of(l) if (h := heisenberg_coeff(lam, mu, nu))}
+                for l in range(6, 11)}
+    clear_caches()
+    asked = []
+
+    def pointwise(lam, *args):
+        asked.append(lam)
+        return heisenberg_coeff(lam, *args)
+
+    monkeypatch.setattr(coefficients, "heisenberg_coeff", pointwise)
+    for l, terms in expected.items():
+        assert heisenberg_component(mu, nu, l).terms == terms
+    # one spot check per degree, on its lexicographically largest term
+    assert asked == [max(terms) for terms in expected.values()]
+    assert len(coefficients._HEIS_CACHE) == len(expected)
+    assert heisenberg_product(mu, nu).terms == {k: v for t in expected.values() for k, v in t.items()}
+    assert len(asked) == 2 * len(expected) and len(coefficients._HEIS_CACHE) == len(expected)
+
+
+def test_component_refuses_a_term_the_pointwise_engine_disagrees_with(monkeypatch):
+    monkeypatch.setattr(coefficients, "heisenberg_coeff", lambda *args: 0)
+    with pytest.raises(RuntimeError, match="disagree"):
+        heisenberg_component((3, 2, 1), (2, 2), 8)
+
+
+def test_component_degree_must_be_an_integer():
+    for bad in (True, False, 3.0, 3.5, "3", Fraction(3), None):
+        with pytest.raises(ValueError):
+            heisenberg_component((1,), (1, 1), bad)
+    assert heisenberg_component((2, 1), (1,), Three()) == heisenberg_component((2, 1), (1,), 3)
+    assert heisenberg_component((2, 1), (1,), Three()).degree_range == (3, 3)
+
+
+def test_heisenberg_dimension_identity_to_size_six():
+    # sum_lam h^lam_{mu nu} f^lam = f^mu f^nu l!/(p! q! r!) at every degree
+    # l, with p = l - |nu|, q = |mu| + |nu| - l, r = l - |mu|
+    cases = 0
+    for mu in partitions_up_to(6):
+        for nu in partitions_up_to(6):
+            m, n = mu.size, nu.size
+            for l in range(max(m, n), m + n + 1):
+                p, q, r = l - n, m + n - l, l - m
+                terms = heisenberg_component(mu, nu, l).terms
+                lhs = sum(h * hook_length_dimension(lam) for lam, h in terms.items())
+                rhs = (hook_length_dimension(mu) * hook_length_dimension(nu)
+                       * factorial(l) // (factorial(p) * factorial(q) * factorial(r)))
+                assert lhs == rhs, (mu, nu, l)
+                cases += 1
+    assert cases == 4175
+
+
+def _memos(module):
+    """Every *_CACHE dict and every lru_cache the module defines."""
+    for name, value in vars(module).items():
+        if name.endswith("_CACHE") and isinstance(value, dict):
+            yield name, len(value)
+        elif hasattr(value, "cache_info") and value.__module__ == module.__name__:
+            yield name, value.cache_info().currsize
+
+
+def test_clear_caches_empties_every_memo():
+    assert heisenstab.clear_caches is clear_caches
+    heisenberg_product((2, 1), (2, 1))
+    heisenberg_coeff((2, 1), (2, 1), (1, 1))
+    heisenberg_coeff_oracle((2, 1), (2, 1), (1, 1))
+    symfun.kostka((2, 1), (1, 1, 1))
+    symfun.schur_in_h_basis((2, 1))
+    symfun.dimension((3, 1))
+    filled = dict(_memos(coefficients)) | dict(_memos(symfun))
+    assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE", "_h_expansion",
+            "_mn_character", "character_vector", "_kostka", "_schur_in_h", "cycle_types",
+            "class_sizes"} <= set(filled)
+    assert all(filled.values()), filled
+    clear_caches()
+    emptied = dict(_memos(coefficients)) | dict(_memos(symfun))
+    assert set(emptied) == set(filled)
+    assert not any(emptied.values()), emptied

@@ -59,3 +59,18 @@ def test_kind_tables_cover_every_kind():
                                 (Kind.HEISENBERG, ((2, 1), (1, 1), (2,)))):
         value = coefficient(kind, lam, mu, nu)
         assert value == PRIMARY[kind](lam, mu, nu) == ORACLE[kind](lam, mu, nu)
+
+
+def test_matrix_entries_must_be_integers():
+    from heisenstab.additivity import HeisenbergMatrix, KroneckerMatrix, MatrixParseError, parse_matrix
+
+    for bad in (2.7, 2.0, True, False, "3", Fraction(5, 2), Fraction(2), None):
+        with pytest.raises(MatrixParseError):
+            KroneckerMatrix([[1, bad]])
+        with pytest.raises(MatrixParseError):
+            HeisenbergMatrix([[0, bad], [1, 1]])
+    assert KroneckerMatrix([[Three(), 1]]).rows == ((3, 1),)
+    assert HeisenbergMatrix(row for row in ([0, 3], (1, 2))).rows == ((0, 3), (1, 2))
+    assert parse_matrix("0 3\n1 2\n", "h").rows == ((0, 3), (1, 2))
+    with pytest.raises(MatrixParseError):
+        parse_matrix("0 3\n1 2.5\n", "h")
