@@ -71,13 +71,13 @@ from .additivity import (
     heisenberg_stable_triple,
     in_heisenberg_class,
     integer_minimality_check,
-    is_heisenberg_additive,
-    is_kronecker_additive,
+    is_additive,
     kronecker_class,
     kronecker_matrices,
     kronecker_stable_triple,
     parse_matrix,
     permutohedron_contains,
+    stable_triple,
     unflatten,
 )
 from .ratfeas import solve_strict

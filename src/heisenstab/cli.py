@@ -32,16 +32,15 @@ from .additivity import (
     flatten,
     heisenberg_class,
     heisenberg_matrices,
-    heisenberg_stable_triple,
-    is_heisenberg_additive,
+    is_additive,
     kronecker_class,
     kronecker_matrices,
-    kronecker_stable_triple,
     parse_matrix,
+    stable_triple,
     AdditivityCertificate,
 )
 from .coefficients import kron_coeff, lr_coeff
-from .partitions import Composition, NotAPartitionError, Partition
+from .partitions import Composition, NotAPartitionError, Partition, _integer_token
 from .stability import (
     ORACLE,
     PRIMARY,
@@ -245,10 +244,7 @@ def cmd_additive(args) -> int:
     except MatrixParseError as exc:
         _warn(f"bad matrix: {exc}")
         return EXIT_PARSE
-    if args.kind == "h":
-        result = heisenberg_stable_triple(A)
-    else:
-        result = kronecker_stable_triple(A)
+    result = stable_triple(A)
     out = {"kind": args.kind, "additive": result is not None}
     if result is not None:
         out["certificate"] = result.certificate.as_json()
@@ -313,12 +309,12 @@ def cmd_selftest(args) -> int:
     check("reference potentials validate",
           lambda: check_certificate(worked, reference))
     check("solver certifies the worked matrix",
-          lambda: is_heisenberg_additive(worked) is not None)
+          lambda: is_additive(worked) is not None)
     check("certified triple of the worked matrix",
           lambda: (lambda t: t is not None and
                    (t.alpha, tuple(t.beta), tuple(t.gamma)) ==
                    ((7, 6, 5, 5, 4, 4, 3, 2, 2, 1), (18, 10), (12, 18, 3)))(
-                       heisenberg_stable_triple(worked)))
+                       stable_triple(worked)))
     check("margin constraint matrix (2,3), bit-exact",
           lambda: build_constraint_matrix(2, 3).rows == (
               (0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0),
@@ -350,6 +346,18 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_SELFTEST
 
 
+def _int_at_least(low: int):
+    """argparse type: an int in ASCII digits no smaller than low; anything
+    else exits 2."""
+    def parse(text: str) -> int:
+        value = _integer_token(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse says "invalid int value" on a non-integer
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heisenstab",
@@ -373,16 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("alpha")
     s.add_argument("beta")
     s.add_argument("gamma")
-    s.add_argument("--n", type=int, default=8, help="scan n = 0..N (default 8)")
-    s.add_argument("--window", type=int, default=4,
-                   help="tail window for the heuristic limit (default 4)")
+    s.add_argument("--n", type=_int_at_least(0), default=8, help="scan n = 0..N (default 8)")
+    s.add_argument("--window", type=_int_at_least(2), default=4,
+                   help="tail window for the heuristic limit, >= 2 (default 4)")
     s.set_defaults(fn=cmd_seq)
 
     st = sub.add_parser("stable", help="stability report for a triple")
     st.add_argument("alpha")
     st.add_argument("beta")
     st.add_argument("gamma")
-    st.add_argument("--n-max", type=int, default=8, dest="n_max")
+    st.add_argument("--n-max", type=_int_at_least(1), default=8, dest="n_max",
+                    help="scan n = 1..N, N >= 1 (default 8)")
     st.set_defaults(fn=cmd_stable)
 
     ad = sub.add_parser("additive", help="additivity certificate for a matrix file")

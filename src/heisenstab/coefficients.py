@@ -22,7 +22,6 @@ their memo first and compute only on a miss.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,6 +33,7 @@ from .additivity import heisenberg_matrices, kronecker_matrices
 from .partitions import (
     Composition,
     Partition,
+    _integer_parts,
     _trusted,
     contains,
     partitions_of,
@@ -392,9 +392,7 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
     this pass: the lexicographically largest lam, whose few subdiagrams make
     it the cheapest query for that formula."""
     mu, nu = Partition(mu), Partition(nu)
-    if isinstance(degree, bool) or not hasattr(type(degree), "__index__"):
-        raise ValueError(f"degree must be an integer, got {degree!r}")
-    degree = operator.index(degree)
+    (degree,) = _integer_parts((degree,), ValueError)
     lo, hi = max(mu.size, nu.size), mu.size + nu.size
     if not lo <= degree <= hi:
         raise ValueError(f"degree {degree} outside [{lo}, {hi}]")

@@ -38,6 +38,15 @@ def _integer_parts(parts: Iterable[int], error: type[ValueError]) -> tuple[int, 
     return tuple(out)
 
 
+def _integer_token(tok: str) -> int:
+    """A nonnegative integer in ASCII digits; int() alone would also read
+    "1_0" as 10, "+3" and non-ASCII digits."""
+    tok = tok.strip()
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"not a nonnegative integer: {tok!r}")
+    return int(tok)
+
+
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers."""
 
@@ -91,7 +100,7 @@ class Partition(tuple):
         if text in ("", "0"):
             return Partition()
         try:
-            parts = [int(tok) for tok in text.split(",")]
+            parts = [_integer_token(tok) for tok in text.split(",")]
         except ValueError as exc:
             raise NotAPartitionError(f"cannot parse partition {text!r}") from exc
         return Partition(parts)
@@ -126,7 +135,7 @@ class Composition(tuple):
         text = text.strip()
         if text in ("", "0"):
             return Composition()
-        return Composition(int(tok) for tok in text.split(","))
+        return Composition(_integer_token(tok) for tok in text.split(","))
 
 
 def pi_sequence(data) -> Partition:

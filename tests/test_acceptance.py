@@ -22,8 +22,7 @@ from heisenstab import (
     heisenberg_component,
     heisenberg_matrices,
     heisenberg_stable_triple,
-    is_heisenberg_additive,
-    is_kronecker_additive,
+    is_additive,
     kron_coeff,
     kronecker_matrices,
     kronecker_stable_triple,
@@ -116,7 +115,7 @@ def test_criterion_03_hive_conformance():
 
 
 def test_criterion_04_worked_example_end_to_end():
-    cert = is_heisenberg_additive(WORKED)
+    cert = is_additive(WORKED)
     assert cert is not None
     assert check_certificate(WORKED, cert)
     assert check_certificate(WORKED, WORKED_POTENTIALS)
@@ -148,7 +147,7 @@ def test_criterion_06_additive_implies_unit_coefficient_and_vanishing():
         for gamma in partitions_up_to(3):
             matrices = list(heisenberg_matrices(beta, gamma))
             for A in matrices:
-                if is_heisenberg_additive(A) is None:
+                if is_additive(A) is None:
                     continue
                 additive_found += 1
                 alpha = A.pi
@@ -268,7 +267,7 @@ def test_criterion_11_additive_margin_pipeline():
         for beta in partitions_of(n):
             for gamma in partitions_of(n):
                 for A in kronecker_matrices(beta, gamma):
-                    if is_kronecker_additive(A) is None:
+                    if is_additive(A) is None:
                         continue
                     additive_found += 1
                     alpha = A.pi

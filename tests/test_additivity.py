@@ -20,13 +20,13 @@ from heisenstab.additivity import (
     heisenberg_stable_triple,
     in_heisenberg_class,
     integer_minimality_check,
-    is_heisenberg_additive,
-    is_kronecker_additive,
+    is_additive,
     kronecker_class,
     kronecker_matrices,
     kronecker_stable_triple,
     parse_matrix,
     permutohedron_contains,
+    stable_triple,
     unflatten,
     _strict_system,
 )
@@ -131,28 +131,28 @@ def test_budget_guard():
 
 
 def test_single_cell_matrix_is_additive():
-    assert is_kronecker_additive(KroneckerMatrix([(5,)])) is not None
+    assert is_additive(KroneckerMatrix([(5,)])) is not None
 
 
 def test_constant_matrix_is_additive():
-    cert = is_kronecker_additive(KroneckerMatrix([(2, 2), (2, 2)]))
+    cert = is_additive(KroneckerMatrix([(2, 2), (2, 2)]))
     assert cert is not None
     assert check_certificate(KroneckerMatrix([(2, 2), (2, 2)]), cert)
 
 
 def test_permutation_matrix_is_not_additive():
-    assert is_kronecker_additive(KroneckerMatrix([(1, 0), (0, 1)])) is None
+    assert is_additive(KroneckerMatrix([(1, 0), (0, 1)])) is None
 
 
 def test_distinct_diagonal_is_not_additive():
     # potential sums over a grid satisfy s11 + s22 = s12 + s21, so a strict
     # diagonal cannot beat both off-diagonal zeros
-    assert is_kronecker_additive(KroneckerMatrix([(2, 0), (0, 1)])) is None
+    assert is_additive(KroneckerMatrix([(2, 0), (0, 1)])) is None
 
 
 def test_worked_matrix_is_additive_and_known_potentials_verify():
     assert check_certificate(WORKED, WORKED_POTENTIALS)
-    cert = is_heisenberg_additive(WORKED)
+    cert = is_additive(WORKED)
     assert cert is not None
     assert check_certificate(WORKED, cert)
 
@@ -164,7 +164,7 @@ def test_broken_potentials_fail():
 
 def test_zero_cornered_matrix_trivially_additive():
     A = HeisenbergMatrix([(0, 0), (0, 0)])
-    cert = is_heisenberg_additive(A)
+    cert = is_additive(A)
     assert cert is not None
     zero = AdditivityCertificate(x=(F(0), F(0)), y=(F(0), F(0)))
     assert check_certificate(A, zero)
@@ -179,7 +179,7 @@ def test_zero_potentials_verify_iff_no_strict_pairs():
 
 def test_cornered_inner_permutation_block_not_additive():
     A = HeisenbergMatrix([(0, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert is_heisenberg_additive(A) is None
+    assert is_additive(A) is None
 
 
 def test_certificate_dimension_mismatch():
@@ -187,18 +187,22 @@ def test_certificate_dimension_mismatch():
         check_certificate(WORKED, AdditivityCertificate(x=(F(0),), y=(F(0),)))
 
 
-def test_kind_dispatch_guards():
-    with pytest.raises(TypeError):
-        is_kronecker_additive(WORKED)
-    with pytest.raises(TypeError):
-        is_heisenberg_additive(KroneckerMatrix([(1,)]))
+def test_the_matrix_class_decides_additivity():
+    rows = ((0, 1), (1, 0))
+    plain, cornered = KroneckerMatrix(rows), HeisenbergMatrix(rows)
+    assert is_additive(plain) is None
+    cert = is_additive(cornered)
+    assert cert is not None and check_certificate(cornered, cert)
+    assert stable_triple(cornered).as_partitions() == ((1, 1), (1,), (1,))
+    for A in (plain, cornered):
+        assert kronecker_stable_triple(A) == heisenberg_stable_triple(A) == stable_triple(A)
 
 
 def test_bad_solver_point_is_rejected(monkeypatch):
     # the re-validation must raise, also under python -O
     monkeypatch.setattr(additivity, "solve_strict", lambda rows, n: (F(0),) * n)
     with pytest.raises(RuntimeError, match="re-validation"):
-        is_heisenberg_additive(WORKED)
+        is_additive(WORKED)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +244,7 @@ def _same_verdict(A, decide):
 def test_threshold_encoding_matches_pair_encoding_cornered():
     matrices = list(heisenberg_matrices((2, 2, 2), (2, 2, 2)))
     assert len(matrices) == 451
-    assert all(_same_verdict(A, is_heisenberg_additive) for A in matrices)
+    assert all(_same_verdict(A, is_additive) for A in matrices)
 
 
 def test_threshold_encoding_matches_pair_encoding_plain():
@@ -248,9 +252,9 @@ def test_threshold_encoding_matches_pair_encoding_plain():
     seen = additive = 0
     for beta, gamma in itertools.product(margins, repeat=2):
         for A in kronecker_matrices(beta, gamma):
-            assert _same_verdict(A, is_kronecker_additive), A
+            assert _same_verdict(A, is_additive), A
             seen += 1
-            additive += is_kronecker_additive(A) is not None
+            additive += is_additive(A) is not None
     assert seen > 200 and 0 < additive < seen
 
 
@@ -260,7 +264,7 @@ def test_heavy_matrix_system_is_small_and_not_additive():
                           (1, 0, 1, 0, 0), (1, 0, 0, 0, 0)))
     rows, num_vars = _strict_system(A)
     assert len(rows) <= 40 and num_vars == 9
-    assert is_heisenberg_additive(A) is None
+    assert is_additive(A) is None
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +330,7 @@ def test_additive_implies_integer_minimal_small():
     for beta in partitions_up_to(3):
         for gamma in partitions_up_to(3):
             for A in heisenberg_matrices(beta, gamma):
-                if is_heisenberg_additive(A) is not None:
+                if is_additive(A) is not None:
                     assert integer_minimality_check(A).minimal, A
 
 
@@ -381,10 +385,10 @@ def test_unit_cell_recovers_classical_triple():
 
 
 def test_scaling_preserves_additivity_with_same_certificate():
-    cert = is_heisenberg_additive(WORKED)
+    cert = is_additive(WORKED)
     for n in range(1, 4):
         assert check_certificate(WORKED.scaled(n), cert)
-    k_cert = is_kronecker_additive(KroneckerMatrix([(2, 1), (0, 0)]))
+    k_cert = is_additive(KroneckerMatrix([(2, 1), (0, 0)]))
     assert k_cert is not None
     for n in range(1, 4):
         assert check_certificate(KroneckerMatrix([(2, 1), (0, 0)]).scaled(n), k_cert)

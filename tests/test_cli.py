@@ -173,3 +173,43 @@ def test_selftest_passes(cache_file, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("conformance checks passed")
+
+
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+SEQ = ("seq", "kron", "1", "1", "1", "1", "1", "1")
+
+
+def test_seq_n_must_be_nonnegative(cache_file, capsys):
+    for bad in ("-1", "1_0"):
+        code, err = usage_error(capsys, *SEQ, "--n", bad)
+        assert code == 2 and f"--n: invalid int value: '{bad}'" in err
+    assert run(capsys, *SEQ, "--n", "0")[0] == 0
+
+
+def test_seq_window_must_be_at_least_two(cache_file, capsys):
+    code, err = usage_error(capsys, *SEQ, "--window", "1")
+    assert code == 2 and "--window: must be at least 2" in err
+    code, err = usage_error(capsys, *SEQ, "--window", "two")
+    assert code == 2 and "invalid int value" in err
+    assert run(capsys, *SEQ, "--window", "2")[0] == 0
+
+
+def test_stable_n_max_must_be_positive(cache_file, capsys):
+    code, err = usage_error(capsys, "stable", "1", "1", "1", "--n-max", "0")
+    assert code == 2 and "--n-max: must be at least 1" in err
+    assert run(capsys, "stable", "1", "1", "1", "--n-max", "1")[0] == 0
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "٣", "-1"])
+def test_malformed_integer_tokens_exit_2(cache_file, capsys, tmp_path, token):
+    assert run(capsys, "coeff", "lr", token, "1", "1")[0] == 2
+    assert run(capsys, "enumerate", "--rows", token, "--cols", "1", "--kind", "k")[0] == 2
+    f = tmp_path / "m.txt"
+    f.write_text(f"0 {token}\n1 1\n", encoding="utf-8")
+    assert run(capsys, "additive", "--matrix", str(f), "--kind", "h")[0] == 2

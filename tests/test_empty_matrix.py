@@ -6,7 +6,7 @@ from heisenstab.additivity import (
     AdditivityCertificate,
     KroneckerMatrix,
     check_certificate,
-    is_kronecker_additive,
+    is_additive,
     kronecker_matrices,
     kronecker_stable_triple,
 )
@@ -16,7 +16,7 @@ from heisenstab.cli import main
 def test_empty_plain_matrix_is_additive():
     (A,) = kronecker_matrices((), ())
     assert A == KroneckerMatrix([]) and A.shape == (0, 0)
-    cert = is_kronecker_additive(A)
+    cert = is_additive(A)
     assert cert == AdditivityCertificate(x=(), y=())
     assert check_certificate(A, cert)
     triple = kronecker_stable_triple(A)

@@ -74,3 +74,35 @@ def test_matrix_entries_must_be_integers():
     assert parse_matrix("0 3\n1 2\n", "h").rows == ((0, 3), (1, 2))
     with pytest.raises(MatrixParseError):
         parse_matrix("0 3\n1 2.5\n", "h")
+
+
+# int() also reads "1_0" as 10, "+3" as 3 and the Arabic-Indic digit three;
+# the text parsers take ASCII digits only
+NOT_ASCII_DIGITS = ("1_0", "+3", "٣", "-1", "3.0", "")
+
+
+def test_partition_parse_takes_ascii_digits_only():
+    for bad in NOT_ASCII_DIGITS:
+        with pytest.raises(NotAPartitionError):
+            Partition.parse(f"4,{bad}")
+    assert Partition.parse(" 3, 2 ") == (3, 2)
+    assert Partition.parse("10,5") == (10, 5)
+
+
+def test_composition_parse_takes_ascii_digits_only():
+    for bad in NOT_ASCII_DIGITS:
+        with pytest.raises(ValueError):
+            Composition.parse(f"{bad},1")
+    assert Composition.parse("0, 2,0") == (0, 2, 0)
+
+
+def test_parse_matrix_takes_ascii_digits_only():
+    from heisenstab.additivity import MatrixParseError, parse_matrix
+
+    for bad in NOT_ASCII_DIGITS[:-1]:
+        for kind in ("k", "h"):
+            with pytest.raises(MatrixParseError):
+                parse_matrix(f"0 {bad}\n1 1\n", kind)
+    assert parse_matrix("0 10\n1 1\n", "k").rows == ((0, 10), (1, 1))
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        parse_matrix("0 1\n", "x")
