@@ -66,15 +66,15 @@ from .additivity import (
     build_constraint_matrix,
     check_certificate,
     flatten,
-    heisenberg_class,
     heisenberg_matrices,
     heisenberg_stable_triple,
     in_heisenberg_class,
     integer_minimality_check,
     is_additive,
-    kronecker_class,
     kronecker_matrices,
     kronecker_stable_triple,
+    margin_class,
+    margin_matrices,
     parse_matrix,
     permutohedron_contains,
     stable_triple,

@@ -165,67 +165,49 @@ def _bounded_vectors(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...
             yield (head,) + tail
 
 
-def kronecker_matrices(beta: Sequence[int], gamma: Sequence[int]) -> Iterator[KroneckerMatrix]:
-    """All matrices with row sums beta and column sums gamma (empty stream
-    when |beta| != |gamma|)."""
+def margin_matrices(cls: type[KroneckerMatrix], beta: Sequence[int],
+                    gamma: Sequence[int]) -> Iterator[KroneckerMatrix]:
+    """All matrices of class `cls` with margins (beta, gamma), filled row by
+    row against the column room gamma leaves.  A plain row takes exactly
+    beta_i, so the room ends empty when |beta| = |gamma| (and there are no
+    matrices otherwise).  A cornered row's inner block takes at most beta_i;
+    the first column and the first row absorb the slack, so margins hold by
+    construction."""
     beta, gamma = Composition(beta), Composition(gamma)
-    if beta.size != gamma.size:
-        return
-    if len(beta) == 0 or len(gamma) == 0:
-        # degenerate shapes exist exactly when both margin totals are zero
-        if beta.size == 0:
-            yield KroneckerMatrix([() for _ in beta] if len(gamma) == 0 else [])
+    corner = cls.corner
+    if not corner and beta.size != gamma.size:
         return
 
-    def fill(i: int, remaining_cols: tuple[int, ...], acc: list[tuple[int, ...]]) -> Iterator[KroneckerMatrix]:
+    def fill(i: int, room: tuple[int, ...], acc: list[tuple[int, ...]]) -> Iterator[KroneckerMatrix]:
         if i == len(beta):
-            if all(c == 0 for c in remaining_cols):
-                yield KroneckerMatrix(acc)
+            if corner:
+                yield cls([(0,) + room] + [(b - sum(row),) + row for b, row in zip(beta, acc)])
+            else:
+                yield cls(acc)
             return
-        for row in _bounded_vectors(beta[i], remaining_cols):
-            acc.append(row)
-            yield from fill(i + 1, tuple(c - r for c, r in zip(remaining_cols, row)), acc)
-            acc.pop()
-
-    yield from fill(0, tuple(gamma), [])
-
-
-def kronecker_class(beta, gamma, alpha) -> Iterator[KroneckerMatrix]:
-    alpha = Partition(alpha)
-    return (A for A in kronecker_matrices(beta, gamma) if A.pi == alpha)
-
-
-def heisenberg_matrices(beta: Sequence[int], gamma: Sequence[int]) -> Iterator[HeisenbergMatrix]:
-    """All cornered matrices with margins (beta, gamma): inner p x q block B
-    with row sums <= beta and column sums <= gamma; the first column and
-    first row absorb the slack, so margins hold by construction."""
-    beta, gamma = Composition(beta), Composition(gamma)
-    p, q = len(beta), len(gamma)
-
-    def build(block: list[tuple[int, ...]]) -> HeisenbergMatrix:
-        col_used = [sum(block[i][j] for i in range(p)) for j in range(q)]
-        first_row = (0,) + tuple(gamma[j] - col_used[j] for j in range(q))
-        rows = [first_row]
-        for i in range(p):
-            rows.append((beta[i] - sum(block[i]),) + block[i])
-        return HeisenbergMatrix(rows)
-
-    def fill(i: int, col_room: tuple[int, ...], acc: list[tuple[int, ...]]) -> Iterator[HeisenbergMatrix]:
-        if i == p:
-            yield build(acc)
-            return
-        for s in range(beta[i] + 1):
-            for row in _bounded_vectors(s, col_room):
+        for s in range(0 if corner else beta[i], beta[i] + 1):
+            for row in _bounded_vectors(s, room):
                 acc.append(row)
-                yield from fill(i + 1, tuple(c - r for c, r in zip(col_room, row)), acc)
+                yield from fill(i + 1, tuple(c - r for c, r in zip(room, row)), acc)
                 acc.pop()
 
     yield from fill(0, tuple(gamma), [])
 
 
-def heisenberg_class(beta, gamma, alpha) -> Iterator[HeisenbergMatrix]:
+def margin_class(cls: type[KroneckerMatrix], beta, gamma, alpha) -> Iterator[KroneckerMatrix]:
+    """The matrices of margin_matrices(cls, beta, gamma) with sorted entries alpha."""
     alpha = Partition(alpha)
-    return (A for A in heisenberg_matrices(beta, gamma) if A.pi == alpha)
+    return (A for A in margin_matrices(cls, beta, gamma) if A.pi == alpha)
+
+
+# Two distinct functions, not aliases of margin_matrices: the h-basis
+# products call them, and a benchmark tracer wraps them by name.
+def kronecker_matrices(beta: Sequence[int], gamma: Sequence[int]) -> Iterator[KroneckerMatrix]:
+    return margin_matrices(KroneckerMatrix, beta, gamma)
+
+
+def heisenberg_matrices(beta: Sequence[int], gamma: Sequence[int]) -> Iterator[HeisenbergMatrix]:
+    return margin_matrices(HeisenbergMatrix, beta, gamma)
 
 
 def in_heisenberg_class(A: HeisenbergMatrix, beta, gamma, alpha) -> bool:
@@ -237,11 +219,12 @@ def in_heisenberg_class(A: HeisenbergMatrix, beta, gamma, alpha) -> bool:
     )
 
 
-def check_budget(beta: Sequence[int], gamma: Sequence[int], cornered: bool,
+def check_budget(cls: type[KroneckerMatrix], beta: Sequence[int], gamma: Sequence[int],
                  budget: EnumerationBudget = DEFAULT_BUDGET) -> None:
+    """Refuse margins whose class-`cls` matrices exceed the budget."""
     beta, gamma = Composition(beta), Composition(gamma)
-    rows = len(beta) + (1 if cornered else 0)
-    cols = len(gamma) + (1 if cornered else 0)
+    rows = len(beta) + cls.corner
+    cols = len(gamma) + cls.corner
     if beta.size + gamma.size > budget.max_total:
         raise BudgetExceededError(
             f"margin total {beta.size + gamma.size} exceeds budget {budget.max_total}")
@@ -445,20 +428,21 @@ def permutohedron_contains(a: Sequence, x: Sequence) -> bool:
 @dataclass(frozen=True)
 class MinimalityResult:
     minimal: bool
-    witness: Optional[HeisenbergMatrix] = None
+    witness: Optional[KroneckerMatrix] = None
 
 
-def integer_minimality_check(A: HeisenbergMatrix,
+def integer_minimality_check(A: KroneckerMatrix,
                              budget: EnumerationBudget = DEFAULT_BUDGET) -> MinimalityResult:
-    """Search the full margin class for a witness B != A whose sorted entry
+    """Search A's margin class, in A's own matrix family, for a witness
+    B != A whose sorted entry
     sequence is majorized by A's (equality of sorted sequences counts: the
     class must be a singleton).  Only matrices with the same entry total can
     compare.  Refuses (raises) outside the enumeration budget."""
     beta, gamma = A.row_margins, A.col_margins
-    check_budget(beta, gamma, cornered=True, budget=budget)
+    check_budget(type(A), beta, gamma, budget=budget)
     target = A.pi
     total = A.total
-    for B in heisenberg_matrices(beta, gamma):
+    for B in margin_matrices(type(A), beta, gamma):
         if B.total != total or B == A:
             continue
         if is_dominated_by(B.pi, target):

@@ -23,6 +23,7 @@ import time
 from typing import Optional
 
 from .additivity import (
+    MATRIX_KINDS,
     BudgetExceededError,
     HeisenbergMatrix,
     MatrixParseError,
@@ -30,11 +31,9 @@ from .additivity import (
     check_budget,
     check_certificate,
     flatten,
-    heisenberg_class,
-    heisenberg_matrices,
     is_additive,
-    kronecker_class,
-    kronecker_matrices,
+    margin_class,
+    margin_matrices,
     parse_matrix,
     stable_triple,
     AdditivityCertificate,
@@ -89,9 +88,11 @@ def load_cache(path: str) -> dict[tuple[str, str], int]:
                 continue
             try:
                 rec = json.loads(line)
-                q, engine, value = rec["q"], rec["engine"], int(rec["value"])
-                if engine not in ("primary", "oracle"):
-                    raise ValueError(engine)
+                q, engine, value = rec["q"], rec["engine"], rec["value"]
+                # a value is a non-negative JSON integer, never coerced
+                if (not isinstance(q, str) or engine not in ("primary", "oracle")
+                        or type(value) is not int or value < 0):
+                    raise ValueError(line)
             except (ValueError, KeyError, TypeError):
                 _warn(f"skipping corrupt cache line {lineno}")
                 continue
@@ -236,7 +237,7 @@ def cmd_additive(args) -> int:
     try:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _warn(f"cannot read matrix file: {exc}")
         return EXIT_PARSE
     try:
@@ -265,15 +266,13 @@ def cmd_enumerate(args) -> int:
     except (NotAPartitionError, ValueError) as exc:
         _warn(str(exc))
         return EXIT_PARSE
+    cls = MATRIX_KINDS[args.kind]
     try:
-        check_budget(beta, gamma, cornered=(args.kind == "h"))
+        check_budget(cls, beta, gamma)
     except BudgetExceededError as exc:
         _warn(str(exc))
         return EXIT_BUDGET
-    if args.kind == "h":
-        stream = heisenberg_class(beta, gamma, pi) if pi is not None else heisenberg_matrices(beta, gamma)
-    else:
-        stream = kronecker_class(beta, gamma, pi) if pi is not None else kronecker_matrices(beta, gamma)
+    stream = margin_class(cls, beta, gamma, pi) if pi is not None else margin_matrices(cls, beta, gamma)
     count = 0
     for A in stream:
         print(A.to_text())
@@ -396,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ad = sub.add_parser("additive", help="additivity certificate for a matrix file")
     ad.add_argument("--matrix", required=True, help="text file, one row per line")
-    ad.add_argument("--kind", choices=["k", "h"], required=True)
+    ad.add_argument("--kind", choices=list(MATRIX_KINDS), required=True)
     ad.set_defaults(fn=cmd_additive)
 
     en = sub.add_parser("enumerate", help="stream all matrices with given margins")
     en.add_argument("--rows", required=True, help="row margins, comma-separated")
     en.add_argument("--cols", required=True, help="column margins, comma-separated")
-    en.add_argument("--kind", choices=["k", "h"], required=True)
+    en.add_argument("--kind", choices=list(MATRIX_KINDS), required=True)
     en.add_argument("--pi", default=None,
                     help="restrict to matrices with this sorted entry sequence")
     en.set_defaults(fn=cmd_enumerate)

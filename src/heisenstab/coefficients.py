@@ -327,11 +327,12 @@ def heisenberg_coeff(lam, mu, nu) -> int:
 def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
                      p: int, q: int, r: int) -> int:
     # mu splits into (alpha |- p, beta |- q); nu splits into (eta |- q,
-    # rho |- r); beta and eta meet in a Kronecker factor over delta |- q;
+    # rho |- r), each part inside the partition it splits, else its LR
+    # factor vanishes; beta and eta meet in a Kronecker factor over delta |- q;
     # alpha and delta recombine into tau |- p+q, then tau and rho into lam.
     beta_cands = list(subpartitions_of_size(mu, q))
     c1_by_alpha: dict[tuple, list[tuple[Partition, int]]] = {}
-    for alpha in partitions_of(p):
+    for alpha in subpartitions_of_size(mu, p):
         terms = []
         for beta in beta_cands:
             c1 = _lr(mu, alpha, beta)
@@ -343,7 +344,7 @@ def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
         return 0
 
     total = 0
-    for rho in partitions_of(r):
+    for rho in subpartitions_of_size(nu, r):
         eta_terms = []
         for eta in subpartitions_of_size(nu, q):
             c2 = _lr(nu, eta, rho)

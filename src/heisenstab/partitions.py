@@ -237,12 +237,10 @@ def is_dominated_by(a: Sequence[Rational], b: Sequence[Rational]) -> bool:
     return dominates(a, b) in (Dominance.STRICTLY_DOMINATED, Dominance.EQUAL_PI)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with parts bounded by max_part, largest part first."""
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of n, largest part first."""
     if n < 0:
         return
-    if max_part is None:
-        max_part = n
 
     def gen(rem: int, bound: int, acc: list[int]) -> Iterator[Partition]:
         if rem == 0:
@@ -253,7 +251,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield from gen(rem - head, head, acc)
             acc.pop()
 
-    yield from gen(n, max_part, [])
+    yield from gen(n, n, [])
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:

@@ -12,6 +12,7 @@ from heisenstab.additivity import (
     HeisenbergMatrix,
     KroneckerMatrix,
     MatrixParseError,
+    MinimalityResult,
     build_constraint_matrix,
     check_budget,
     check_certificate,
@@ -21,9 +22,10 @@ from heisenstab.additivity import (
     in_heisenberg_class,
     integer_minimality_check,
     is_additive,
-    kronecker_class,
     kronecker_matrices,
     kronecker_stable_triple,
+    margin_class,
+    margin_matrices,
     parse_matrix,
     permutohedron_contains,
     stable_triple,
@@ -82,9 +84,42 @@ def test_kronecker_matrix_enumeration_counts():
 
 
 def test_kronecker_class_filter():
-    hits = list(kronecker_class((2, 1), (2, 1), (2, 1)))
+    hits = list(margin_class(KroneckerMatrix, (2, 1), (2, 1), (2, 1)))
     assert all(A.pi == (2, 1) for A in hits)
     assert len(hits) == 1  # only the corner-heavy table sorts to (2,1)
+
+
+def _brute_force_margin_matrices(cls, beta, gamma):
+    """Every matrix of the class's shape, cell by cell: corner cells are 0,
+    any other cell ranges up to the margins of its row and column (a cell
+    outside the margins has only the other one).  Kept when the sums of
+    the margin rows and columns are beta and gamma."""
+    k = cls.corner
+    row_cap = (None,) * k + tuple(beta)
+    col_cap = (None,) * k + tuple(gamma)
+    n_rows, n_cols = len(row_cap), len(col_cap)
+    caps = [min((c for c in (rc, cc) if c is not None), default=0)
+            for rc in row_cap for cc in col_cap]
+    found = set()
+    for values in itertools.product(*(range(c + 1) for c in caps)):
+        rows = tuple(values[i * n_cols:(i + 1) * n_cols] for i in range(n_rows))
+        if all(sum(rows[k + i]) == b for i, b in enumerate(beta)) and all(
+                sum(row[k + j] for row in rows) == g for j, g in enumerate(gamma)):
+            found.add(rows)
+    return found
+
+
+@pytest.mark.parametrize("cls", [KroneckerMatrix, HeisenbergMatrix])
+def test_margin_matrices_match_brute_force(cls):
+    margins = [c for length in range(3) for c in itertools.product(range(3), repeat=length)]
+    for beta in margins:
+        for gamma in margins:
+            got = list(margin_matrices(cls, beta, gamma))
+            assert all(type(A) is cls for A in got)
+            rows = [A.rows for A in got]
+            expected = _brute_force_margin_matrices(cls, beta, gamma)
+            assert len(rows) == len(set(rows)) == len(expected), (beta, gamma)
+            assert set(rows) == expected, (beta, gamma)
 
 
 def test_heisenberg_matrix_enumeration_small():
@@ -116,14 +151,14 @@ def test_class_sizes_match_h_basis_product_multiset():
 
 
 def test_budget_guard():
-    check_budget((2, 1), (3,), cornered=True)
+    check_budget(HeisenbergMatrix, (2, 1), (3,))
     with pytest.raises(BudgetExceededError):
-        check_budget((18, 10), (12, 18, 3), cornered=True)
+        check_budget(HeisenbergMatrix, (18, 10), (12, 18, 3))
     with pytest.raises(BudgetExceededError):
-        check_budget((1, 1, 1, 1, 1), (5,), cornered=True)  # 6 rows > 5
+        check_budget(HeisenbergMatrix, (1, 1, 1, 1, 1), (5,))  # 6 rows > 5
     tight = EnumerationBudget(max_total=3, max_rows=5, max_cols=5)
     with pytest.raises(BudgetExceededError):
-        check_budget((2,), (2,), cornered=False, budget=tight)
+        check_budget(KroneckerMatrix, (2,), (2,), budget=tight)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +382,12 @@ def test_minimality_spots_a_witness():
     assert not res.minimal
     assert res.witness is not None
     assert res.witness.total == dominated.total
+
+
+def test_plain_singleton_class_is_minimal():
+    # the plain class of margins (2), (2) holds [[2]] alone; the cornered
+    # class with the same margins is no witness against it
+    assert integer_minimality_check(KroneckerMatrix([[2]])) == MinimalityResult(minimal=True)
 
 
 def test_degree_separated_classes_both_minimal():

@@ -68,6 +68,21 @@ def test_cache_corrupt_line_skipped(cache_file, capsys):
     assert json.loads(out)["value"] == 1
 
 
+@pytest.mark.parametrize("record", [
+    {"q": "kron 2,1 2,1 2,1", "engine": "primary", "value": 3.7},
+    {"q": "kron 2,1 2,1 2,1", "engine": "primary", "value": True},
+    {"q": "kron 2,1 2,1 2,1", "engine": "primary", "value": "-5"},
+    {"q": "kron 2,1 2,1 2,1", "engine": "primary", "value": -5},
+    {"q": ["kron 2,1 2,1 2,1"], "engine": "primary", "value": 1},
+], ids=["float_value", "bool_value", "string_value", "negative_value", "list_q"])
+def test_cache_record_of_wrong_type_skipped(cache_file, capsys, record):
+    cache_file.write_text(json.dumps(record) + "\n")
+    code, out, err = run(capsys, "coeff", "kron", "2,1", "2,1", "2,1")
+    assert code == 0
+    assert "skipping corrupt cache line 1" in err
+    assert json.loads(out)["value"] == 1
+
+
 def test_cache_integrity_failure(cache_file, capsys):
     rec1 = {"q": "kron 3 2,1 2,1", "engine": "primary", "value": 1}
     rec2 = {"q": "kron 3 2,1 2,1", "engine": "oracle", "value": 7}
@@ -135,6 +150,13 @@ def test_additive_rejects_nonzero_corner(cache_file, capsys, tmp_path):
     f.write_text("1 0\n0 1\n")
     code, _, err = run(capsys, "additive", "--matrix", str(f), "--kind", "h")
     assert code == 2 and "corner" in err
+
+
+def test_additive_undecodable_file_exits_2(cache_file, capsys, tmp_path):
+    f = tmp_path / "m.txt"
+    f.write_bytes(b"0 1\n\xff 1\n")
+    code, out, err = run(capsys, "additive", "--matrix", str(f), "--kind", "h")
+    assert code == 2 and out == "" and "cannot read matrix file" in err
 
 
 def test_additive_negative_result(cache_file, capsys, tmp_path):
