@@ -11,7 +11,9 @@
   the product is a sum over margin-constrained matrices.
 * Whole degrees of the Heisenberg product by the same decomposition run
   once per degree, with both recombinations taken as Schur products by the
-  LR rule (`_lr_product`).
+  LR rule (`_lr_product`).  Both Heisenberg engines read their LR splits
+  from one memoized table (`_splits`) and share `_lr` and `_kron`; only
+  their recombinations differ (tableau counts against strip-DP products).
 
 All values are exact nonnegative integers and every engine memoizes
 process-wide: stabilization sequences hammer overlapping subqueries.  The
@@ -59,6 +61,7 @@ def clear_caches() -> None:
     _KRON_CACHE.clear()
     _HEIS_CACHE.clear()
     _LR_PRODUCT_CACHE.clear()
+    _splits.cache_clear()
     _h_expansion.cache_clear()
     symfun.clear_caches()
 
@@ -143,6 +146,16 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     if val is None:
         val = _LR_CACHE[key] = _lr_count(lam, mu, nu)
     return val
+
+
+@lru_cache(maxsize=None)
+def _splits(outer: Partition, a: int, b: int) -> tuple[tuple[Partition, Partition, int], ...]:
+    """Every LR split of `outer` as (x, y, c^outer_{x y}) with x |- a and
+    y |- b inside `outer` and c > 0, for a + b = |outer|.  The one split
+    table of both Heisenberg engines."""
+    ys = list(subpartitions_of_size(outer, b))
+    return tuple((x, y, c) for x in subpartitions_of_size(outer, a)
+                 for y in ys if (c := _lr(outer, x, y)))
 
 
 def _lr_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
@@ -326,48 +339,33 @@ def heisenberg_coeff(lam, mu, nu) -> int:
 
 def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
                      p: int, q: int, r: int) -> int:
-    # mu splits into (alpha |- p, beta |- q); nu splits into (eta |- q,
-    # rho |- r), each part inside the partition it splits, else its LR
-    # factor vanishes; beta and eta meet in a Kronecker factor over delta |- q;
-    # alpha and delta recombine into tau |- p+q, then tau and rho into lam.
-    beta_cands = list(subpartitions_of_size(mu, q))
-    c1_by_alpha: dict[tuple, list[tuple[Partition, int]]] = {}
-    for alpha in subpartitions_of_size(mu, p):
-        terms = []
-        for beta in beta_cands:
-            c1 = _lr(mu, alpha, beta)
-            if c1:
-                terms.append((beta, c1))
-        if terms:
-            c1_by_alpha[alpha] = terms
+    # mu splits into (alpha |- p, beta |- q) and nu into (eta |- q, rho |- r)
+    # by LR; beta and eta meet in a Kronecker factor over delta |- q; alpha
+    # and delta recombine into tau |- p+q, then tau and rho into lam.
+    c1_by_alpha: dict[Partition, list[tuple[Partition, int]]] = {}
+    for alpha, beta, c1 in _splits(mu, p, q):
+        c1_by_alpha.setdefault(alpha, []).append((beta, c1))
     if not c1_by_alpha:
         return 0
+    c2_by_rho: dict[Partition, list[tuple[Partition, int]]] = {}
+    for eta, rho, c2 in _splits(nu, q, r):
+        c2_by_rho.setdefault(rho, []).append((eta, c2))
+    taus = list(subpartitions_of_size(lam, p + q))
 
     total = 0
-    for rho in subpartitions_of_size(nu, r):
-        eta_terms = []
-        for eta in subpartitions_of_size(nu, q):
-            c2 = _lr(nu, eta, rho)
-            if c2:
-                eta_terms.append((eta, c2))
-        if not eta_terms:
-            continue
-        for tau in subpartitions_of_size(lam, lam.size - r):
+    for rho, c2_terms in c2_by_rho.items():
+        for tau in taus:
             c4 = _lr(lam, tau, rho)
             if not c4:
                 continue
-            for alpha, c1_terms in c1_by_alpha.items():
-                for delta in subpartitions_of_size(tau, q):
-                    c3 = _lr(tau, alpha, delta)
-                    if not c3:
-                        continue
-                    inner = 0
-                    for beta, c1 in c1_terms:
-                        for eta, c2 in eta_terms:
-                            g = _kron(delta, beta, eta)
-                            if g:
-                                inner += c1 * c2 * g
-                    total += c4 * c3 * inner
+            for alpha, delta, c3 in _splits(tau, p, q):
+                inner = 0
+                for beta, c1 in c1_by_alpha.get(alpha, ()):
+                    for eta, c2 in c2_terms:
+                        g = _kron(delta, beta, eta)
+                        if g:
+                            inner += c1 * c2 * g
+                total += c4 * c3 * inner
     return total
 
 
@@ -389,9 +387,12 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
     beta, eta, delta |- q, rho |- r.  The splits and the Kronecker
     contraction are done once; the two Schur products come from
     `_lr_product`.  One term is then checked against the pointwise
-    formula (`heisenberg_coeff`), which shares only `_lr` and `_kron` with
-    this pass: the lexicographically largest lam, whose few subdiagrams make
-    it the cheapest query for that formula."""
+    formula (`heisenberg_coeff`): the lexicographically largest lam, whose
+    few subdiagrams make it the cheapest query for that formula.  The check
+    shares `_splits`, `_lr` and `_kron` with this pass, so only the
+    recombinations are independent (tableau counts against strip-DP
+    products).  The independent checks are the h-basis oracle (acceptance
+    01, |mu|, |nu| <= 4) and the dimension identity."""
     mu, nu = Partition(mu), Partition(nu)
     (degree,) = _integer_parts((degree,), ValueError)
     lo, hi = max(mu.size, nu.size), mu.size + nu.size
@@ -401,18 +402,11 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
         mu, nu = nu, mu  # the product is commutative
     p, q, r = degree - nu.size, mu.size + nu.size - degree, degree - mu.size
 
-    betas = list(subpartitions_of_size(mu, q))
-    mu_splits = [(alpha, beta, c1) for alpha in subpartitions_of_size(mu, p)
-                 for beta in betas if (c1 := _lr(mu, alpha, beta))]
-    rhos = list(subpartitions_of_size(nu, r))
-    nu_splits = [(eta, rho, c2) for eta in subpartitions_of_size(nu, q)
-                 for rho in rhos if (c2 := _lr(nu, eta, rho))]
-
     # inner[(alpha, delta)][rho] = sum c1 c2 g(delta, beta, eta)
     deltas = list(partitions_of(q))
     inner: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-    for alpha, beta, c1 in mu_splits:
-        for eta, rho, c2 in nu_splits:
+    for alpha, beta, c1 in _splits(mu, p, q):
+        for eta, rho, c2 in _splits(nu, q, r):
             for delta in deltas:
                 g = _kron(delta, beta, eta)
                 if g:

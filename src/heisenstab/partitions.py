@@ -238,9 +238,8 @@ def is_dominated_by(a: Sequence[Rational], b: Sequence[Rational]) -> bool:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n, largest part first."""
-    if n < 0:
-        return
+    """All partitions of n, largest part first; none when n < 0."""
+    (n,) = _integer_parts((n,), ValueError)
 
     def gen(rem: int, bound: int, acc: list[int]) -> Iterator[Partition]:
         if rem == 0:
@@ -251,12 +250,12 @@ def partitions_of(n: int) -> Iterator[Partition]:
             yield from gen(rem - head, head, acc)
             acc.pop()
 
-    yield from gen(n, n, [])
+    return gen(n, n, [])
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
-    for m in range(n + 1):
-        yield from partitions_of(m)
+    (n,) = _integer_parts((n,), ValueError)
+    return itertools.chain.from_iterable(partitions_of(m) for m in range(n + 1))
 
 
 def subpartitions_of_size(outer: Sequence[int], size: int) -> Iterator[Partition]:

@@ -25,7 +25,7 @@ from .coefficients import (
     lr_coeff,
     lr_coeff_hive,
 )
-from .partitions import Partition, add, scale
+from .partitions import Partition, _integer_parts, add, scale
 
 
 class Kind(enum.Enum):
@@ -126,6 +126,7 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     values are scanned up to n_max: any value >= 2 refutes; a clean scan of
     ones stays inconclusive (upgrade to certified needs an additivity
     certificate from the matrix pipeline)."""
+    (n_max,) = _integer_parts((n_max,), ValueError)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     a, b, c = triple.alpha, triple.beta, triple.gamma
@@ -163,6 +164,7 @@ def stabilization_sequence(kind: Kind,
     which makes every shifted query fit it too."""
     lam, mu, nu = (Partition(x) for x in base)
     al, be, ga = (Partition(x) for x in direction)
+    ns = _integer_parts(ns, ValueError)
     if not size_pattern_ok(kind, lam, mu, nu):
         raise ValueError(f"base sizes ({lam.size}; {mu.size}, {nu.size}) "
                          f"violate the {kind.value} pattern")
@@ -182,6 +184,7 @@ def detect_stable_limit(values: Sequence[int], window: int = 4
     """Heuristic tail detector: if the last `window` entries agree, return
     (value, index where the final run starts); otherwise None.  Agreement
     over a window is evidence, not proof, of stabilization."""
+    (window,) = _integer_parts((window,), ValueError)
     if window < 2:
         raise ValueError("window must be >= 2")
     if len(values) < window:

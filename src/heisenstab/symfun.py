@@ -80,12 +80,13 @@ def _mn_character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
 
 
 def character(lam: Sequence[int], rho: Sequence[int]) -> int:
-    """Irreducible character value chi^lam at cycle type rho."""
+    """Irreducible character value chi^lam at cycle type rho, whose parts
+    may come in any order."""
     lam = Partition(lam)
-    rho = Partition(rho)
+    rho = pi_sequence(rho)
     if lam.size != rho.size:
         raise ValueError(f"|lam| = {lam.size} but |rho| = {rho.size}")
-    return _mn_character(tuple(lam), tuple(sorted(rho, reverse=True)))
+    return _mn_character(tuple(lam), tuple(rho))
 
 
 def dimension(lam: Sequence[int]) -> int:

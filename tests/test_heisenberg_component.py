@@ -34,6 +34,18 @@ def test_lr_product_matches_lr_coeff():
             assert _lr_product(nu, mu) == expected, (nu, mu)
 
 
+def test_split_table_matches_brute_force():
+    # every x |- a and y |- b, not only those inside outer
+    for outer in partitions_up_to(7):
+        for a in range(outer.size + 1):
+            b = outer.size - a
+            table = coefficients._splits(outer, a, b)
+            assert type(table) is tuple
+            expected = [(x, y, c) for x in partitions_of(a) for y in partitions_of(b)
+                        if (c := lr_coeff(outer, x, y))]
+            assert sorted(table) == sorted(expected), (outer, a, b)
+
+
 def test_component_matches_pointwise_formula():
     small = list(partitions_up_to(4))
     for mu in small:
@@ -125,7 +137,7 @@ def test_clear_caches_empties_every_memo():
     symfun.schur_in_h_basis((2, 1))
     symfun.dimension((3, 1))
     filled = dict(_memos(coefficients)) | dict(_memos(symfun))
-    assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE", "_h_expansion",
+    assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE", "_splits", "_h_expansion",
             "_mn_character", "character_vector", "_kostka", "_schur_in_h", "cycle_types",
             "class_sizes"} <= set(filled)
     assert all(filled.values()), filled

@@ -7,8 +7,23 @@ from fractions import Fraction
 import pytest
 
 from heisenstab.coefficients import heisenberg_coeff, kron_coeff, lr_coeff
-from heisenstab.partitions import Composition, NotAPartitionError, Partition
-from heisenstab.stability import ORACLE, PRIMARY, Kind, coefficient
+from heisenstab.partitions import (
+    Composition,
+    NotAPartitionError,
+    Partition,
+    partitions_of,
+    partitions_up_to,
+)
+from heisenstab.stability import (
+    ORACLE,
+    PRIMARY,
+    Kind,
+    classify_triple,
+    coefficient,
+    detect_stable_limit,
+    stability_check,
+    stabilization_sequence,
+)
 
 
 class Three:
@@ -106,3 +121,46 @@ def test_parse_matrix_takes_ascii_digits_only():
     assert parse_matrix("0 10\n1 1\n", "k").rows == ((0, 10), (1, 1))
     with pytest.raises(ValueError, match="unknown matrix kind"):
         parse_matrix("0 1\n", "x")
+
+
+# integer arguments besides parts: bools and integral floats are not counts
+NOT_INTEGERS = (True, False, 2.0, 2.5, "2", Fraction(2), None)
+
+
+def test_partitions_of_takes_an_integer():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError):
+            partitions_of(bad)
+    assert list(partitions_of(Three())) == [(3,), (2, 1), (1, 1, 1)]
+    assert list(partitions_of(-1)) == []
+
+
+def test_partitions_up_to_takes_an_integer():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError):
+            partitions_up_to(bad)
+    assert list(partitions_up_to(Three())) == list(partitions_up_to(3))
+
+
+def test_stabilization_sequence_takes_integer_steps():
+    base, direction = ((2,), (1,), (1,)), ((1,), (1,), ())
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError):
+            stabilization_sequence(Kind.LR, base, direction, [bad, 2])
+    seq = stabilization_sequence(Kind.LR, base, direction, (n for n in (Three(), 2)))
+    assert seq == [(3, 1), (2, 1)] and type(seq[0][0]) is int
+
+
+def test_stability_check_takes_an_integer_n_max():
+    t = classify_triple((2,), (1,), (1,))
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError):
+            stability_check(t, n_max=bad)
+    assert stability_check(t, n_max=Three()).n_max == 3
+
+
+def test_detect_stable_limit_takes_an_integer_window():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError):
+            detect_stable_limit([1, 2, 2, 2], window=bad)
+    assert detect_stable_limit([1, 2, 2, 2], window=Three()) == (2, 1)

@@ -36,6 +36,12 @@ def test_dimension_matches_hook_lengths():
             assert dimension(lam) == hook_length_dimension(lam)
 
 
+def test_character_reads_the_cycle_type_in_any_order():
+    assert character((2, 1), (1, 2)) == character((2, 1), (2, 1))
+    assert character((3, 1), (1, 1, 2)) == character((3, 1), (2, 1, 1)) == 1
+    assert character((3, 1), [1, 3]) == character((3, 1), (3, 1)) == 0
+
+
 def test_character_size_mismatch():
     with pytest.raises(ValueError):
         character((2, 1), (2, 2))
