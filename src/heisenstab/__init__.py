@@ -58,7 +58,6 @@ from .additivity import (
     BudgetExceededError,
     CertifiedTriple,
     ConstraintMatrix,
-    EnumerationBudget,
     HeisenbergMatrix,
     KroneckerMatrix,
     MatrixParseError,
@@ -76,7 +75,6 @@ from .additivity import (
     margin_class,
     margin_matrices,
     parse_matrix,
-    permutohedron_contains,
     stable_triple,
     unflatten,
 )

@@ -37,17 +37,11 @@ class MatrixParseError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration refused: margins exceed the configured budget."""
+    """Enumeration refused: margins exceed the budget."""
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_total: int = 24   # |beta| + |gamma|
-    max_rows: int = 5     # full matrix dimensions
-    max_cols: int = 5
-
-
-DEFAULT_BUDGET = EnumerationBudget()
+MAX_TOTAL = 24  # |beta| + |gamma|
+MAX_SIDE = 5    # rows and columns of the full matrix
 
 
 def _validated_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -219,18 +213,17 @@ def in_heisenberg_class(A: HeisenbergMatrix, beta, gamma, alpha) -> bool:
     )
 
 
-def check_budget(cls: type[KroneckerMatrix], beta: Sequence[int], gamma: Sequence[int],
-                 budget: EnumerationBudget = DEFAULT_BUDGET) -> None:
+def check_budget(cls: type[KroneckerMatrix], beta: Sequence[int], gamma: Sequence[int]) -> None:
     """Refuse margins whose class-`cls` matrices exceed the budget."""
     beta, gamma = Composition(beta), Composition(gamma)
     rows = len(beta) + cls.corner
     cols = len(gamma) + cls.corner
-    if beta.size + gamma.size > budget.max_total:
+    if beta.size + gamma.size > MAX_TOTAL:
         raise BudgetExceededError(
-            f"margin total {beta.size + gamma.size} exceeds budget {budget.max_total}")
-    if rows > budget.max_rows or cols > budget.max_cols:
+            f"margin total {beta.size + gamma.size} exceeds budget {MAX_TOTAL}")
+    if rows > MAX_SIDE or cols > MAX_SIDE:
         raise BudgetExceededError(
-            f"dimensions {rows}x{cols} exceed budget {budget.max_rows}x{budget.max_cols}")
+            f"dimensions {rows}x{cols} exceed budget {MAX_SIDE}x{MAX_SIDE}")
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +408,6 @@ def unflatten(vec: Sequence[int], p: int, q: int) -> HeisenbergMatrix:
     return HeisenbergMatrix(rows)
 
 
-def permutohedron_contains(a: Sequence, x: Sequence) -> bool:
-    """x lies in the convex hull of the coordinate permutations of a, i.e.
-    x is majorized by a (Rado's criterion).  No vertex enumeration."""
-    return is_dominated_by(x, a)
-
-
 # ---------------------------------------------------------------------------
 # Minimality and stable-triple generation
 
@@ -431,15 +418,14 @@ class MinimalityResult:
     witness: Optional[KroneckerMatrix] = None
 
 
-def integer_minimality_check(A: KroneckerMatrix,
-                             budget: EnumerationBudget = DEFAULT_BUDGET) -> MinimalityResult:
+def integer_minimality_check(A: KroneckerMatrix) -> MinimalityResult:
     """Search A's margin class, in A's own matrix family, for a witness
     B != A whose sorted entry
     sequence is majorized by A's (equality of sorted sequences counts: the
     class must be a singleton).  Only matrices with the same entry total can
     compare.  Refuses (raises) outside the enumeration budget."""
     beta, gamma = A.row_margins, A.col_margins
-    check_budget(type(A), beta, gamma, budget=budget)
+    check_budget(type(A), beta, gamma)
     target = A.pi
     total = A.total
     for B in margin_matrices(type(A), beta, gamma):

@@ -78,7 +78,9 @@ def cache_path() -> str:
 def load_cache(path: str) -> dict[tuple[str, str], int]:
     records: dict[tuple[str, str], int] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # a byte that is not UTF-8 reads as a lone surrogate, so that the
+        # loop refuses only its own line
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError:
         return records
     with fh:
@@ -87,6 +89,8 @@ def load_cache(path: str) -> dict[tuple[str, str], int]:
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
                 rec = json.loads(line)
                 q, engine, value = rec["q"], rec["engine"], rec["value"]
                 # a value is a non-negative JSON integer, never coerced

@@ -177,7 +177,7 @@ def _lr_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
     rows = len(mu) + len(nu)  # each letter opens at most one new row
     # (shape, cumulative counts of the last letter by row) -> fillings; the
     # first letter has no lattice bound, the last one bounds nothing
-    states: dict[tuple, int] = {(tuple(mu) + (0,) * len(nu), None): 1}
+    states: dict[tuple, int] = {(mu + (0,) * len(nu), None): 1}
     for i, n in enumerate(nu):
         last = i == len(nu) - 1
         grown: dict[tuple, int] = {}

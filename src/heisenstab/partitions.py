@@ -1,9 +1,10 @@
 """Integer partitions, weak compositions, and majorization order.
 
 Partitions are stored as tuples of positive parts in weakly decreasing
-order; the empty tuple is the unique partition of 0.  All arithmetic
-(addition, scaling, subtraction) is coordinatewise with implicit zero
-padding.  The dominance comparison works on arbitrary rational vectors,
+order; the empty tuple is the unique partition of 0.  `Partition` is a
+tuple under `+` and `*` (concatenation, repetition); the vector
+arithmetic `add`, `subtract` and `scale` is coordinatewise with implicit
+zero padding.  The dominance comparison works on arbitrary rational vectors,
 not just partitions, and is always exact (`fractions.Fraction`).
 """
 
@@ -79,20 +80,6 @@ class Partition(tuple):
     def __str__(self) -> str:
         return ",".join(str(p) for p in self) if self else "0"
 
-    # vector arithmetic, not tuple concatenation/repetition
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __mul__(self, n):
-        return scale(n, self)
-
-    __rmul__ = __mul__
-
     @staticmethod
     def parse(text: str) -> "Partition":
         """Parse the comma syntax, e.g. "7,6,5,5,4,4,3,2,2,1"; "" or "0" is empty."""
@@ -142,16 +129,15 @@ def pi_sequence(data) -> Partition:
     """Entries of a matrix (iterable of rows) or a flat sequence, sorted
     weakly decreasingly with trailing zeros dropped."""
     if isinstance(data, (Partition, Composition)):
-        entries = list(data)
+        entries = data
     else:
         rows = list(data)
         if rows and isinstance(rows[0], (list, tuple)):
-            entries = [e for row in rows for e in row]
-        else:
-            entries = rows
+            rows = [e for row in rows for e in row]
+        entries = _integer_parts(rows, ValueError)
     if any(e < 0 for e in entries):
-        raise ValueError(f"negative entry in {entries}")
-    return Partition(sorted(entries, reverse=True))
+        raise ValueError(f"negative entry in {list(entries)}")
+    return _trusted(e for e in sorted(entries, reverse=True) if e)
 
 
 def _padded(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:

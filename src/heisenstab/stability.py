@@ -33,13 +33,6 @@ class Kind(enum.Enum):
     LR = "lr"
     HEISENBERG = "heis"
 
-    @staticmethod
-    def from_token(token: str) -> "Kind":
-        for kind in Kind:
-            if kind.value == token:
-                return kind
-        raise ValueError(f"unknown kind {token!r} (expected kron, lr, or heis)")
-
 
 class NotATripleError(ValueError):
     def __init__(self, reason: str, message: str):

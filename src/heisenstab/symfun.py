@@ -14,10 +14,7 @@ import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Partition, pi_sequence
-
-# A cycle type is just a partition of n recording the cycle lengths.
-CycleType = Partition
+from .partitions import Composition, Partition, pi_sequence
 
 
 def multiplicities(rho: Sequence[int]) -> dict[int, int]:
@@ -83,7 +80,7 @@ def character(lam: Sequence[int], rho: Sequence[int]) -> int:
     """Irreducible character value chi^lam at cycle type rho, whose parts
     may come in any order."""
     lam = Partition(lam)
-    rho = pi_sequence(rho)
+    rho = pi_sequence(Composition(rho))
     if lam.size != rho.size:
         raise ValueError(f"|lam| = {lam.size} but |rho| = {rho.size}")
     return _mn_character(tuple(lam), tuple(rho))
@@ -158,7 +155,7 @@ def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     version, so it is canonicalized first.
     """
     lam = Partition(lam)
-    mu_sorted = pi_sequence(list(mu))
+    mu_sorted = pi_sequence(Composition(mu))
     if lam.size != mu_sorted.size:
         raise ValueError(f"|lam| = {lam.size} but |mu| = {mu_sorted.size}")
     return _kostka(tuple(lam), tuple(mu_sorted))

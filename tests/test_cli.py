@@ -68,6 +68,20 @@ def test_cache_corrupt_line_skipped(cache_file, capsys):
     assert json.loads(out)["value"] == 1
 
 
+def test_cache_line_of_bad_utf8_skipped(cache_file, capsys):
+    # line 1 holds a value no engine gives, so serving it shows a cache hit
+    hit = {"q": "kron 2,1 2,1 2,1", "engine": "primary", "value": 5}
+    other = {"q": "kron 3 2,1 2,1", "engine": "primary", "value": 9}
+    cache_file.write_bytes(json.dumps(hit).encode() + b"\n\xff\xfe garbage\n"
+                           + json.dumps(other).encode() + b"\n")
+    code, out, err = run(capsys, "coeff", "kron", "2,1", "2,1", "2,1")
+    assert code == 0
+    assert "skipping corrupt cache line 2" in err
+    assert json.loads(out)["value"] == 5
+    code, out, _ = run(capsys, "coeff", "kron", "3", "2,1", "2,1")
+    assert code == 0 and json.loads(out)["value"] == 9  # line 3 was read
+
+
 @pytest.mark.parametrize("record", [
     {"q": "kron 2,1 2,1 2,1", "engine": "primary", "value": 3.7},
     {"q": "kron 2,1 2,1 2,1", "engine": "primary", "value": True},

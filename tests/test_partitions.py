@@ -65,13 +65,19 @@ def test_pi_sequence_rejects_negative():
         pi_sequence([(1, -1)])
 
 
+@pytest.mark.parametrize("data", [("1",), [(1, "1")]], ids=["flat", "matrix"])
+def test_pi_sequence_rejects_non_integer_entries(data):
+    with pytest.raises(ValueError):
+        pi_sequence(data)
+
+
 def test_add_scale():
     assert add(Partition((2, 1)), Partition((1, 1))) == (3, 2)
     assert scale(3, Partition((2, 1))) == (6, 3)
     assert scale(0, Partition((2, 1))) == ()
-    # operator forms mean vector arithmetic, not tuple concatenation
-    assert Partition((2, 1)) + Partition((1, 1)) == (3, 2)
-    assert 3 * Partition((2, 1)) == (6, 3)
+    # the operators keep their tuple meaning: concatenation and repetition
+    assert Partition((2, 1)) + (0,) == (2, 1, 0)
+    assert 2 * Partition((2, 1)) == (2, 1, 2, 1)
 
 
 def test_subtract_failure_is_typed():

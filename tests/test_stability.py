@@ -53,9 +53,9 @@ def test_classify_rejects_zero_coefficient():
 
 def test_kind_token_round_trip():
     for kind in Kind:
-        assert Kind.from_token(kind.value) == kind
+        assert Kind(kind.value) == kind
     with pytest.raises(ValueError):
-        Kind.from_token("nope")
+        Kind("nope")
 
 
 def test_stability_inconclusive_on_classical_direction():

@@ -102,6 +102,28 @@ def test_kostka_size_mismatch():
         kostka((2, 1), (2, 2))
 
 
+# a cycle type and a content are flat sequences of integers: a string entry
+# or a nested row is refused with ValueError, not summed or compared
+def test_character_rejects_a_string_part():
+    with pytest.raises(ValueError):
+        character((1,), ("1",))
+
+
+def test_kostka_rejects_a_string_part():
+    with pytest.raises(ValueError):
+        kostka((1,), ("1",))
+
+
+def test_character_rejects_nested_input():
+    with pytest.raises(ValueError):
+        character((2,), [[1], [1]])
+
+
+def test_kostka_rejects_nested_input():
+    with pytest.raises(ValueError):
+        kostka((2,), [[1], [1]])
+
+
 def test_schur_in_h_single_row():
     assert schur_in_h_basis((4,)) == {Partition((4,)): 1}
 
