@@ -8,9 +8,11 @@ failure, 5 enumeration budget exceeded, 1 selftest failure.
 A persistent cache of coefficient values lives in a single append-friendly
 text file (one JSON record per line) at ~/.cache/heisenstab.cache, or
 wherever HEIS_CACHE points.  The cache is an accelerator only: corrupt
-lines are skipped with a warning, and any disagreement between a cached
-primary value and a cached oracle value for the same query is a fatal
-integrity error.
+lines anywhere in the file are skipped with a warning.  `coeff` decodes
+only the records of the query it asks, and two of those that disagree (two
+values for one engine, or a primary and an oracle value) are a fatal
+integrity error; `verify-cache` applies the same check to every query in
+the file.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from typing import Optional
@@ -75,42 +78,80 @@ def cache_path() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "heisenstab.cache")
 
 
-def load_cache(path: str) -> dict[tuple[str, str], int]:
+# The line append_cache writes, for a q of printable ASCII other than `"`
+# and `\` (json.dumps writes such a q as it is).  A value of at most 300
+# digits stays under every int_max_str_digits limit Python allows (640 and
+# up), so json.loads reads every line this matches as a valid record.
+_RECORD = re.compile(
+    r'^\{"q": "[ !#-\[\]-~]*", "engine": "(?:primary|oracle)", '
+    r'"value": (?:0|[1-9][0-9]{0,299})\}$', re.MULTILINE)
+
+
+def _lines_to_decode(text: str, q: Optional[str]):
+    """(line number, line) for the lines of text that load_cache decodes:
+    every line when q is None, else the lines of q and every line _RECORD
+    does not match, so that corrupt lines are still found file-wide.  A line
+    _RECORD matches holds the needle below only at its start, and only when
+    its q is q."""
+    if q is None:
+        return enumerate(text.split("\n"), 1)
+    needle = f'{{"q": {json.dumps(q)}, '
+    if not _RECORD.sub("", text).strip():
+        # every non-blank line is a record as append_cache writes it
+        found = []
+        pos = text.find(needle)
+        while pos >= 0:
+            end = text.find("\n", pos)
+            end = len(text) if end < 0 else end
+            found.append((text.count("\n", 0, pos) + 1, text[pos:end]))
+            pos = text.find(needle, end)
+        return found
+    return ((lineno, line) for lineno, line in enumerate(text.split("\n"), 1)
+            if line.startswith(needle) or not _RECORD.fullmatch(line))
+
+
+def load_cache(path: str, q: Optional[str]) -> dict[tuple[str, str], int]:
+    """The records of query q in the cache file, keyed (q, engine), or those
+    of every query when q is None.  Corrupt lines anywhere in the file are
+    skipped with a warning; records that conflict among those returned raise
+    CacheIntegrityError."""
     records: dict[tuple[str, str], int] = {}
     try:
         # a byte that is not UTF-8 reads as a lone surrogate, so that the
         # loop refuses only its own line
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
     except OSError:
         return records
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if not line.isascii():
-                    line.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
-                rec = json.loads(line)
-                q, engine, value = rec["q"], rec["engine"], rec["value"]
-                # a value is a non-negative JSON integer, never coerced
-                if (not isinstance(q, str) or engine not in ("primary", "oracle")
-                        or type(value) is not int or value < 0):
-                    raise ValueError(line)
-            except (ValueError, KeyError, TypeError):
-                _warn(f"skipping corrupt cache line {lineno}")
-                continue
-            key = (q, engine)
-            if key in records and records[key] != value:
-                raise CacheIntegrityError(
-                    f"cache holds conflicting values for {q} [{engine}]: "
-                    f"{records[key]} vs {value}")
-            records[key] = value
-    for (q, engine), value in records.items():
-        other = records.get((q, "oracle" if engine == "primary" else "primary"))
+    for lineno, line in _lines_to_decode(text, q):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            if not line.isascii():
+                line.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
+            rec = json.loads(line)
+            rec_q, engine, value = rec["q"], rec["engine"], rec["value"]
+            # a value is a non-negative JSON integer, never coerced
+            if (not isinstance(rec_q, str) or engine not in ("primary", "oracle")
+                    or type(value) is not int or value < 0):
+                raise ValueError(line)
+        except (ValueError, KeyError, TypeError):
+            _warn(f"skipping corrupt cache line {lineno}")
+            continue
+        if q is not None and rec_q != q:
+            continue
+        key = (rec_q, engine)
+        if key in records and records[key] != value:
+            raise CacheIntegrityError(
+                f"cache holds conflicting values for {rec_q} [{engine}]: "
+                f"{records[key]} vs {value}")
+        records[key] = value
+    for (rec_q, engine), value in records.items():
+        other = records.get((rec_q, "oracle" if engine == "primary" else "primary"))
         if other is not None and other != value:
             raise CacheIntegrityError(
-                f"primary and oracle records disagree for {q}: {value} vs {other}")
+                f"primary and oracle records disagree for {rec_q}: {value} vs {other}")
     return records
 
 
@@ -146,12 +187,12 @@ def cmd_coeff(args) -> int:
         _warn(f"sizes ({lam.size}; {mu.size}, {nu.size}) do not fit kind {args.kind}")
         return EXIT_SIZES
     path = cache_path()
+    q = f"{args.kind} {lam} {mu} {nu}"
     try:
-        cache = load_cache(path)
+        cache = load_cache(path, q)
     except CacheIntegrityError as exc:
         _warn(str(exc))
         return EXIT_MISMATCH
-    q = f"{args.kind} {lam} {mu} {nu}"
 
     def run(engine: str) -> int:
         key = (q, engine)
@@ -174,6 +215,16 @@ def cmd_coeff(args) -> int:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     _emit({"kind": args.kind, "lambda": str(lam), "mu": str(mu), "nu": str(nu),
            "value": value, "engine": engine, "elapsed_ms": round(elapsed_ms, 3)})
+    return EXIT_OK
+
+
+def cmd_verify_cache(args) -> int:
+    try:
+        records = load_cache(cache_path(), None)
+    except CacheIntegrityError as exc:
+        _warn(str(exc))
+        return EXIT_MISMATCH
+    _emit({"records": len(records)})
     return EXIT_OK
 
 
@@ -409,6 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--pi", default=None,
                     help="restrict to matrices with this sorted entry sequence")
     en.set_defaults(fn=cmd_enumerate)
+
+    vc = sub.add_parser("verify-cache",
+                        help="check every record of the coefficient cache")
+    vc.set_defaults(fn=cmd_verify_cache)
 
     se = sub.add_parser("selftest", help="run the conformance table")
     se.set_defaults(fn=cmd_selftest)

@@ -133,6 +133,8 @@ def pi_sequence(data) -> Partition:
     else:
         rows = list(data)
         if rows and isinstance(rows[0], (list, tuple)):
+            if not all(isinstance(row, (list, tuple)) for row in rows):
+                raise ValueError(f"matrix mixes rows and entries: {rows!r}")
             rows = [e for row in rows for e in row]
         entries = _integer_parts(rows, ValueError)
     if any(e < 0 for e in entries):

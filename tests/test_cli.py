@@ -249,3 +249,83 @@ def test_malformed_integer_tokens_exit_2(cache_file, capsys, tmp_path, token):
     f = tmp_path / "m.txt"
     f.write_text(f"0 {token}\n1 1\n", encoding="utf-8")
     assert run(capsys, "additive", "--matrix", str(f), "--kind", "h")[0] == 2
+
+
+def record(q, engine, value):
+    """A cache line as `coeff` writes it."""
+    return json.dumps({"q": q, "engine": engine, "value": value})
+
+
+def test_conflict_in_another_query_fails_only_verify_cache(cache_file, capsys):
+    cache_file.write_text("\n".join([
+        record("kron 3 2,1 2,1", "primary", 1),
+        record("lr 2,1 1 1", "primary", 1),
+        record("lr 2,1 1 1", "oracle", 3),
+    ]) + "\n")
+    code, out, err = run(capsys, "coeff", "kron", "3", "2,1", "2,1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == 1
+    code, out, err = run(capsys, "verify-cache")
+    assert code == 4 and out == ""
+    assert err == "heisenstab: primary and oracle records disagree for lr 2,1 1 1: 1 vs 3\n"
+
+
+def test_conflict_in_the_asked_query_exits_4(cache_file, capsys):
+    cache_file.write_text("\n".join([
+        record("lr 2,1 1 1", "primary", 1),
+        record("kron 3 2,1 2,1", "primary", 1),
+        record("kron 3 2,1 2,1", "primary", 2),
+    ]) + "\n")
+    code, out, err = run(capsys, "coeff", "kron", "3", "2,1", "2,1")
+    assert code == 4 and out == ""
+    assert "conflicting values for kron 3 2,1 2,1 [primary]: 1 vs 2" in err
+
+
+def test_verify_cache_counts_records(cache_file, capsys):
+    code, out, err = run(capsys, "verify-cache")
+    assert (code, json.loads(out), err) == (0, {"records": 0}, "")
+    cache_file.write_text("\n".join([
+        record("lr 2,1 1 1", "primary", 1),
+        record("lr 2,1 1 1", "oracle", 1),
+        record("lr 2,1 1 1", "oracle", 1),
+        "garbage",
+        record("kron 3 2,1 2,1", "primary", 1),
+    ]) + "\n")
+    code, out, err = run(capsys, "verify-cache")
+    assert (code, json.loads(out)) == (0, {"records": 3})
+    assert err == "heisenstab: skipping corrupt cache line 4\n"
+
+
+def test_corrupt_line_of_no_query_is_still_reported(cache_file, capsys):
+    cache_file.write_text("\n".join([
+        record("lr 2,1 1 1", "primary", 1),
+        record("lr 2,1 1 1", "oracle", 1),
+        '{"q": "kron 2 2 2", "engine": "primary"',
+        record("kron 3 2,1 2,1", "primary", 5),
+    ]) + "\n")
+    code, out, err = run(capsys, "coeff", "kron", "3", "2,1", "2,1")
+    assert code == 0
+    assert err == "heisenstab: skipping corrupt cache line 3\n"
+    assert json.loads(out)["value"] == 5  # the cached value, which no engine gives
+
+
+def test_a_hit_decodes_only_its_own_lines(cache_file, capsys, monkeypatch):
+    asked = "kron 3 2,1 2,1"
+    body = [record(f"lr {n},1 {n} 1", "primary", 1) for n in range(1, 999)]
+    mine = [record(asked, "primary", 1), record(asked, "oracle", 1)]
+    body[400:400] = mine[:1]
+    body[700:700] = mine[1:]
+    cache_file.write_text("\n".join(body) + "\n")
+    assert len(body) == 1000
+    decoded = []
+    real_loads = json.loads
+
+    def counting_loads(s, *args, **kwargs):
+        decoded.append(s)
+        return real_loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)  # cli calls json.loads
+    code, out, err = run(capsys, "coeff", "kron", "3", "2,1", "2,1", "--oracle")
+    assert code == 0 and err == ""
+    assert decoded == mine
+    assert real_loads(out)["engine"] == "both"

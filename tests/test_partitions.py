@@ -192,3 +192,10 @@ def test_subpartitions_of_size():
         assert lam.size == 5 and contains((4, 2, 1), lam)
     assert list(subpartitions_of_size((2, 1), 0)) == [Partition(())]
     assert list(subpartitions_of_size((2, 1), 4)) == []
+
+
+@pytest.mark.parametrize("data", [[(1, 2), 3], [3, (1, 2)], [[1], 2, [3]]],
+                         ids=["row_first", "entry_first", "entry_between_rows"])
+def test_pi_sequence_rejects_ragged_mixed_input(data):
+    with pytest.raises(ValueError):
+        pi_sequence(data)
