@@ -19,7 +19,10 @@ All values are exact nonnegative integers and every engine memoizes
 process-wide: stabilization sequences hammer overlapping subqueries.  The
 public functions validate their partitions once; the cores behind them
 (`_lr`, `_kron`, the quintuple formula) take valid partitions, look up
-their memo first and compute only on a miss.
+their memo first and compute only on a miss.  Below the engine memos, the
+subdiagram lists of a shape (`_subdiagrams`) are memoized for the split
+table and the quintuple formula, and the formula contracts its Kronecker
+factor once per (alpha, delta, rho) within a query.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ def clear_caches() -> None:
     _HEIS_CACHE.clear()
     _LR_PRODUCT_CACHE.clear()
     _splits.cache_clear()
+    _subdiagrams.cache_clear()
     _h_expansion.cache_clear()
     symfun.clear_caches()
 
@@ -149,12 +153,19 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
+def _subdiagrams(outer: Partition, size: int) -> tuple[Partition, ...]:
+    """Every partition of `size` inside `outer`, memoized: the splits and
+    the quintuple formula ask for the same subdiagrams over and over."""
+    return tuple(subpartitions_of_size(outer, size))
+
+
+@lru_cache(maxsize=None)
 def _splits(outer: Partition, a: int, b: int) -> tuple[tuple[Partition, Partition, int], ...]:
     """Every LR split of `outer` as (x, y, c^outer_{x y}) with x |- a and
     y |- b inside `outer` and c > 0, for a + b = |outer|.  The one split
     table of both Heisenberg engines."""
-    ys = list(subpartitions_of_size(outer, b))
-    return tuple((x, y, c) for x in subpartitions_of_size(outer, a)
+    ys = _subdiagrams(outer, b)
+    return tuple((x, y, c) for x in _subdiagrams(outer, a)
                  for y in ys if (c := _lr(outer, x, y)))
 
 
@@ -350,8 +361,11 @@ def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
     c2_by_rho: dict[Partition, list[tuple[Partition, int]]] = {}
     for eta, rho, c2 in _splits(nu, q, r):
         c2_by_rho.setdefault(rho, []).append((eta, c2))
-    taus = list(subpartitions_of_size(lam, p + q))
+    taus = _subdiagrams(lam, p + q)
 
+    # inner[(alpha, delta, rho)] = sum c1 c2 g(delta, beta, eta), shared by
+    # every tau that splits into (alpha, delta)
+    inner: dict[tuple[Partition, Partition, Partition], int] = {}
     total = 0
     for rho, c2_terms in c2_by_rho.items():
         for tau in taus:
@@ -359,13 +373,13 @@ def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
             if not c4:
                 continue
             for alpha, delta, c3 in _splits(tau, p, q):
-                inner = 0
-                for beta, c1 in c1_by_alpha.get(alpha, ()):
-                    for eta, c2 in c2_terms:
-                        g = _kron(delta, beta, eta)
-                        if g:
-                            inner += c1 * c2 * g
-                total += c4 * c3 * inner
+                key = (alpha, delta, rho)
+                v = inner.get(key)
+                if v is None:
+                    v = inner[key] = sum(
+                        c1 * c2 * _kron(delta, beta, eta)
+                        for beta, c1 in c1_by_alpha.get(alpha, ()) for eta, c2 in c2_terms)
+                total += c4 * c3 * v
     return total
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .coefficients import (
@@ -25,7 +26,7 @@ from .coefficients import (
     lr_coeff,
     lr_coeff_hive,
 )
-from .partitions import Partition, _integer_parts, add, scale
+from .partitions import Partition, _integer_parts, _trusted
 
 
 class Kind(enum.Enum):
@@ -45,7 +46,9 @@ def size_pattern_ok(kind: Kind, a: Partition, b: Partition, c: Partition) -> boo
         return a.size == b.size == c.size
     if kind is Kind.LR:
         return a.size == b.size + c.size
-    return max(b.size, c.size) <= a.size <= b.size + c.size
+    if kind is Kind.HEISENBERG:
+        return max(b.size, c.size) <= a.size <= b.size + c.size
+    raise ValueError(f"not a coefficient kind: {kind!r}")
 
 
 # The engine of each kind, and its independent second route.
@@ -57,6 +60,12 @@ ORACLE = {Kind.KRONECKER: kron_coeff_oracle, Kind.LR: lr_coeff_hive,
 
 def coefficient(kind: Kind, lam, mu, nu) -> int:
     return PRIMARY[kind](lam, mu, nu)
+
+
+def _shifted(x: Sequence[int], n: int, d: Sequence[int]) -> Partition:
+    """x + n*d for partitions x, d and n >= 0 that the caller validated: the
+    sum is a partition again, so it is built without re-validation."""
+    return _trusted(s for s in (a + n * b for a, b in zip_longest(x, d, fillvalue=0)) if s)
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,8 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     seq: list[tuple[int, int]] = []
     witness = None
     for n in range(1, n_max + 1):
-        value = coefficient(triple.kind, scale(n, a), scale(n, b), scale(n, c))
+        value = coefficient(triple.kind, _shifted((), n, a), _shifted((), n, b),
+                            _shifted((), n, c))
         seq.append((n, value))
         if value >= 2:
             witness = (n, value)
@@ -158,18 +168,17 @@ def stabilization_sequence(kind: Kind,
     lam, mu, nu = (Partition(x) for x in base)
     al, be, ga = (Partition(x) for x in direction)
     ns = _integer_parts(ns, ValueError)
+    if any(n < 0 for n in ns):
+        raise ValueError("scale factor must be nonnegative")
     if not size_pattern_ok(kind, lam, mu, nu):
         raise ValueError(f"base sizes ({lam.size}; {mu.size}, {nu.size}) "
                          f"violate the {kind.value} pattern")
     if not size_pattern_ok(kind, al, be, ga):
         raise ValueError(f"direction sizes ({al.size}; {be.size}, {ga.size}) "
                          f"violate the {kind.value} pattern")
-    out = []
-    for n in ns:
-        value = coefficient(kind, add(lam, scale(n, al)),
-                            add(mu, scale(n, be)), add(nu, scale(n, ga)))
-        out.append((n, value))
-    return out
+    return [(n, coefficient(kind, _shifted(lam, n, al), _shifted(mu, n, be),
+                            _shifted(nu, n, ga)))
+            for n in ns]
 
 
 def detect_stable_limit(values: Sequence[int], window: int = 4

@@ -39,7 +39,8 @@ def class_size(rho: Sequence[int]) -> int:
     return math.factorial(n) // zee(rho)
 
 
-def _border_strip_removals(lam: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=None)
+def _border_strip_removals(lam: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All ways to remove a border strip of size k from lam.
 
     Returns (remaining shape, strip height) pairs, via first-column hook
@@ -62,7 +63,7 @@ def _border_strip_removals(lam: tuple[int, ...], k: int) -> list[tuple[tuple[int
         shape = tuple(new[j] - (L - 1 - j) for j in range(L))
         shape = tuple(p for p in shape if p > 0)
         out.append((shape, height))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +237,8 @@ def schur_in_h_basis(lam: Sequence[int]) -> dict[Partition, int]:
 
 
 # the originals, so that a caller who rebinds the module names still clears them
-_MEMOS = (_mn_character, character_vector, _kostka, _schur_in_h, cycle_types, class_sizes)
+_MEMOS = (_border_strip_removals, _mn_character, character_vector, _kostka, _schur_in_h,
+          cycle_types, class_sizes)
 
 
 def clear_caches() -> None:

@@ -220,3 +220,61 @@ def test_superadditive_growth_through_scale_four():
                 v = coefficient(kind, scale(n, a), scale(n, b), scale(n, c))
                 assert v >= n + 1, (kind, a, b, c, n, v)
     assert found > 0
+
+
+def _recording(monkeypatch, kind):
+    """Route the kind's engine through a recorder of the queries it gets."""
+    from heisenstab import stability
+
+    asked = []
+    engine = stability.PRIMARY[kind]
+
+    def recorder(lam, mu, nu):
+        asked.append((lam, mu, nu))
+        return engine(lam, mu, nu)
+
+    monkeypatch.setitem(stability.PRIMARY, kind, recorder)
+    return asked
+
+
+def test_shifted_queries_match_the_validated_operations(monkeypatch):
+    # the acceptance-07 space at sizes <= 2, n = 0..5
+    from support import direction_triples, size_triples
+    from heisenstab.partitions import add
+    from heisenstab.stability import coefficient
+
+    ns = range(6)
+    for kind in Kind:
+        dirs = list(direction_triples(kind, 2))
+        bases = list(size_triples(kind, 2))
+        asked = _recording(monkeypatch, kind)
+        for d in dirs:
+            for b in bases:
+                queries = [tuple(add(x, scale(n, y)) for x, y in zip(b, d)) for n in ns]
+                del asked[:]
+                seq = stabilization_sequence(kind, b, d, ns)
+                assert asked == queries, (kind, b, d)
+                assert all(type(x) is Partition for q in asked for x in q)
+                assert seq == [(n, coefficient(kind, *q)) for n, q in zip(ns, queries)]
+    triple = classify_triple((2,), (1,), (1, 1))
+    asked = _recording(monkeypatch, Kind.HEISENBERG)
+    stability_check(triple, n_max=4)
+    assert asked == [tuple(scale(n, x) for x in (triple.alpha, triple.beta, triple.gamma))
+                     for n in range(1, 5)]
+
+
+def test_sequence_refuses_a_negative_step_before_any_query(monkeypatch):
+    asked = _recording(monkeypatch, Kind.LR)
+    with pytest.raises(ValueError, match="scale factor must be nonnegative"):
+        stabilization_sequence(Kind.LR, ((2,), (1,), (1,)), ((2,), (1,), (1,)), [2, -1])
+    assert asked == []
+
+
+def test_sequence_refuses_a_kind_that_is_not_a_kind():
+    with pytest.raises(ValueError, match="'kron'"):
+        stabilization_sequence("kron", ((1,), (1,), (1,)), ((1,), (1,), (1,)), range(3))
+
+
+def test_monotonicity_refuses_a_kind_that_is_not_a_kind():
+    with pytest.raises(ValueError, match="'heis'"):
+        monotonicity_check("heis", ((2,), (1,), (1,)), ((1,), (1,), (1,)), range(3))

@@ -5,7 +5,9 @@ import pytest
 from heisenstab.partitions import Partition, is_dominated_by, partitions_of
 from heisenstab.symfun import (
     character,
+    character_vector,
     class_size,
+    class_sizes,
     dimension,
     kostka,
     kostka_by_enumeration,
@@ -64,6 +66,17 @@ def test_zee_times_class_size():
 def test_first_orthogonality_at_identity():
     for n in range(1, 7):
         assert sum(dimension(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
+
+
+def test_character_table_rows_are_orthonormal():
+    # sum_rho chi^lam(rho) chi^mu(rho) / z_rho = delta_{lam mu}, times n!
+    for n in range(11):
+        sizes = class_sizes(n)
+        rows = {lam: character_vector(lam) for lam in partitions_of(n)}
+        for lam, a in rows.items():
+            for mu, b in rows.items():
+                total = sum(s * x * y for s, x, y in zip(sizes, a, b))
+                assert total == (factorial(n) if lam == mu else 0), (lam, mu)
 
 
 def test_kostka_examples():
