@@ -2,7 +2,9 @@
 
 * Littlewood-Richardson coefficients by direct lattice-word tableau
   counting, with an independent hive-model counter (rhombus inequalities on
-  a triangular array) as the second route.
+  a triangular array) as the second route.  One filling kernel
+  (`_lr_fillings`) serves `lr_coeff` with a fixed content and the split
+  tables with a free one.
 * Kronecker coefficients by the exact character sum over conjugacy classes.
 * Heisenberg coefficients by the quintuple-product formula that splits a
   query into two LR decompositions, one Kronecker factor in the shared
@@ -11,18 +13,18 @@
   the product is a sum over margin-constrained matrices.
 * Whole degrees of the Heisenberg product by the same decomposition run
   once per degree, with both recombinations taken as Schur products by the
-  LR rule (`_lr_product`).  Both Heisenberg engines read their LR splits
-  from one memoized table (`_splits`) and share `_lr` and `_kron`; only
-  their recombinations differ (tableau counts against strip-DP products).
+  LR rule (`_lr_product`).  Both Heisenberg engines read their LR factors
+  from one memoized table of splits (`_splits`) and share `_kron`; only
+  their recombinations differ (LR fillings against strip-DP products).
 
 All values are exact nonnegative integers and every engine memoizes
 process-wide: stabilization sequences hammer overlapping subqueries.  The
 public functions validate their partitions once; the cores behind them
 (`_lr`, `_kron`, the quintuple formula) take valid partitions, look up
-their memo first and compute only on a miss.  Below the engine memos, the
-subdiagram lists of a shape (`_subdiagrams`) are memoized for the split
-table and the quintuple formula, and the formula contracts its Kronecker
-factor once per (alpha, delta, rho) within a query.
+their memo first and compute only on a miss.  A split table lists only
+the nonzero LR factors of a shape, one filling traversal per subdiagram,
+and the quintuple formula contracts its Kronecker factor once per
+(alpha, delta, rho) within a query.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .partitions import (
     Partition,
     _integer_parts,
     _trusted,
-    contains,
     partitions_of,
     subpartitions_of_size,
 )
@@ -65,7 +66,6 @@ def clear_caches() -> None:
     _HEIS_CACHE.clear()
     _LR_PRODUCT_CACHE.clear()
     _splits.cache_clear()
-    _subdiagrams.cache_clear()
     _h_expansion.cache_clear()
     symfun.clear_caches()
 
@@ -74,60 +74,62 @@ def clear_caches() -> None:
 # Littlewood-Richardson
 
 
-def _lr_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    """Count skew tableaux of shape lam/mu and content nu whose reverse
-    reading word is a lattice word.
+def _lr_fillings(outer: Partition, inner: Partition,
+                 content: Partition | None = None) -> dict[Partition, int]:
+    """The nonzero LR coefficients c^outer_{inner y} as {y: c}, from one
+    traversal of the LR fillings of the skew shape outer/inner; with
+    `content`, only the fillings of that content are counted.
 
     Cells are filled in reverse reading order (rows top to bottom, each row
-    right to left) so the lattice condition prunes incrementally; rows must
-    weakly increase left to right, columns strictly increase downwards."""
-    if not contains(lam, mu):
-        return 0
-    n_vals = len(nu)
-    if n_vals == 0:
-        return 1  # empty content, empty skew shape (sizes matched upstream)
-    rows = []
-    for r, lam_r in enumerate(lam):
-        inner = mu[r] if r < len(mu) else 0
-        if lam_r < inner:
-            return 0
-        rows.append((r, inner, lam_r))
+    right to left) so the lattice condition prunes incrementally: a letter
+    v goes in only while fewer v's than (v-1)'s have been read, and, with
+    `content`, only while the content has a v left.  Rows weakly increase
+    left to right and columns strictly increase downwards, so a cell is
+    bounded above by its right neighbour and below by its upper one, both
+    filled before it; their slots in `vals` are indexed beforehand.  The
+    first cell of row r is bounded by r + 1: no letter of an LR filling
+    exceeds its row number."""
+    n = outer.size - inner.size
+    if n < 0 or len(inner) > len(outer):
+        return {}  # inner is not inside outer
+    k = len(outer) if content is None else len(content)
+    low = n + len(outer)  # slot of the bound 0 above the top row and inner
+    vals = [0] * (low + 1)
+    right: list[int] = []
+    up: list[int] = []
+    base = 0  # the cell above (r, c) has index base - c
+    for r, b in enumerate(outer):
+        a = inner.part(r)
+        if a > b:
+            return {}  # inner is not inside outer
+        above = inner.part(r - 1) if r else b  # (r - 1, c) is a cell iff c >= above
+        vals[n + r] = min(r + 1, k)
+        row = len(right)
+        for c in range(b - 1, a - 1, -1):
+            right.append(len(right) - 1 if c < b - 1 else n + r)
+            up.append(base - c if c >= above else low)
+        base = row + b - 1
 
-    grid: dict[tuple[int, int], int] = {}
-    counts = [0] * (n_vals + 1)
-    remaining = list(nu)
+    counts = [n + 1] + [0] * k  # counts[0] bounds nothing
+    cap = [0] + ([n] * k if content is None else list(content))
+    found: dict[tuple[int, ...], int] = {}
 
-    cells: list[tuple[int, int]] = []
-    for r, inner, outer in rows:
-        for c in range(outer - 1, inner - 1, -1):
-            cells.append((r, c))
+    def fill(i: int) -> None:
+        if i == n:
+            key = tuple(counts)
+            found[key] = found.get(key, 0) + 1
+            return
+        for v in range(vals[up[i]] + 1, vals[right[i]] + 1):
+            cv = counts[v]
+            if cv < cap[v] and cv < counts[v - 1]:
+                counts[v] = cv + 1
+                vals[i] = v
+                fill(i + 1)
+                counts[v] = cv
 
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        hi = n_vals
-        if (r, c + 1) in grid:
-            hi = min(hi, grid[(r, c + 1)])
-        lo = 1
-        if (r - 1, c) in grid:
-            lo = max(lo, grid[(r - 1, c)] + 1)
-        total = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            remaining[v - 1] -= 1
-            counts[v] += 1
-            grid[(r, c)] = v
-            total += fill(idx + 1)
-            del grid[(r, c)]
-            counts[v] -= 1
-            remaining[v - 1] += 1
-        return total
-
-    return fill(0)
+    fill(0)
+    del fill  # fill's closure holds fill: break the cycle, free the state now
+    return {_trusted(filter(None, key[1:])): m for key, m in found.items()}
 
 
 def lr_coeff(lam, mu, nu) -> int:
@@ -148,25 +150,19 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     key = (lam, mu, nu)
     val = _LR_CACHE.get(key)
     if val is None:
-        val = _LR_CACHE[key] = _lr_count(lam, mu, nu)
+        val = _LR_CACHE[key] = _lr_fillings(lam, mu, nu).get(nu, 0)
     return val
-
-
-@lru_cache(maxsize=None)
-def _subdiagrams(outer: Partition, size: int) -> tuple[Partition, ...]:
-    """Every partition of `size` inside `outer`, memoized: the splits and
-    the quintuple formula ask for the same subdiagrams over and over."""
-    return tuple(subpartitions_of_size(outer, size))
 
 
 @lru_cache(maxsize=None)
 def _splits(outer: Partition, a: int, b: int) -> tuple[tuple[Partition, Partition, int], ...]:
     """Every LR split of `outer` as (x, y, c^outer_{x y}) with x |- a and
-    y |- b inside `outer` and c > 0, for a + b = |outer|.  The one split
-    table of both Heisenberg engines."""
-    ys = _subdiagrams(outer, b)
-    return tuple((x, y, c) for x in _subdiagrams(outer, a)
-                 for y in ys if (c := _lr(outer, x, y)))
+    y |- b inside `outer` and c > 0, for a + b = |outer|: one traversal of
+    outer/x per x, so pairs that give zero are never searched.  The one
+    split table of both Heisenberg engines."""
+    ys: dict[Partition, Partition] = {}  # equal y's of different x share one object
+    return tuple((x, ys.setdefault(y, y), c) for x in subpartitions_of_size(outer, a)
+                 for y, c in _lr_fillings(outer, x).items())
 
 
 def _lr_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
@@ -361,25 +357,25 @@ def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
     c2_by_rho: dict[Partition, list[tuple[Partition, int]]] = {}
     for eta, rho, c2 in _splits(nu, q, r):
         c2_by_rho.setdefault(rho, []).append((eta, c2))
-    taus = _subdiagrams(lam, p + q)
 
     # inner[(alpha, delta, rho)] = sum c1 c2 g(delta, beta, eta), shared by
     # every tau that splits into (alpha, delta)
     inner: dict[tuple[Partition, Partition, Partition], int] = {}
     total = 0
-    for rho, c2_terms in c2_by_rho.items():
-        for tau in taus:
-            c4 = _lr(lam, tau, rho)
-            if not c4:
+    for tau, rho, c4 in _splits(lam, p + q, r):
+        c2_terms = c2_by_rho.get(rho)
+        if c2_terms is None:
+            continue
+        for alpha, delta, c3 in _splits(tau, p, q):
+            c1_terms = c1_by_alpha.get(alpha)
+            if c1_terms is None:
                 continue
-            for alpha, delta, c3 in _splits(tau, p, q):
-                key = (alpha, delta, rho)
-                v = inner.get(key)
-                if v is None:
-                    v = inner[key] = sum(
-                        c1 * c2 * _kron(delta, beta, eta)
-                        for beta, c1 in c1_by_alpha.get(alpha, ()) for eta, c2 in c2_terms)
-                total += c4 * c3 * v
+            key = (alpha, delta, rho)
+            v = inner.get(key)
+            if v is None:
+                v = inner[key] = sum(c1 * c2 * _kron(delta, beta, eta)
+                                     for beta, c1 in c1_terms for eta, c2 in c2_terms)
+            total += c4 * c3 * v
     return total
 
 
@@ -403,10 +399,10 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
     `_lr_product`.  One term is then checked against the pointwise
     formula (`heisenberg_coeff`): the lexicographically largest lam, whose
     few subdiagrams make it the cheapest query for that formula.  The check
-    shares `_splits`, `_lr` and `_kron` with this pass, so only the
-    recombinations are independent (tableau counts against strip-DP
-    products).  The independent checks are the h-basis oracle (acceptance
-    01, |mu|, |nu| <= 4) and the dimension identity."""
+    shares `_splits` and `_kron` with this pass, so only the recombinations
+    are independent (LR fillings against strip-DP products).  The
+    independent checks are the h-basis oracle (acceptance 01, |mu|, |nu|
+    <= 4) and the dimension identity."""
     mu, nu = Partition(mu), Partition(nu)
     (degree,) = _integer_parts((degree,), ValueError)
     lo, hi = max(mu.size, nu.size), mu.size + nu.size

@@ -59,6 +59,8 @@ ORACLE = {Kind.KRONECKER: kron_coeff_oracle, Kind.LR: lr_coeff_hive,
 
 
 def coefficient(kind: Kind, lam, mu, nu) -> int:
+    if not isinstance(kind, Kind):
+        raise ValueError(f"not a coefficient kind: {kind!r}")
     return PRIMARY[kind](lam, mu, nu)
 
 

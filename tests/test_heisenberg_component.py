@@ -18,6 +18,7 @@ from heisenstab.coefficients import (
     heisenberg_component,
     heisenberg_product,
     lr_coeff,
+    lr_coeff_hive,
 )
 from heisenstab.partitions import partitions_of, partitions_up_to
 from support import hook_length_dimension
@@ -44,6 +45,17 @@ def test_split_table_matches_brute_force():
             expected = [(x, y, c) for x in partitions_of(a) for y in partitions_of(b)
                         if (c := lr_coeff(outer, x, y))]
             assert sorted(table) == sorted(expected), (outer, a, b)
+
+
+def test_split_table_matches_hive_counts():
+    # lr_coeff and _splits share one filling kernel; the hive model is
+    # independent of it
+    for outer in partitions_up_to(8):
+        for a in range(outer.size + 1):
+            b = outer.size - a
+            expected = [(x, y, c) for x in partitions_of(a) for y in partitions_of(b)
+                        if (c := lr_coeff_hive(outer, x, y))]
+            assert sorted(coefficients._splits(outer, a, b)) == sorted(expected), (outer, a, b)
 
 
 def test_component_matches_pointwise_formula():
@@ -133,11 +145,12 @@ def test_clear_caches_empties_every_memo():
     heisenberg_product((2, 1), (2, 1))
     heisenberg_coeff((2, 1), (2, 1), (1, 1))
     heisenberg_coeff_oracle((2, 1), (2, 1), (1, 1))
+    lr_coeff((2, 1), (1,), (1, 1))
     symfun.kostka((2, 1), (1, 1, 1))
     symfun.schur_in_h_basis((2, 1))
     symfun.dimension((3, 1))
     filled = dict(_memos(coefficients)) | dict(_memos(symfun))
-    assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE", "_splits", "_subdiagrams",
+    assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE", "_splits",
             "_h_expansion", "_border_strip_removals", "_mn_character", "character_vector", "_kostka",
             "_schur_in_h", "cycle_types", "class_sizes"} <= set(filled)
     assert all(filled.values()), filled

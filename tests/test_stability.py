@@ -9,6 +9,7 @@ from heisenstab.stability import (
     NotATripleError,
     Verdict,
     classify_triple,
+    coefficient,
     detect_stable_limit,
     monotonicity_check,
     stability_check,
@@ -273,6 +274,12 @@ def test_sequence_refuses_a_negative_step_before_any_query(monkeypatch):
 def test_sequence_refuses_a_kind_that_is_not_a_kind():
     with pytest.raises(ValueError, match="'kron'"):
         stabilization_sequence("kron", ((1,), (1,), (1,)), ((1,), (1,), (1,)), range(3))
+
+
+def test_coefficient_refuses_a_kind_that_is_not_a_kind():
+    for kind in ("kron", "lr", None, ["heis"]):
+        with pytest.raises(ValueError, match="not a coefficient kind"):
+            coefficient(kind, (1,), (1,), (1,))
 
 
 def test_monotonicity_refuses_a_kind_that_is_not_a_kind():
