@@ -6,7 +6,8 @@ integer matrix with given row-sum and column-sum vectors (a contingency
 table); these drive the Kronecker product of h-basis elements.  A cornered
 matrix is a (p+1) x (q+1) matrix with a zero top-left corner whose margins
 ignore the first row and first column (each margin is still a full row or
-column sum); these drive the Heisenberg product.
+column sum); these drive the Heisenberg product.  `margin_matrices`
+fills both row by row with capped compositions from `partitions`.
 
 A matrix is additive when row/column potentials x_i + y_j reproduce the
 strict order of its entries; additivity is decided exactly by reducing to
@@ -24,6 +25,7 @@ from typing import Iterator, Optional, Sequence
 from .partitions import (
     Composition,
     Partition,
+    _bounded_vectors,
     _integer_parts,
     _integer_token,
     is_dominated_by,
@@ -143,22 +145,6 @@ def parse_matrix(text: str, kind: str) -> KroneckerMatrix:
 # Enumeration
 
 
-def _bounded_vectors(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer vectors with the given sum, entry i <= caps[i]."""
-    if total < 0:
-        return
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    if sum(caps) < total:
-        return
-    head_cap = min(caps[0], total)
-    for head in range(head_cap + 1):
-        for tail in _bounded_vectors(total - head, caps[1:]):
-            yield (head,) + tail
-
-
 def margin_matrices(cls: type[KroneckerMatrix], beta: Sequence[int],
                     gamma: Sequence[int]) -> Iterator[KroneckerMatrix]:
     """All matrices of class `cls` with margins (beta, gamma), filled row by
@@ -185,7 +171,10 @@ def margin_matrices(cls: type[KroneckerMatrix], beta: Sequence[int],
                 yield from fill(i + 1, tuple(c - r for c, r in zip(room, row)), acc)
                 acc.pop()
 
-    yield from fill(0, tuple(gamma), [])
+    try:
+        yield from fill(0, tuple(gamma), [])
+    finally:
+        fill = None  # fill's closure holds fill: free it also when a consumer stops early
 
 
 def margin_class(cls: type[KroneckerMatrix], beta, gamma, alpha) -> Iterator[KroneckerMatrix]:

@@ -217,6 +217,7 @@ def _lr_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
 
             place(0, 0)
         states = grown
+    place = None  # place's closure holds place; bound only when nu is nonempty
     out = _LR_PRODUCT_CACHE[key] = {
         _trusted(p for p in shape if p): c for (shape, _), c in states.items()}
     return out
@@ -292,7 +293,9 @@ def lr_coeff_hive(lam, mu, nu) -> int:
             total += fill(ni, nj)
         return total
 
-    return fill(0, 0)
+    count = fill(0, 0)
+    del fill  # fill's closure holds fill: break the cycle, free the state now
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ tuple under `+` and `*` (concatenation, repetition); the vector
 arithmetic `add`, `subtract` and `scale` is coordinatewise with implicit
 zero padding.  The dominance comparison works on arbitrary rational vectors,
 not just partitions, and is always exact (`fractions.Fraction`).
+
+The package's enumerators: partitions inside a shape (`_inside`; the n x n
+box for `partitions_of(n)`), and capped compositions (`_bounded_vectors`),
+the rows of margin matrices and the horizontal strips of Kostka numbers.
 """
 
 from __future__ import annotations
@@ -225,20 +229,41 @@ def is_dominated_by(a: Sequence[Rational], b: Sequence[Rational]) -> bool:
     return dominates(a, b) in (Dominance.STRICTLY_DOMINATED, Dominance.EQUAL_PI)
 
 
+def _bounded_vectors(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Nonnegative integer vectors with the given sum, entry i <= caps[i],
+    first entry smallest first."""
+    if not caps:
+        if total == 0:
+            yield ()
+    elif 0 <= total <= sum(caps):
+        for head in range(min(caps[0], total) + 1):
+            for tail in _bounded_vectors(total - head, caps[1:]):
+                yield (head,) + tail
+
+
+def _inside(outer: tuple[int, ...], i: int, rem: int, bound: int,
+            acc: list[int]) -> Iterator[Partition]:
+    """acc extended by every partition of rem with parts <= bound that fits
+    rows i.. of outer, largest part first."""
+    if rem == 0:
+        yield _trusted(acc)
+        return
+    if i >= len(outer):
+        return
+    cap = outer[i] if outer[i] < bound else bound  # not min(): a third faster here
+    if cap * (len(outer) - i) < rem:
+        return  # not enough room left below
+    for part in range(cap if cap < rem else rem, 0, -1):
+        acc.append(part)
+        yield from _inside(outer, i + 1, rem - part, part, acc)
+        acc.pop()
+
+
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n, largest part first; none when n < 0."""
+    """All partitions of n, largest part first; none when n < 0.  They are
+    the partitions of n inside the n x n box."""
     (n,) = _integer_parts((n,), ValueError)
-
-    def gen(rem: int, bound: int, acc: list[int]) -> Iterator[Partition]:
-        if rem == 0:
-            yield _trusted(acc)
-            return
-        for head in range(min(rem, bound), 0, -1):
-            acc.append(head)
-            yield from gen(rem - head, head, acc)
-            acc.pop()
-
-    return gen(n, n, [])
+    return _inside((n,) * n, 0, n, n, [])
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
@@ -249,22 +274,5 @@ def partitions_up_to(n: int) -> Iterator[Partition]:
 def subpartitions_of_size(outer: Sequence[int], size: int) -> Iterator[Partition]:
     """All partitions of `size` contained in `outer` (coordinatewise)."""
     outer = tuple(outer)
-    if size < 0 or size > sum(outer):
-        return
-
-    def gen(i: int, rem: int, bound: int, acc: list[int]) -> Iterator[Partition]:
-        if rem == 0:
-            yield _trusted(acc)
-            return
-        if i >= len(outer):
-            return
-        # enough room left below?
-        cap = min(bound, outer[i])
-        if cap * (len(outer) - i) < rem:
-            return
-        for part in range(min(cap, rem), 0, -1):
-            acc.append(part)
-            yield from gen(i + 1, rem - part, part, acc)
-            acc.pop()
-
-    yield from gen(0, size, size, [])
+    if 0 <= size <= sum(outer):
+        yield from _inside(outer, 0, size, size, [])

@@ -125,11 +125,12 @@ class StabilityReport:
 def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     """Certify, refute, or bound the stability question for a triple.
 
-    Split-pattern triples are decided by the single value at scale 1 (1
-    certifies, anything bigger refutes).  For the other patterns the scaled
-    values are scanned up to n_max: any value >= 2 refutes; a clean scan of
-    ones stays inconclusive (upgrade to certified needs an additivity
-    certificate from the matrix pipeline)."""
+    The scaled values are scanned up to n_max, and any value >= 2 refutes.
+    A clean scan of ones certifies a split-pattern (LR) triple, whose
+    scaled values are all 1 when its value at scale 1 is (Knutson-Tao-
+    Woodward); a value c >= 2 at scale 1 stops the scan with the witness
+    (1, c).  Any other kind stays inconclusive: certifying it needs an
+    additivity certificate from the matrix pipeline."""
     (n_max,) = _integer_parts((n_max,), ValueError)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -145,19 +146,14 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
             break
         if value == 0:
             raise RuntimeError("scaled coefficient vanished on a valid triple")
-    if triple.kind is Kind.LR:
-        if triple.coefficient == 1:
-            return StabilityReport(triple=triple, verdict=Verdict.CERTIFIED,
-                                   n_max=n_max, sequence=tuple(seq),
-                                   certified_by="finite_lr_check")
-        return StabilityReport(triple=triple, verdict=Verdict.REFUTED,
-                               n_max=n_max, sequence=tuple(seq),
-                               witness=(1, triple.coefficient))
+    verdict, certified_by = Verdict.INCONCLUSIVE, None
     if witness is not None:
-        return StabilityReport(triple=triple, verdict=Verdict.REFUTED,
-                               n_max=n_max, sequence=tuple(seq), witness=witness)
-    return StabilityReport(triple=triple, verdict=Verdict.INCONCLUSIVE,
-                           n_max=n_max, sequence=tuple(seq))
+        verdict = Verdict.REFUTED
+    elif triple.kind is Kind.LR:
+        verdict, certified_by = Verdict.CERTIFIED, "finite_lr_check"
+    return StabilityReport(triple=triple, verdict=verdict, n_max=n_max,
+                           sequence=tuple(seq), witness=witness,
+                           certified_by=certified_by)
 
 
 def stabilization_sequence(kind: Kind,

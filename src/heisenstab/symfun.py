@@ -2,9 +2,10 @@
 
 Everything here is exact integer arithmetic.  Irreducible characters come
 from the Murnaghan-Nakayama border-strip recursion (memoized); Kostka
-numbers from the horizontal-strip recursion, with a direct semistandard
-tableau enumerator kept as a test oracle; the Schur-to-complete-homogeneous
-change of basis from the Jacobi-Trudi determinant.
+numbers from the horizontal-strip recursion over capped compositions,
+with a direct semistandard tableau enumerator kept as a test oracle; the
+Schur-to-complete-homogeneous change of basis from the Jacobi-Trudi
+determinant.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, pi_sequence
+from .partitions import Composition, Partition, _bounded_vectors, pi_sequence
 
 
 def multiplicities(rho: Sequence[int]) -> dict[int, int]:
@@ -118,24 +119,10 @@ def character_vector(lam: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _horizontal_strip_shrinks(lam: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
-    """Shapes mu with lam/mu a horizontal strip of size k."""
-    # row i of mu must satisfy lam_{i+1} <= mu_i <= lam_i
-    L = len(lam)
-
-    def gen(i: int, rem: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == L:
-            if rem == 0:
-                yield tuple(p for p in acc if p > 0)
-            return
-        lo = lam[i + 1] if i + 1 < L else 0
-        hi = lam[i]
-        # mu_i = hi - t where t boxes removed from row i
-        for t in range(min(rem, hi - lo) + 1):
-            acc.append(hi - t)
-            yield from gen(i + 1, rem - t, acc)
-            acc.pop()
-
-    yield from gen(0, k, [])
+    """Shapes mu with lam/mu a horizontal strip of size k: row i gives up
+    t_i <= lam_i - lam_{i+1} boxes, so lam_{i+1} <= mu_i <= lam_i."""
+    caps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
+    return (tuple(a - t for a, t in zip(lam, ts) if a > t) for ts in _bounded_vectors(k, caps))
 
 
 @lru_cache(maxsize=None)

@@ -143,6 +143,7 @@ def test_criterion_05_constraint_matrix():
 
 def test_criterion_06_additive_implies_unit_coefficient_and_vanishing():
     additive_found = 0
+    triples = set()
     for beta in partitions_up_to(3):
         for gamma in partitions_up_to(3):
             matrices = list(heisenberg_matrices(beta, gamma))
@@ -153,6 +154,12 @@ def test_criterion_06_additive_implies_unit_coefficient_and_vanishing():
                 alpha = A.pi
                 assert heisenberg_coeff(alpha, beta, gamma) == 1, (A.rows,)
                 assert heisenberg_coeff_oracle(alpha, beta, gamma) == 1
+                # the abstract's claim: an additive cornered matrix gives a
+                # Heisenberg-stable triple, so every scaling stays at 1
+                triples.add((alpha, beta, gamma))
+                for k in range(2, 5):
+                    assert heisenberg_coeff(scale(k, alpha), scale(k, beta),
+                                            scale(k, gamma)) == 1, (A.rows, k)
                 same_class = [B for B in matrices
                               if B.total == A.total and B.pi == alpha]
                 assert same_class == [A] or len(same_class) == 1
@@ -163,7 +170,8 @@ def test_criterion_06_additive_implies_unit_coefficient_and_vanishing():
     assert additive_found > 0
     _report(6, f"all {additive_found} additive cornered matrices with margins "
                f"of size <= 3: unit coefficient by both engines, singleton "
-               f"class, nothing strictly below")
+               f"class, nothing strictly below; their {len(triples)} triples "
+               f"stay at 1 at scales up to 4")
 
 
 def test_criterion_07_monotonicity_suite():
