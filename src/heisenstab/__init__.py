@@ -8,15 +8,11 @@ from .partitions import (
     NotAPartitionError,
     Partition,
     add,
-    contains,
     dominates,
     is_dominated_by,
     partitions_of,
     pi_sequence,
     scale,
-    shifted_partition,
-    subtract,
-    union,
 )
 from .symfun import (
     character,
@@ -42,14 +38,12 @@ from .coefficients import (
 )
 from .stability import (
     Kind,
-    MonotonicityResult,
     NotATripleError,
     StabilityReport,
     Triple,
     Verdict,
     classify_triple,
     detect_stable_limit,
-    monotonicity_check,
     stability_check,
     stabilization_sequence,
 )
@@ -67,7 +61,6 @@ from .additivity import (
     flatten,
     heisenberg_matrices,
     heisenberg_stable_triple,
-    in_heisenberg_class,
     integer_minimality_check,
     is_additive,
     kronecker_matrices,
@@ -76,7 +69,6 @@ from .additivity import (
     margin_matrices,
     parse_matrix,
     stable_triple,
-    unflatten,
 )
 from .ratfeas import solve_strict
 

@@ -193,15 +193,6 @@ def heisenberg_matrices(beta: Sequence[int], gamma: Sequence[int]) -> Iterator[H
     return margin_matrices(HeisenbergMatrix, beta, gamma)
 
 
-def in_heisenberg_class(A: HeisenbergMatrix, beta, gamma, alpha) -> bool:
-    """Membership test that avoids enumerating the class."""
-    return (
-        A.row_margins == Composition(beta)
-        and A.col_margins == Composition(gamma)
-        and A.pi == Partition(alpha)
-    )
-
-
 def check_budget(cls: type[KroneckerMatrix], beta: Sequence[int], gamma: Sequence[int]) -> None:
     """Refuse margins whose class-`cls` matrices exceed the budget."""
     beta, gamma = Composition(beta), Composition(gamma)
@@ -385,16 +376,6 @@ def flatten(A: HeisenbergMatrix) -> tuple[int, ...]:
     for row in A.rows[1:]:
         out.extend(row)
     return tuple(out)
-
-
-def unflatten(vec: Sequence[int], p: int, q: int) -> HeisenbergMatrix:
-    if len(vec) != p * q + p + q:
-        raise ValueError("flat vector has wrong length")
-    rows = [(0,) + tuple(vec[:q])]
-    for i in range(p):
-        start = q + i * (q + 1)
-        rows.append(tuple(vec[start:start + q + 1]))
-    return HeisenbergMatrix(rows)
 
 
 # ---------------------------------------------------------------------------

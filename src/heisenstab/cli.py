@@ -3,7 +3,8 @@ stability reports, additivity certificates, and matrix enumeration.
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 parse error, 3 size-pattern error, 4 engine mismatch or cache integrity
-failure, 5 enumeration budget exceeded, 1 selftest failure.
+failure, 5 enumeration budget exceeded, 1 selftest failure or stdout closed
+by its reader.
 
 A persistent cache of coefficient values lives in a single append-friendly
 text file (one JSON record per line) at ~/.cache/heisenstab.cache, or
@@ -54,6 +55,7 @@ from .stability import (
     stability_check,
     stabilization_sequence,
 )
+from .symfun import kostka
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -379,9 +381,9 @@ def cmd_selftest(args) -> int:
     check("unit split coefficient c[(2,2,1); (2,1),(2)] = 1",
           lambda: lr_coeff((2, 2, 1), (2, 1), (2,)) == 1)
     check("kostka positivity boundary K[(1,1),(2)] = 0",
-          lambda: __import__("heisenstab").kostka((1, 1), (2,)) == 0)
+          lambda: kostka((1, 1), (2,)) == 0)
     check("unit diagonal kostka K[(2,1),(2,1)] = 1",
-          lambda: __import__("heisenstab").kostka((2, 1), (2, 1)) == 1)
+          lambda: kostka((2, 1), (2, 1)) == 1)
     check("classical stable direction scan: g stays 1 up to n=6",
           lambda: all(kron_coeff((n,), (n,), (n,)) == 1 for n in range(1, 7)))
     check("scaled values grow on a refuted split triple",
@@ -472,7 +474,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so that
+        # the interpreter's flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Partitions are stored as tuples of positive parts in weakly decreasing
 order; the empty tuple is the unique partition of 0.  `Partition` is a
 tuple under `+` and `*` (concatenation, repetition); the vector
-arithmetic `add`, `subtract` and `scale` is coordinatewise with implicit
-zero padding.  The dominance comparison works on arbitrary rational vectors,
+arithmetic `add` and `scale` is coordinatewise with implicit zero
+padding.  The dominance comparison works on arbitrary rational vectors,
 not just partitions, and is always exact (`fractions.Fraction`).
 
 The package's enumerators: partitions inside a shape (`_inside`; the n x n
@@ -24,7 +24,7 @@ Rational = Union[int, Fraction]
 
 
 class NotAPartitionError(ValueError):
-    """Raised when a coordinatewise operation leaves the partition lattice."""
+    """Raised when parts do not form a partition."""
 
 
 def _integer_parts(parts: Iterable[int], error: type[ValueError]) -> tuple[int, ...]:
@@ -160,31 +160,6 @@ def scale(n: int, a: Partition) -> Partition:
     if n < 0:
         raise ValueError("scale factor must be nonnegative")
     return Partition(n * p for p in a)
-
-
-def subtract(a: Partition, b: Partition) -> Partition:
-    """Coordinatewise difference; raises NotAPartitionError when the result
-    has a negative entry or is not weakly decreasing."""
-    xs, ys = _padded(a, b)
-    return Partition(x - y for x, y in zip(xs, ys))
-
-
-def union(a: Partition, b: Partition) -> Partition:
-    """Multiset union of parts, sorted decreasingly."""
-    return Partition(sorted(itertools.chain(a, b), reverse=True))
-
-
-def contains(outer: Sequence[int], inner: Sequence[int]) -> bool:
-    """True iff inner[i] <= outer[i] for all i (Young diagram containment)."""
-    xs, ys = _padded(outer, inner)
-    return all(y <= x for x, y in zip(xs, ys))
-
-
-def shifted_partition(nu: Partition, mu: Partition, alpha: Partition, n: int) -> Partition:
-    """nu - (n - |mu|) * alpha; raises NotAPartitionError if that fails."""
-    if n < mu.size:
-        raise ValueError(f"need n >= |mu| = {mu.size}, got {n}")
-    return subtract(nu, scale(n - mu.size, alpha))
 
 
 class Dominance(enum.Enum):

@@ -30,6 +30,7 @@ from .partitions import Partition, _integer_parts, _trusted
 
 
 class Kind(enum.Enum):
+    # most specific pattern first: a triple's kind is the first that fits
     KRONECKER = "kron"
     LR = "lr"
     HEISENBERG = "heis"
@@ -83,20 +84,16 @@ class Triple:
 def classify_triple(alpha, beta, gamma) -> Triple:
     """Classify by size pattern, then demand a positive coefficient.
 
-    Equal sizes classify as the Kronecker kind (the interpolating flag is
-    always set too, since both special patterns embed in the general one)."""
+    The kind is the first `Kind` whose pattern fits, so equal sizes classify
+    as the Kronecker kind (the interpolating flag is always set too, since
+    both special patterns embed in the general one)."""
     alpha, beta, gamma = Partition(alpha), Partition(beta), Partition(gamma)
-    flags = frozenset(k for k in Kind if size_pattern_ok(k, alpha, beta, gamma))
-    if not flags:
+    fits = [k for k in Kind if size_pattern_ok(k, alpha, beta, gamma)]
+    if not fits:
         raise NotATripleError(
             "size_pattern",
             f"sizes ({alpha.size}; {beta.size}, {gamma.size}) fit no pattern")
-    if Kind.KRONECKER in flags:
-        kind = Kind.KRONECKER
-    elif Kind.LR in flags:
-        kind = Kind.LR
-    else:
-        kind = Kind.HEISENBERG
+    kind, flags = fits[0], frozenset(fits)
     value = coefficient(kind, alpha, beta, gamma)
     if value == 0:
         raise NotATripleError(
@@ -196,25 +193,3 @@ def detect_stable_limit(values: Sequence[int], window: int = 4
     while onset > 0 and values[onset - 1] == tail[0]:
         onset -= 1
     return tail[0], onset
-
-
-@dataclass(frozen=True)
-class MonotonicityResult:
-    increasing: bool
-    violation: Optional[tuple] = None  # (n_prev, n_next, v_prev, v_next)
-
-
-def monotonicity_check(kind: Kind, base, direction, ns: Sequence[int]
-                       ) -> MonotonicityResult:
-    """Check that the stabilization sequence is weakly increasing.  The
-    direction must be a valid triple of the kind (positive coefficient)."""
-    al, be, ga = (Partition(x) for x in direction)
-    if not size_pattern_ok(kind, al, be, ga):
-        raise ValueError("direction violates the size pattern")
-    if coefficient(kind, al, be, ga) == 0:
-        raise ValueError("direction coefficient vanishes: not a valid triple")
-    seq = stabilization_sequence(kind, base, direction, ns)
-    for (n0, v0), (n1, v1) in zip(seq, seq[1:]):
-        if v1 < v0:
-            return MonotonicityResult(increasing=False, violation=(n0, n1, v0, v1))
-    return MonotonicityResult(increasing=True)

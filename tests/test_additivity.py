@@ -18,7 +18,6 @@ from heisenstab.additivity import (
     flatten,
     heisenberg_matrices,
     heisenberg_stable_triple,
-    in_heisenberg_class,
     integer_minimality_check,
     is_additive,
     kronecker_matrices,
@@ -27,7 +26,6 @@ from heisenstab.additivity import (
     margin_matrices,
     parse_matrix,
     stable_triple,
-    unflatten,
     _strict_system,
 )
 from heisenstab.coefficients import h_basis_heisenberg_product
@@ -132,13 +130,6 @@ def test_heisenberg_enumeration_degenerate_margins():
     for lam in partitions_up_to(3):
         ms = list(heisenberg_matrices((), lam))
         assert len(ms) == 1 and ms[0].pi == lam
-
-
-def test_worked_matrix_class_membership():
-    assert in_heisenberg_class(
-        WORKED, (18, 10), (12, 18, 3), (7, 6, 5, 5, 4, 4, 3, 2, 2, 1))
-    assert not in_heisenberg_class(
-        WORKED, (18, 10), (12, 18, 3), (7, 6, 5, 5, 4, 4, 3, 2, 2))
 
 
 def test_class_sizes_match_h_basis_product_multiset():
@@ -337,11 +328,8 @@ def test_flatten_worked_matrix():
     assert flatten(WORKED) == (4, 6, 1, 4, 5, 7, 2, 2, 3, 5, 0)
 
 
-def test_flatten_round_trip():
-    assert unflatten(flatten(WORKED), 2, 3) == WORKED
-    zero = HeisenbergMatrix([(0, 0), (0, 0)])
-    assert flatten(zero) == (0, 0, 0)
-    assert unflatten((0, 0, 0), 1, 1) == zero
+def test_flatten_zero_matrix():
+    assert flatten(HeisenbergMatrix([(0, 0), (0, 0)])) == (0, 0, 0)
 
 
 def test_permutohedron_membership():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import heisenstab
 from heisenstab.cli import main
 
 
@@ -329,3 +333,24 @@ def test_a_hit_decodes_only_its_own_lines(cache_file, capsys, monkeypatch):
     assert code == 0 and err == ""
     assert decoded == mine
     assert real_loads(out)["engine"] == "both"
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["enumerate", "--rows", "2,2,2,2,2", "--cols", "2,2,2,2,2", "--kind", "k"], 1),
+    (["coeff", "kron", "2,1", "2,1", "2,1"], 0),
+], ids=["enumerate", "coeff"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv, lines_read):
+    # the reader closes the pipe early; stdout is block-buffered, as it is
+    # outside a terminal, so a short output fails only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(heisenstab.__file__))
+    env["HEIS_CACHE"] = str(tmp_path / "cache.jsonl")
+    proc = subprocess.Popen([sys.executable, "-m", "heisenstab.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

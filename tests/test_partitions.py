@@ -10,16 +10,12 @@ from heisenstab.partitions import (
     NotAPartitionError,
     Partition,
     add,
-    contains,
     dominates,
     is_dominated_by,
     partitions_of,
     pi_sequence,
     scale,
-    shifted_partition,
     subpartitions_of_size,
-    subtract,
-    union,
 )
 
 
@@ -80,34 +76,6 @@ def test_add_scale():
     assert 2 * Partition((2, 1)) == (2, 1, 2, 1)
 
 
-def test_subtract_failure_is_typed():
-    with pytest.raises(NotAPartitionError):
-        subtract(Partition((3, 1)), Partition((1, 2)))
-    assert subtract(Partition((3, 2)), Partition((1, 1))) == (2, 1)
-
-
-def test_union():
-    assert union(Partition((3, 1)), Partition((2, 2))) == (3, 2, 2, 1)
-    lam = Partition((18, 10))
-    assert union(lam, Partition()) == lam
-
-
-def test_contains():
-    assert contains(Partition((3, 2)), Partition((2, 2)))
-    lam = Partition((4, 2, 1))
-    assert contains(lam, lam)
-    assert not contains(Partition((2, 2)), Partition((3,)))
-
-
-def test_shifted_partition():
-    assert shifted_partition(Partition((5, 2)), Partition(), Partition((1,)), 3) == (2, 2)
-    assert shifted_partition(Partition((4,)), Partition((1,)), Partition((1,)), 2) == (3,)
-    with pytest.raises(NotAPartitionError):
-        shifted_partition(Partition((2, 2)), Partition(), Partition((2, 1)), 1)
-    with pytest.raises(ValueError):
-        shifted_partition(Partition((4,)), Partition((3, 2)), Partition((1,)), 2)
-
-
 def test_dominates_basic_verdicts():
     assert dominates((1, 1, 1), (3, 0, 0)) == Dominance.STRICTLY_DOMINATED
     assert dominates((2, 2), (3, 0, 1)) == Dominance.STRICTLY_DOMINATED
@@ -164,11 +132,10 @@ def test_dominance_transitive_on_small_partitions():
            lambda xs: Partition(sorted(xs, reverse=True))),
        st.lists(st.integers(min_value=1, max_value=9), max_size=5).map(
            lambda xs: Partition(sorted(xs, reverse=True))))
-def test_add_subtract_round_trip_and_union_size(a, b):
-    assert subtract(add(a, b), b) == a
-    u = union(a, b)
-    assert u.size == a.size + b.size
-    assert pi_sequence(u) == u
+def test_add_sums_sizes_and_parts(a, b):
+    s = add(a, b)
+    assert s.size == a.size + b.size
+    assert s == tuple(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), max_size=4).map(
@@ -189,7 +156,8 @@ def test_subpartitions_of_size():
     assert inside == {Partition((3,)), Partition((2, 1))}
     # every subpartition is contained and has the right size
     for lam in subpartitions_of_size((4, 2, 1), 5):
-        assert lam.size == 5 and contains((4, 2, 1), lam)
+        assert lam.size == 5 and len(lam) <= 3
+        assert all(p <= q for p, q in zip(lam, (4, 2, 1)))
     assert list(subpartitions_of_size((2, 1), 0)) == [Partition(())]
     assert list(subpartitions_of_size((2, 1), 4)) == []
 

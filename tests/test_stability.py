@@ -11,7 +11,6 @@ from heisenstab.stability import (
     classify_triple,
     coefficient,
     detect_stable_limit,
-    monotonicity_check,
     stability_check,
     stabilization_sequence,
 )
@@ -24,6 +23,10 @@ def test_classify_equal_sizes():
     assert t.kind == Kind.KRONECKER
     assert Kind.HEISENBERG in t.flags
     assert t.coefficient == 1
+    # the empty triple fits all three patterns; the first Kind wins
+    t = classify_triple((), (), ())
+    assert t.kind == Kind.KRONECKER
+    assert t.flags == frozenset(Kind)
 
 
 def test_classify_split_sizes():
@@ -31,6 +34,10 @@ def test_classify_split_sizes():
     assert t.kind == Kind.LR
     assert Kind.HEISENBERG in t.flags
     assert t.coefficient == 1
+    # fits the split and interpolating patterns; the split one comes first
+    t = classify_triple((1,), (1,), ())
+    assert t.kind == Kind.LR
+    assert t.flags == frozenset({Kind.LR, Kind.HEISENBERG})
 
 
 def test_classify_interpolating_sizes():
@@ -146,32 +153,10 @@ def test_detect_stable_limit():
         detect_stable_limit([1, 1, 1], window=1)
 
 
-def test_monotonicity_along_valid_directions():
-    ok = monotonicity_check(Kind.HEISENBERG, ((2,), (1,), (1, 1)),
-                            ((2,), (1,), (1,)), range(0, 6))
-    assert ok.increasing and ok.violation is None
-
-
-def test_monotonicity_strict_growth_on_multiplicity_two_direction():
-    direction = ((3, 2, 1), (2, 1), (2, 1))
-    res = monotonicity_check(Kind.LR, direction, direction, range(0, 4))
-    assert res.increasing
+def test_scaled_values_grow_on_a_multiplicity_two_direction():
     values = [lr_coeff(scale(n, P((3, 2, 1))), scale(n, P((2, 1))), scale(n, P((2, 1))))
               for n in range(1, 5)]
     assert all(v >= n + 1 for n, v in zip(range(1, 5), values))
-
-
-def test_monotonicity_allows_all_zero_sequences():
-    # base with vanishing coefficient, valid direction: zeros weakly increase
-    res = monotonicity_check(Kind.HEISENBERG, ((2,), (1, 1), ()),
-                             ((2,), (1,), (1,)), range(0, 5))
-    assert res.increasing
-
-
-def test_monotonicity_requires_positive_direction():
-    with pytest.raises(ValueError):
-        monotonicity_check(Kind.KRONECKER, ((1, 1, 1), (1, 1, 1), (1, 1, 1)),
-                           ((1, 1, 1), (1, 1, 1), (1, 1, 1)), range(3))
 
 
 def _clean_scan(kind, triple, n_max=6):
@@ -280,8 +265,3 @@ def test_coefficient_refuses_a_kind_that_is_not_a_kind():
     for kind in ("kron", "lr", None, ["heis"]):
         with pytest.raises(ValueError, match="not a coefficient kind"):
             coefficient(kind, (1,), (1,), (1,))
-
-
-def test_monotonicity_refuses_a_kind_that_is_not_a_kind():
-    with pytest.raises(ValueError, match="'heis'"):
-        monotonicity_check("heis", ((2,), (1,), (1,)), ((1,), (1,), (1,)), range(3))
