@@ -23,8 +23,9 @@ public functions validate their partitions once; the cores behind them
 (`_lr`, `_kron`, the quintuple formula) take valid partitions, look up
 their memo first and compute only on a miss.  A split table lists only
 the nonzero LR factors of a shape, one filling traversal per subdiagram,
-and the quintuple formula contracts its Kronecker factor once per
-(alpha, delta, rho) within a query.
+and one traversal serves both orientations of a split.  The quintuple
+formula contracts its Kronecker factor once per (alpha, delta, rho)
+within a query.
 """
 
 from __future__ import annotations
@@ -159,7 +160,12 @@ def _splits(outer: Partition, a: int, b: int) -> tuple[tuple[Partition, Partitio
     """Every LR split of `outer` as (x, y, c^outer_{x y}) with x |- a and
     y |- b inside `outer` and c > 0, for a + b = |outer|: one traversal of
     outer/x per x, so pairs that give zero are never searched.  The one
-    split table of both Heisenberg engines."""
+    split table of both Heisenberg engines.  Since c^outer_{x y} =
+    c^outer_{y x}, the table for a < b is the transpose of the one for
+    (b, a), whose traversals fill the smaller skew shapes: one traversal
+    serves both orientations."""
+    if a < b:
+        return tuple((x, y, c) for y, x, c in _splits(outer, b, a))
     ys: dict[Partition, Partition] = {}  # equal y's of different x share one object
     return tuple((x, ys.setdefault(y, y), c) for x in subpartitions_of_size(outer, a)
                  for y, c in _lr_fillings(outer, x).items())
@@ -313,7 +319,14 @@ def kron_coeff(lam, mu, nu) -> int:
 
 def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker core on valid partitions of one size."""
-    key = tuple(sorted((lam, mu, nu)))
+    # the memo key is the ascending triple; three comparisons cost less than sorted()
+    if lam > mu:
+        lam, mu = mu, lam
+    if mu > nu:
+        mu, nu = nu, mu
+        if lam > mu:
+            lam, mu = mu, lam
+    key = (lam, mu, nu)
     val = _KRON_CACHE.get(key)
     if val is None:
         n = lam.size
@@ -334,9 +347,9 @@ def heisenberg_coeff(lam, mu, nu) -> int:
     mu- and nu-irreducibles.  Zero outside max(|mu|,|nu|) <= |lam| <=
     |mu|+|nu|."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if (mu.size, mu) < (nu.size, nu):
-        mu, nu = nu, mu  # the product is commutative
     l, m, n = lam.size, mu.size, nu.size
+    if (m, mu) < (n, nu):
+        mu, nu, m, n = nu, mu, n, m  # the product is commutative
     p, q, r = l - n, m + n - l, l - m
     if p < 0 or q < 0 or r < 0:
         return 0
@@ -376,8 +389,11 @@ def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
             key = (alpha, delta, rho)
             v = inner.get(key)
             if v is None:
-                v = inner[key] = sum(c1 * c2 * _kron(delta, beta, eta)
-                                     for beta, c1 in c1_terms for eta, c2 in c2_terms)
+                v = 0
+                for beta, c1 in c1_terms:
+                    for eta, c2 in c2_terms:
+                        v += c1 * c2 * _kron(delta, beta, eta)
+                inner[key] = v
             total += c4 * c3 * v
     return total
 

@@ -67,8 +67,12 @@ def coefficient(kind: Kind, lam, mu, nu) -> int:
 
 def _shifted(x: Sequence[int], n: int, d: Sequence[int]) -> Partition:
     """x + n*d for partitions x, d and n >= 0 that the caller validated: the
-    sum is a partition again, so it is built without re-validation."""
-    return _trusted(s for s in (a + n * b for a, b in zip_longest(x, d, fillvalue=0)) if s)
+    sum is a partition again, so it is built without re-validation.  Only
+    its tail can be zero, and only when n = 0."""
+    parts = [a + n * b for a, b in zip_longest(x, d, fillvalue=0)]
+    while parts and not parts[-1]:
+        parts.pop()
+    return _trusted(parts)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ from collections import Counter
 
 import pytest
 
+from heisenstab import coefficients
 from heisenstab.coefficients import (
+    clear_caches,
     h_basis_heisenberg_product,
     h_basis_kron_product,
     heisenberg_coeff,
@@ -124,6 +126,29 @@ def test_kron_oracle_matches_and_is_symmetric():
             v = kron_coeff(lam, mu, nu)
             assert kron_coeff_oracle(lam, mu, nu) == v
             assert kron_coeff_oracle(mu, nu, lam) == v
+
+
+@pytest.mark.parametrize("triple", [
+    ((2, 1), (2, 1), (3,)),
+    ((1, 1, 1), (2, 1), (3,)),
+    ((2, 1), (2, 1), (2, 1)),
+    ((2, 2), (3, 1), (2, 1, 1)),
+])
+def test_kron_memo_has_one_entry_per_unordered_triple(triple):
+    lam, mu, nu = (P(x) for x in triple)
+    expected = kron_coeff_oracle(lam, mu, nu)
+    clear_caches()
+    for order in itertools.permutations((lam, mu, nu)):
+        assert coefficients._kron(*order) == expected, order
+    assert list(coefficients._KRON_CACHE) == [tuple(sorted((lam, mu, nu)))]
+
+
+def test_kron_memo_key_is_the_ascending_triple():
+    clear_caches()
+    triples = [t for n in range(5) for t in itertools.product(partitions_of(n), repeat=3)]
+    for t in triples:
+        coefficients._kron(*t)
+    assert set(coefficients._KRON_CACHE) == {tuple(sorted(t)) for t in triples}
 
 
 # ---------------------------------------------------------------------------

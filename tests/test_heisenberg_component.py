@@ -20,7 +20,7 @@ from heisenstab.coefficients import (
     lr_coeff,
     lr_coeff_hive,
 )
-from heisenstab.partitions import partitions_of, partitions_up_to
+from heisenstab.partitions import Partition, partitions_of, partitions_up_to, subpartitions_of_size
 from support import hook_length_dimension
 from test_input_validation import Three
 
@@ -45,6 +45,38 @@ def test_split_table_matches_brute_force():
             expected = [(x, y, c) for x in partitions_of(a) for y in partitions_of(b)
                         if (c := lr_coeff(outer, x, y))]
             assert sorted(table) == sorted(expected), (outer, a, b)
+
+
+def test_split_tables_of_both_orientations_are_transposes():
+    for outer in partitions_up_to(7):
+        for a in range(outer.size + 1):
+            b = outer.size - a
+            table = coefficients._splits(outer, a, b)
+            swapped = {(y, x, c) for x, y, c in coefficients._splits(outer, b, a)}
+            assert len(set(table)) == len(table) and set(table) == swapped, (outer, a, b)
+
+
+@pytest.mark.parametrize("first", ["bigger_x", "smaller_x"])
+def test_one_traversal_serves_both_orientations(monkeypatch, first):
+    outer, small, big = Partition((4, 3, 2, 1)), 3, 7
+    orders = [(big, small), (small, big)]
+    if first == "smaller_x":
+        orders.reverse()
+    traversals = []
+    fillings = coefficients._lr_fillings
+
+    def counting(outer, inner, content=None):
+        traversals.append(inner)
+        return fillings(outer, inner, content)
+
+    monkeypatch.setattr(coefficients, "_lr_fillings", counting)
+    clear_caches()
+    coefficients._splits(outer, *orders[0])
+    # the table of the bigger x is filled: one traversal per x |- 7 inside outer
+    assert sorted(traversals) == sorted(subpartitions_of_size(outer, big))
+    traversals.clear()
+    coefficients._splits(outer, *orders[1])
+    assert traversals == []
 
 
 def test_split_table_matches_hive_counts():
