@@ -4,7 +4,8 @@ stability reports, additivity certificates, and matrix enumeration.
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 parse error, 3 size-pattern error, 4 engine mismatch or cache integrity
 failure, 5 enumeration budget exceeded, 1 selftest failure or stdout closed
-by its reader.
+by its reader.  Commands raise the errors of codes 2 to 5; `main` maps
+them to their codes and stderr lines through the one table `_EXITS`.
 
 A persistent cache of coefficient values lives in a single append-friendly
 text file (one JSON record per line) at ~/.cache/heisenstab.cache, or
@@ -71,6 +72,17 @@ def _warn(msg: str) -> None:
 
 class CacheIntegrityError(RuntimeError):
     pass
+
+
+# The exit code of each error a command raises, and the template of the one
+# stderr line main writes for it.  Any other exception propagates.
+_EXITS = {
+    NotAPartitionError: (EXIT_PARSE, "{0}"),
+    MatrixParseError: (EXIT_PARSE, "bad matrix: {0}"),
+    NotATripleError: (EXIT_SIZES, "not a triple ({0.reason}): {0}"),
+    CacheIntegrityError: (EXIT_MISMATCH, "{0}"),
+    BudgetExceededError: (EXIT_BUDGET, "{0}"),
+}
 
 
 def cache_path() -> str:
@@ -176,25 +188,19 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
+def _partitions(args, *names: str) -> tuple[Partition, ...]:
+    return tuple(Partition.parse(getattr(args, name)) for name in names)
+
+
 def cmd_coeff(args) -> int:
-    try:
-        lam = Partition.parse(args.lam)
-        mu = Partition.parse(args.mu)
-        nu = Partition.parse(args.nu)
-    except NotAPartitionError as exc:
-        _warn(str(exc))
-        return EXIT_PARSE
+    lam, mu, nu = _partitions(args, "lam", "mu", "nu")
     kind = Kind(args.kind)
     if not size_pattern_ok(kind, lam, mu, nu):
-        _warn(f"sizes ({lam.size}; {mu.size}, {nu.size}) do not fit kind {args.kind}")
-        return EXIT_SIZES
+        raise NotATripleError(
+            "size_pattern", f"sizes ({lam.size}; {mu.size}, {nu.size}) do not fit kind {args.kind}")
     path = cache_path()
     q = f"{args.kind} {lam} {mu} {nu}"
-    try:
-        cache = load_cache(path, q)
-    except CacheIntegrityError as exc:
-        _warn(str(exc))
-        return EXIT_MISMATCH
+    cache = load_cache(path, q)
 
     def run(engine: str) -> int:
         key = (q, engine)
@@ -221,30 +227,15 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_verify_cache(args) -> int:
-    try:
-        records = load_cache(cache_path(), None)
-    except CacheIntegrityError as exc:
-        _warn(str(exc))
-        return EXIT_MISMATCH
-    _emit({"records": len(records)})
+    _emit({"records": len(load_cache(cache_path(), None))})
     return EXIT_OK
 
 
 def cmd_seq(args) -> int:
-    try:
-        base = tuple(Partition.parse(t) for t in (args.lam, args.mu, args.nu))
-        direction = tuple(Partition.parse(t) for t in (args.alpha, args.beta, args.gamma))
-    except NotAPartitionError as exc:
-        _warn(str(exc))
-        return EXIT_PARSE
-    kind = Kind(args.kind)
-    try:
-        seq = stabilization_sequence(kind, base, direction, range(0, args.n + 1))
-    except ValueError as exc:
-        _warn(str(exc))
-        return EXIT_SIZES
-    values = [v for _, v in seq]
-    hit = detect_stable_limit(values, window=args.window)
+    base = _partitions(args, "lam", "mu", "nu")
+    direction = _partitions(args, "alpha", "beta", "gamma")
+    seq = stabilization_sequence(Kind(args.kind), base, direction, range(0, args.n + 1))
+    hit = detect_stable_limit([v for _, v in seq], window=args.window)
     out = {
         "kind": args.kind,
         "base": {"lambda": str(base[0]), "mu": str(base[1]), "nu": str(base[2])},
@@ -260,21 +251,10 @@ def cmd_seq(args) -> int:
 
 
 def cmd_stable(args) -> int:
-    try:
-        alpha = Partition.parse(args.alpha)
-        beta = Partition.parse(args.beta)
-        gamma = Partition.parse(args.gamma)
-    except NotAPartitionError as exc:
-        _warn(str(exc))
-        return EXIT_PARSE
-    try:
-        triple = classify_triple(alpha, beta, gamma)
-    except NotATripleError as exc:
-        _warn(f"not a triple ({exc.reason}): {exc}")
-        return EXIT_SIZES
+    triple = classify_triple(*_partitions(args, "alpha", "beta", "gamma"))
     report = stability_check(triple, n_max=args.n_max)
     out = {
-        "alpha": str(alpha), "beta": str(beta), "gamma": str(gamma),
+        "alpha": str(triple.alpha), "beta": str(triple.beta), "gamma": str(triple.gamma),
         "kind": triple.kind.value,
         "flags": sorted(k.value for k in triple.flags),
         "coefficient": triple.coefficient,
@@ -297,12 +277,7 @@ def cmd_additive(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         _warn(f"cannot read matrix file: {exc}")
         return EXIT_PARSE
-    try:
-        A = parse_matrix(text, args.kind)
-    except MatrixParseError as exc:
-        _warn(f"bad matrix: {exc}")
-        return EXIT_PARSE
-    result = stable_triple(A)
+    result = stable_triple(parse_matrix(text, args.kind))
     out = {"kind": args.kind, "additive": result is not None}
     if result is not None:
         out["certificate"] = result.certificate.as_json()
@@ -317,18 +292,13 @@ def cmd_additive(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        beta = Composition.parse(args.rows)
-        gamma = Composition.parse(args.cols)
-        pi = Partition.parse(args.pi) if args.pi is not None else None
-    except (NotAPartitionError, ValueError) as exc:
+        beta, gamma = Composition.parse(args.rows), Composition.parse(args.cols)
+    except ValueError as exc:
         _warn(str(exc))
         return EXIT_PARSE
+    pi = Partition.parse(args.pi) if args.pi is not None else None
     cls = MATRIX_KINDS[args.kind]
-    try:
-        check_budget(cls, beta, gamma)
-    except BudgetExceededError as exc:
-        _warn(str(exc))
-        return EXIT_BUDGET
+    check_budget(cls, beta, gamma)
     stream = margin_class(cls, beta, gamma, pi) if pi is not None else margin_matrices(cls, beta, gamma)
     count = 0
     for A in stream:
@@ -419,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heisenstab",
         description="Exact structure constants and stability of partition triples.")
     sub = ap.add_subparsers(dest="command", required=True)
+    kinds = [k.value for k in Kind]
 
     c = sub.add_parser("coeff", help="one coefficient value")
-    c.add_argument("kind", choices=["lr", "kron", "heis"])
+    c.add_argument("kind", choices=kinds)
     c.add_argument("lam", metavar="lambda")
     c.add_argument("mu")
     c.add_argument("nu")
@@ -430,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_coeff)
 
     s = sub.add_parser("seq", help="stabilization sequence along a direction")
-    s.add_argument("kind", choices=["lr", "kron", "heis"])
+    s.add_argument("kind", choices=kinds)
     s.add_argument("lam", metavar="lambda")
     s.add_argument("mu")
     s.add_argument("nu")
@@ -477,6 +448,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except tuple(_EXITS) as exc:
+        code, template = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
+        _warn(template.format(exc))
         return code
     except BrokenPipeError:
         # The reader closed stdout early.  Point stdout at devnull so that

@@ -5,7 +5,8 @@ order; the empty tuple is the unique partition of 0.  `Partition` is a
 tuple under `+` and `*` (concatenation, repetition); the vector
 arithmetic `add` and `scale` is coordinatewise with implicit zero
 padding.  The dominance comparison works on arbitrary rational vectors,
-not just partitions, and is always exact (`fractions.Fraction`).
+not just partitions, and is always exact: its entries are ints and
+`fractions.Fraction`s, and a float is refused, never compared.
 
 The package's enumerators: partitions inside a shape (`_inside`; the n x n
 box for `partitions_of(n)`), and capped compositions (`_bounded_vectors`),
@@ -170,13 +171,21 @@ class Dominance(enum.Enum):
     DIFFERENT_SUM = "different_sum"
 
 
+def _rationals(entries: Iterable[Rational]) -> list[Rational]:
+    """Fraction entries as they are, and every other entry as _integer_parts
+    reads it: a float, string or bool raises ValueError, never coerced."""
+    return [e if isinstance(e, Fraction) else _integer_parts((e,), ValueError)[0]
+            for e in entries]
+
+
 def dominates(a: Sequence[Rational], b: Sequence[Rational]) -> Dominance:
     """Majorization comparison of a against b, on sorted entries.
 
     Returns how `a` relates to `b`: STRICTLY_DOMINATED means a is strictly
     below b (every prefix sum of sorted(a) is <= the one of sorted(b), sums
-    equal, sorted entries not all equal)."""
-    xs, ys = _padded(tuple(a), tuple(b))
+    equal, sorted entries not all equal).  Entries are ints or Fractions;
+    anything else raises ValueError."""
+    xs, ys = _padded(_rationals(a), _rationals(b))
     if sum(xs) != sum(ys):
         return Dominance.DIFFERENT_SUM
     xs = sorted(xs, reverse=True)

@@ -163,18 +163,17 @@ def stabilization_sequence(kind: Kind,
                            ns: Sequence[int]) -> list[tuple[int, int]]:
     """Coefficient of the base shifted n steps along the direction, for each
     n.  Both the base and the direction must fit the kind's size pattern,
-    which makes every shifted query fit it too."""
+    which makes every shifted query fit it too; NotATripleError (a
+    ValueError) names the one that does not."""
     lam, mu, nu = (Partition(x) for x in base)
     al, be, ga = (Partition(x) for x in direction)
     ns = _integer_parts(ns, ValueError)
     if any(n < 0 for n in ns):
         raise ValueError("scale factor must be nonnegative")
-    if not size_pattern_ok(kind, lam, mu, nu):
-        raise ValueError(f"base sizes ({lam.size}; {mu.size}, {nu.size}) "
-                         f"violate the {kind.value} pattern")
-    if not size_pattern_ok(kind, al, be, ga):
-        raise ValueError(f"direction sizes ({al.size}; {be.size}, {ga.size}) "
-                         f"violate the {kind.value} pattern")
+    for name, (a, b, c) in (("base", (lam, mu, nu)), ("direction", (al, be, ga))):
+        if not size_pattern_ok(kind, a, b, c):
+            raise NotATripleError("size_pattern", f"{name} sizes ({a.size}; {b.size}, "
+                                  f"{c.size}) violate the {kind.value} pattern")
     return [(n, coefficient(kind, _shifted(lam, n, al), _shifted(mu, n, be),
                             _shifted(nu, n, ga)))
             for n in ns]

@@ -354,3 +354,49 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv, lines_read):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+CONFLICT = "\n".join([record("kron 3 2,1 2,1", "primary", 1),
+                      record("kron 3 2,1 2,1", "oracle", 7)]) + "\n"
+
+
+@pytest.mark.parametrize("argv, matrix, cached, code", [
+    (["coeff", "kron", "a,b", "1", "1"], None, None, 2),
+    (["seq", "kron", "x", "1", "1", "1", "1", "1"], None, None, 2),
+    (["stable", "3,1", "x", "2"], None, None, 2),
+    (["additive", "--kind", "h"], "1 0\n0 1\n", None, 2),
+    (["additive", "--kind", "k"], "0 1 2\n1 1\n", None, 2),
+    (["enumerate", "--rows", "1,1", "--cols", "1,1", "--kind", "k", "--pi", "x"], None, None, 2),
+    (["enumerate", "--rows", "1,-1", "--cols", "1,1", "--kind", "k"], None, None, 2),
+    (["coeff", "lr", "2", "1", "2"], None, None, 3),
+    (["seq", "kron", "2", "1", "1", "1", "1", "1"], None, None, 3),
+    (["seq", "kron", "1", "1", "1", "2", "1", "1"], None, None, 3),
+    (["stable", "3", "1", "1"], None, None, 3),
+    (["stable", "1,1", "2", "0"], None, None, 3),
+    (["coeff", "kron", "3", "2,1", "2,1"], None, CONFLICT, 4),
+    (["verify-cache"], None, CONFLICT, 4),
+    (["enumerate", "--rows", "18,10", "--cols", "12,18,3", "--kind", "h"], None, None, 5),
+], ids=["coeff_parse", "seq_parse", "stable_parse", "additive_corner", "additive_ragged",
+        "enumerate_pi", "enumerate_rows", "coeff_sizes", "seq_base", "seq_direction",
+        "stable_size_pattern", "stable_zero_coefficient", "coeff_cache_conflict",
+        "verify_cache_conflict", "enumerate_budget"])
+def test_each_error_exits_with_its_code_and_one_stderr_line(
+        cache_file, capsys, tmp_path, argv, matrix, cached, code):
+    if matrix is not None:
+        f = tmp_path / "m.txt"
+        f.write_text(matrix)
+        argv = [*argv, "--matrix", str(f)]
+    if cached is not None:
+        cache_file.write_text(cached)
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1 and err.startswith("heisenstab: ")
+
+
+def test_an_unmapped_error_is_not_an_exit_code(cache_file, capsys, monkeypatch):
+    def faulty(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("heisenstab.cli.stabilization_sequence", faulty)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(list(SEQ))

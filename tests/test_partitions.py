@@ -91,6 +91,19 @@ def test_dominates_exact_rationals():
     assert is_dominated_by(a, a)
 
 
+@pytest.mark.parametrize("entries", [(0.1, 0.2), (Fraction(1, 10), 0.2), ("1",), (True,), (None,)],
+                         ids=["floats", "float_among_fractions", "string", "bool", "none"])
+def test_dominance_refuses_entries_that_are_not_exact_rationals(entries):
+    # 0.1 + 0.2 != 0.3 in binary floating point, so a float comparison
+    # would answer DIFFERENT_SUM here instead of refusing
+    with pytest.raises(ValueError):
+        dominates(entries, (Fraction(3, 10),))
+    with pytest.raises(ValueError):
+        is_dominated_by((Fraction(3, 10),), entries)
+    assert dominates((Fraction(1, 10), Fraction(2, 10)), (Fraction(3, 10),)) \
+        == Dominance.STRICTLY_DOMINATED
+
+
 @given(st.lists(st.integers(min_value=0, max_value=9), max_size=6))
 def test_pi_invariant_under_permutation(entries):
     base = pi_sequence(entries)
