@@ -25,8 +25,6 @@ from .symfun import (
 from .coefficients import (
     Decomposition,
     clear_caches,
-    h_basis_heisenberg_product,
-    h_basis_kron_product,
     heisenberg_coeff,
     heisenberg_coeff_oracle,
     heisenberg_component,

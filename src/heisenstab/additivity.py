@@ -183,8 +183,9 @@ def margin_class(cls: type[KroneckerMatrix], beta, gamma, alpha) -> Iterator[Kro
     return (A for A in margin_matrices(cls, beta, gamma) if A.pi == alpha)
 
 
-# Two distinct functions, not aliases of margin_matrices: the h-basis
-# products call them, and a benchmark tracer wraps them by name.
+# Two distinct functions, not aliases of margin_matrices: the package calls
+# margin_matrices itself, and only the benchmark calls these and wraps them
+# by name.
 def kronecker_matrices(beta: Sequence[int], gamma: Sequence[int]) -> Iterator[KroneckerMatrix]:
     return margin_matrices(KroneckerMatrix, beta, gamma)
 

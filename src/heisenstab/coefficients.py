@@ -8,9 +8,13 @@
 * Kronecker coefficients by the exact character sum over conjugacy classes.
 * Heisenberg coefficients by the quintuple-product formula that splits a
   query into two LR decompositions, one Kronecker factor in the shared
-  degree, and two LR recombinations; the second route expands Schur
-  functions into the complete-homogeneous basis and multiplies there, where
-  the product is a sum over margin-constrained matrices.
+  degree, and two LR recombinations.
+* One h-basis route checks both of the last two: it expands the Schur
+  factors into the complete-homogeneous basis by Jacobi-Trudi, multiplies
+  there by summing h_pi(A) over the margin matrices A of one class (plain
+  for the Kronecker product, cornered for the Heisenberg product), and
+  converts back through Kostka numbers.  The matrix class is its only
+  switch and the key of its memo (`_h_expansion`).
 * Whole degrees of the Heisenberg product by the same decomposition run
   once per degree, with both recombinations taken as Schur products by the
   LR rule (`_lr_product`).  Both Heisenberg engines read their LR factors
@@ -37,21 +41,15 @@ from math import factorial
 from typing import Counter as CounterT
 
 from . import symfun
-from .additivity import heisenberg_matrices, kronecker_matrices
+from .additivity import HeisenbergMatrix, KroneckerMatrix, margin_matrices
 from .partitions import (
-    Composition,
     Partition,
     _integer_parts,
     _trusted,
     partitions_of,
     subpartitions_of_size,
 )
-from .symfun import (
-    character_vector,
-    class_sizes,
-    kostka,
-    schur_in_h_basis,
-)
+from .symfun import _kostka, _schur_in_h, character_vector, class_sizes
 
 _LR_CACHE: dict[tuple, int] = {}
 _KRON_CACHE: dict[tuple, int] = {}
@@ -474,44 +472,32 @@ def heisenberg_product(mu, nu) -> Decomposition:
 # The h-basis (complete homogeneous) second route
 
 
-def h_basis_kron_product(beta, gamma) -> CounterT[Partition]:
-    """Kronecker product of two h-basis elements: the multiset of sorted
-    entry sequences over all matrices with margins (beta, gamma)."""
-    beta, gamma = Composition(beta), Composition(gamma)
-    if beta.size != gamma.size:
-        raise ValueError(f"margin totals differ: {beta.size} != {gamma.size}")
-    return Counter(A.pi for A in kronecker_matrices(beta, gamma))
-
-
-def h_basis_heisenberg_product(beta, gamma) -> CounterT[Partition]:
-    """Heisenberg product of two h-basis elements: the multiset of sorted
-    entry sequences over all cornered matrices with margins (beta, gamma)."""
-    beta, gamma = Composition(beta), Composition(gamma)
-    return Counter(A.pi for A in heisenberg_matrices(beta, gamma))
-
-
 @lru_cache(maxsize=None)
-def _h_expansion(product, mu: Partition, nu: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Signed h-basis coefficients of the product of two Schur elements,
-    grouped by sorted margin sequence; `product` is
-    `h_basis_heisenberg_product` or `h_basis_kron_product`."""
+def _h_expansion(cls: type[KroneckerMatrix], mu: Partition,
+                 nu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Signed h-basis coefficients of the product of s_mu and s_nu, grouped
+    by sorted margin sequence.  Both factors are expanded by Jacobi-Trudi,
+    and each product h_delta h_eps is the sum of h_pi(A) over the matrices A
+    of class `cls` with margins (delta, eps): plain matrices give the
+    Kronecker product, cornered ones the Heisenberg product."""
     out: CounterT[Partition] = Counter()
-    for delta, a in schur_in_h_basis(mu).items():
-        for eps, b in schur_in_h_basis(nu).items():
+    for delta, a in _schur_in_h(mu):
+        for eps, b in _schur_in_h(nu):
             w = a * b
-            for theta, mult in product(delta, eps).items():
-                out[theta] += w * mult
-    return tuple((tuple(k), v) for k, v in out.items() if v != 0)
+            for A in margin_matrices(cls, delta, eps):
+                out[A.pi] += w
+    return tuple((theta, v) for theta, v in out.items() if v != 0)
 
 
-def _from_h_basis(product, lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Multiplicity of s_lam in the product of s_mu and s_nu, converted back
-    from the h-basis through Kostka numbers.  The signed total must be a
-    nonnegative integer."""
+def _from_h_basis(cls: type[KroneckerMatrix], lam: Partition, mu: Partition,
+                  nu: Partition) -> int:
+    """Multiplicity of s_lam in the class-`cls` product of s_mu and s_nu,
+    converted back from the h-basis through Kostka numbers.  The signed
+    total must be a nonnegative integer."""
     total = 0
-    for theta, w in _h_expansion(product, mu, nu):
+    for theta, w in _h_expansion(cls, mu, nu):
         if sum(theta) == lam.size:
-            k = kostka(lam, theta)
+            k = _kostka(lam, theta)
             if k:
                 total += w * k
     if total < 0:
@@ -528,13 +514,13 @@ def heisenberg_coeff_oracle(lam, mu, nu) -> int:
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if (mu.size, mu) < (nu.size, nu):
         mu, nu = nu, mu
-    return _from_h_basis(h_basis_heisenberg_product, lam, mu, nu)
+    return _from_h_basis(HeisenbergMatrix, lam, mu, nu)
 
 
 def kron_coeff_oracle(lam, mu, nu) -> int:
     """h-basis route for Kronecker coefficients (second engine for the CLI
     cross-check)."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if lam.size != mu.size or lam.size != nu.size:
-        raise ValueError("Kronecker query needs equal sizes")
-    return _from_h_basis(h_basis_kron_product, lam, mu, nu)
+    if mu.size != lam.size or nu.size != lam.size:
+        raise ValueError(f"Kronecker query needs equal sizes, got {lam.size}, {mu.size}, {nu.size}")
+    return _from_h_basis(KroneckerMatrix, lam, mu, nu)

@@ -127,11 +127,12 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     """Certify, refute, or bound the stability question for a triple.
 
     The scaled values are scanned up to n_max, and any value >= 2 refutes.
-    A clean scan of ones certifies a split-pattern (LR) triple, whose
-    scaled values are all 1 when its value at scale 1 is (Knutson-Tao-
-    Woodward); a value c >= 2 at scale 1 stops the scan with the witness
-    (1, c).  Any other kind stays inconclusive: certifying it needs an
-    additivity certificate from the matrix pipeline."""
+    A clean scan of ones certifies a triple that fits the split (LR)
+    pattern, whose scaled values are all 1 when its value at scale 1 is
+    (Knutson-Tao-Woodward); the empty triple fits it too, though it
+    classifies as Kronecker.  A value c >= 2 at scale 1 stops the scan with
+    the witness (1, c).  Any other triple stays inconclusive: certifying it
+    needs an additivity certificate from the matrix pipeline."""
     (n_max,) = _integer_parts((n_max,), ValueError)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -150,7 +151,7 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     verdict, certified_by = Verdict.INCONCLUSIVE, None
     if witness is not None:
         verdict = Verdict.REFUTED
-    elif triple.kind is Kind.LR:
+    elif Kind.LR in triple.flags:
         verdict, certified_by = Verdict.CERTIFIED, "finite_lr_check"
     return StabilityReport(triple=triple, verdict=verdict, n_max=n_max,
                            sequence=tuple(seq), witness=witness,

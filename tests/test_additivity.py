@@ -28,7 +28,6 @@ from heisenstab.additivity import (
     stable_triple,
     _strict_system,
 )
-from heisenstab.coefficients import h_basis_heisenberg_product
 from heisenstab.partitions import Partition, is_dominated_by, partitions_up_to
 from heisenstab.ratfeas import solve_strict
 
@@ -133,10 +132,15 @@ def test_heisenberg_enumeration_degenerate_margins():
 
 
 def test_class_sizes_match_h_basis_product_multiset():
+    # h_beta h_gamma = sum of h_pi(A) over the cornered matrices A with
+    # margins (beta, gamma); its margin classes split that multiset
     for beta in partitions_up_to(3):
         for gamma in partitions_up_to(3):
             grouped = Counter(A.pi for A in heisenberg_matrices(beta, gamma))
-            assert grouped == h_basis_heisenberg_product(beta, gamma)
+            assert grouped == Counter(
+                A.pi for A in margin_matrices(HeisenbergMatrix, beta, gamma))
+            for alpha, size in grouped.items():
+                assert sum(1 for _ in margin_class(HeisenbergMatrix, beta, gamma, alpha)) == size
 
 
 def test_budget_guard():

@@ -147,6 +147,14 @@ def test_stable_reports(cache_file, capsys):
     assert rec["certified_by"] == "finite_lr_check"
 
 
+def test_stable_certifies_the_empty_triple(cache_file, capsys):
+    code, out, _ = run(capsys, "stable", "0", "0", "0")
+    rec = json.loads(out)
+    assert code == 0 and rec["kind"] == "kron" and "lr" in rec["flags"]
+    assert rec["verdict"] == "certified"
+    assert rec["certified_by"] == "finite_lr_check"
+
+
 def test_stable_not_a_triple(cache_file, capsys):
     code, _, err = run(capsys, "stable", "3", "1", "1")
     assert code == 3 and "size_pattern" in err

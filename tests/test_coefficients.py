@@ -4,10 +4,10 @@ from collections import Counter
 import pytest
 
 from heisenstab import coefficients
+from heisenstab.additivity import HeisenbergMatrix, KroneckerMatrix, margin_matrices
 from heisenstab.coefficients import (
+    _h_expansion,
     clear_caches,
-    h_basis_heisenberg_product,
-    h_basis_kron_product,
     heisenberg_coeff,
     heisenberg_coeff_oracle,
     heisenberg_component,
@@ -248,23 +248,39 @@ def test_associativity_small():
 # h-basis products and the second route
 
 
+def _h_product(cls, beta, gamma):
+    """h_beta h_gamma in the class-`cls` product: {pi(A): count} over the
+    matrices A of that class with margins (beta, gamma)."""
+    return Counter(A.pi for A in margin_matrices(cls, beta, gamma))
+
+
 def test_h_basis_kron_products():
-    assert h_basis_kron_product((1,), (1,)) == Counter({P((1,)): 1})
-    assert h_basis_kron_product((1, 1), (1, 1)) == Counter({P((1, 1)): 2})
-    assert h_basis_kron_product((2,), (1, 1)) == Counter({P((1, 1)): 1})
-
-
-def test_h_basis_kron_size_mismatch():
-    with pytest.raises(ValueError):
-        h_basis_kron_product((2,), (1,))
+    assert _h_product(KroneckerMatrix, (1,), (1,)) == Counter({P((1,)): 1})
+    assert _h_product(KroneckerMatrix, (1, 1), (1, 1)) == Counter({P((1, 1)): 2})
+    assert _h_product(KroneckerMatrix, (2,), (1, 1)) == Counter({P((1, 1)): 1})
+    # a one-row Schur function is its h: s_2 * s_2 = s_2 and s_3 * s_3 = s_3
+    for n in (2, 3):
+        assert _h_expansion(KroneckerMatrix, P((n,)), P((n,))) == ((P((n,)), 1),)
 
 
 def test_h_basis_heisenberg_products():
-    assert h_basis_heisenberg_product((1,), (1,)) == Counter(
+    assert _h_product(HeisenbergMatrix, (1,), (1,)) == Counter(
         {P((1,)): 1, P((1, 1)): 1})
+    assert dict(_h_expansion(HeisenbergMatrix, P((1,)), P((1,)))) == {
+        P((1,)): 1, P((1, 1)): 1}
     for lam in partitions_up_to(3):
-        assert h_basis_heisenberg_product((), lam) == Counter({lam: 1})
-        assert h_basis_heisenberg_product(lam, ()) == Counter({lam: 1})
+        assert _h_product(HeisenbergMatrix, (), lam) == Counter({lam: 1})
+        assert _h_product(HeisenbergMatrix, lam, ()) == Counter({lam: 1})
+
+
+def test_bottom_degree_of_the_heisenberg_expansion_is_the_kronecker_one():
+    # a cornered matrix of entry total |beta| = |gamma| has an empty first
+    # row and column, so in degree |mu| the class is the only difference
+    for n in range(5):
+        for mu, nu in itertools.product(partitions_of(n), repeat=2):
+            heis = {theta: v for theta, v in _h_expansion(HeisenbergMatrix, mu, nu)
+                    if sum(theta) == n}
+            assert heis == dict(_h_expansion(KroneckerMatrix, mu, nu)), (mu, nu)
 
 
 def test_oracle_agrees_exhaustively_small():

@@ -82,6 +82,16 @@ def test_stability_certifies_unit_split_triple():
     assert all(v == 1 for _, v in report.sequence)
 
 
+def test_stability_certifies_the_empty_triple_by_its_lr_flag():
+    # it classifies as Kronecker, but it fits the split pattern as well
+    t = classify_triple((), (), ())
+    assert t.kind == Kind.KRONECKER and Kind.LR in t.flags
+    report = stability_check(t, n_max=3)
+    assert report.verdict == Verdict.CERTIFIED
+    assert report.certified_by == "finite_lr_check"
+    assert report.sequence == ((1, 1), (2, 1), (3, 1))
+
+
 def test_stability_refutes_split_triple_with_multiplicity():
     t = classify_triple((3, 2, 1), (2, 1), (2, 1))
     report = stability_check(t, n_max=3)
