@@ -1,6 +1,8 @@
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from heisenstab.additivity import (
     BudgetExceededError,
     HeisenbergMatrix,
     KroneckerMatrix,
+    MATRIX_KINDS,
     MatrixParseError,
     MinimalityResult,
     build_constraint_matrix,
@@ -27,6 +30,7 @@ from heisenstab.additivity import (
     parse_matrix,
     stable_triple,
     _strict_system,
+    _trade,
 )
 from heisenstab.partitions import Partition, is_dominated_by, partitions_up_to
 from heisenstab.ratfeas import solve_strict
@@ -292,6 +296,132 @@ def test_heavy_matrix_system_is_small_and_not_additive():
     rows, num_vars = _strict_system(A)
     assert len(rows) <= 40 and num_vars == 9
     assert is_additive(A) is None
+
+
+# ---------------------------------------------------------------------------
+# The 2 x 2 trade stage before Fourier-Motzkin
+
+
+def _is_trade(A, trade):
+    """Solver-free check of a trade: the upper and lower cells use the same
+    row and column indices, no cell is the corner, and each upper cell is
+    strictly larger than its partner."""
+    upper, lower = trade
+    if len(upper) != len(lower) or not upper:
+        return False
+    if any(sorted(c[axis] for c in upper) != sorted(c[axis] for c in lower) for axis in (0, 1)):
+        return False
+    if A.corner and (0, 0) in upper + lower:
+        return False
+    return all(A.rows[i][j] > A.rows[k][l] for (i, j), (k, l) in zip(upper, lower))
+
+
+def _all_3x3(cls):
+    for v in itertools.product(range(3), repeat=9):
+        if not (cls.corner and v[0]):
+            yield cls((v[0:3], v[3:6], v[6:9]))
+
+
+def _sorted_form(A):
+    """A matrix in A's orbit under transposition and the permutations of
+    the rows and columns that the margins cover, all of which keep
+    additivity: the lesser of A and its transpose, each with those columns,
+    then those rows, sorted."""
+    k = A.corner
+
+    def sort_lines(rows):
+        cols = list(zip(*rows))
+        rows = list(zip(*(cols[:k] + sorted(cols[k:]))))
+        return tuple(rows[:k] + sorted(rows[k:]))
+
+    return type(A)(min(sort_lines(A.rows), sort_lines(tuple(zip(*A.rows)))))
+
+
+def test_trades_are_sound_and_refute_every_non_additive_3x3_matrix():
+    # every plain and cornered 3 x 3 matrix with entries 0..2: each trade
+    # passes the solver-free check and Fourier-Motzkin agrees that the
+    # matrix is not additive; each matrix without a trade is additive
+    # (decided once per sorted form), so no non-additive matrix escapes
+    refuted = total = 0
+    unrefuted = set()
+    for cls in (KroneckerMatrix, HeisenbergMatrix):
+        for A in _all_3x3(cls):
+            total += 1
+            trade = _trade(A)
+            if trade is None:
+                unrefuted.add(_sorted_form(A))
+                continue
+            assert _is_trade(A, trade), (A, trade)
+            assert solve_strict(*_strict_system(A)) is None, A
+            refuted += 1
+    assert (total, refuted) == (26244, 20734)
+    for A in unrefuted:
+        assert _trade(A) is None and is_additive(A) is not None, A
+
+
+def test_trade_checker_rejects_non_trades():
+    # each rejected pair below is strictly larger cell by cell, apart from
+    # the reversed trade
+    A = HeisenbergMatrix([(0, 1, 0), (3, 2, 0), (0, 1, 1)])
+    assert _is_trade(A, (((1, 1), (2, 2)), ((2, 1), (1, 2))))
+    assert not _is_trade(A, (((2, 1), (1, 2)), ((1, 1), (2, 2))))  # reversed
+    assert not _is_trade(A, (((0, 1), (1, 0)), ((0, 0), (1, 1))))  # the corner
+    assert not _is_trade(A, (((1, 0), (2, 2)), ((1, 1), (2, 0))))  # columns differ
+
+
+def test_trade_skips_the_corner():
+    # as a plain matrix the corner cell's 0 < 1 completes a trade; cornered,
+    # the corner is never compared and the matrix is additive
+    rows = ((0, 1), (1, 0))
+    assert _trade(KroneckerMatrix(rows)) is not None
+    assert _trade(HeisenbergMatrix(rows)) is None
+    assert _trade(KroneckerMatrix([])) is None and _trade(KroneckerMatrix([(4,)])) is None
+
+
+# Increasing rows and columns with distinct entries 0..8: no two rows or
+# columns cross, yet no potentials order all nine cells.  These are the six
+# such 3 x 3 tableaux that are not additive.
+NO_TRADE_NOT_ADDITIVE = [
+    ((0, 1, 4), (2, 5, 6), (3, 7, 8)),
+    ((0, 1, 5), (2, 3, 6), (4, 7, 8)),
+    ((0, 1, 5), (2, 4, 6), (3, 7, 8)),
+    ((0, 2, 3), (1, 4, 7), (5, 6, 8)),
+    ((0, 2, 3), (1, 5, 7), (4, 6, 8)),
+    ((0, 2, 4), (1, 3, 7), (5, 6, 8)),
+]
+
+
+@pytest.mark.parametrize("rows", NO_TRADE_NOT_ADDITIVE)
+def test_fourier_motzkin_refutes_what_no_trade_does(rows, monkeypatch):
+    A = KroneckerMatrix(rows)
+    assert _trade(A) is None
+    calls = []
+    monkeypatch.setattr(additivity, "solve_strict",
+                        lambda *args: calls.append(1) or solve_strict(*args))
+    assert is_additive(A) is None
+    assert calls == [1]
+
+
+def test_staircase_without_trade_is_certified():
+    A = KroneckerMatrix([(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    assert _trade(A) is None
+    cert = is_additive(A)
+    assert cert is not None and check_certificate(A, cert)
+
+
+def test_committed_verdict_table_is_rederived():
+    # bench/verdicts.json lists the additive matrices of 46 margin classes
+    # and of the whole (2,2,2,1)^2 cornered class; the file is only read
+    path = Path(__file__).resolve().parents[1] / "bench" / "verdicts.json"
+    table = json.loads(path.read_text(encoding="utf-8"))
+    assert len(table["classes"]) == 46
+    for entry in table["classes"] + [table["sample"]]:
+        cls = MATRIX_KINDS[entry["kind"]]
+        matrices = list(margin_matrices(cls, entry["beta"], entry["gamma"]))
+        assert len(matrices) == entry["matrices"], entry["beta"]
+        additive = {A.rows for A in matrices if is_additive(A) is not None}
+        assert additive == {tuple(map(tuple, m)) for m in entry["additive"]}, entry["beta"]
+    assert table["sample"]["matrices"] == 3896
 
 
 # ---------------------------------------------------------------------------
