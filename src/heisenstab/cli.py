@@ -4,8 +4,9 @@ stability reports, additivity certificates, and matrix enumeration.
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 parse error, 3 size-pattern error, 4 engine mismatch or cache integrity
 failure, 5 enumeration budget exceeded, 1 selftest failure or stdout closed
-by its reader.  Commands raise the errors of codes 2 to 5; `main` maps
-them to their codes and stderr lines through the one table `_EXITS`.
+by its reader.  Each command returns the JSON object it reports, or raises;
+`main` alone writes that object to stdout, and maps each error a command
+raises to its exit code and stderr line through the one table `_EXITS`.
 
 A persistent cache of coefficient values lives in a single append-friendly
 text file (one JSON record per line) at ~/.cache/heisenstab.cache, or
@@ -13,8 +14,8 @@ wherever HEIS_CACHE points.  The cache is an accelerator only: corrupt
 lines anywhere in the file are skipped with a warning.  `coeff` decodes
 only the records of the query it asks, and two of those that disagree (two
 values for one engine, or a primary and an oracle value) are a fatal
-integrity error; `verify-cache` applies the same check to every query in
-the file.
+integrity error (`MismatchError`); `verify-cache` applies the same check
+to every query in the file.
 """
 
 from __future__ import annotations
@@ -70,17 +71,23 @@ def _warn(msg: str) -> None:
     print(f"heisenstab: {msg}", file=sys.stderr)
 
 
-class CacheIntegrityError(RuntimeError):
-    pass
+class MismatchError(RuntimeError):
+    """Two values of one query disagree: two cached records, a cached
+    primary and oracle value, or the two engines just run."""
+
+
+class SelftestFailure(RuntimeError):
+    """A conformance check of `selftest` failed."""
 
 
 # The exit code of each error a command raises, and the template of the one
 # stderr line main writes for it.  Any other exception propagates.
 _EXITS = {
+    SelftestFailure: (EXIT_SELFTEST, "{0}"),
     NotAPartitionError: (EXIT_PARSE, "{0}"),
     MatrixParseError: (EXIT_PARSE, "bad matrix: {0}"),
     NotATripleError: (EXIT_SIZES, "not a triple ({0.reason}): {0}"),
-    CacheIntegrityError: (EXIT_MISMATCH, "{0}"),
+    MismatchError: (EXIT_MISMATCH, "{0}"),
     BudgetExceededError: (EXIT_BUDGET, "{0}"),
 }
 
@@ -128,7 +135,7 @@ def load_cache(path: str, q: Optional[str]) -> dict[tuple[str, str], int]:
     """The records of query q in the cache file, keyed (q, engine), or those
     of every query when q is None.  Corrupt lines anywhere in the file are
     skipped with a warning; records that conflict among those returned raise
-    CacheIntegrityError."""
+    MismatchError."""
     records: dict[tuple[str, str], int] = {}
     try:
         # a byte that is not UTF-8 reads as a lone surrogate, so that the
@@ -157,14 +164,14 @@ def load_cache(path: str, q: Optional[str]) -> dict[tuple[str, str], int]:
             continue
         key = (rec_q, engine)
         if key in records and records[key] != value:
-            raise CacheIntegrityError(
+            raise MismatchError(
                 f"cache holds conflicting values for {rec_q} [{engine}]: "
                 f"{records[key]} vs {value}")
         records[key] = value
     for (rec_q, engine), value in records.items():
         other = records.get((rec_q, "oracle" if engine == "primary" else "primary"))
         if other is not None and other != value:
-            raise CacheIntegrityError(
+            raise MismatchError(
                 f"primary and oracle records disagree for {rec_q}: {value} vs {other}")
     return records
 
@@ -184,16 +191,18 @@ def append_cache(path: str, q: str, engine: str, value: int) -> None:
         _warn(f"cache write failed: {exc}")
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj))
+def _partition_args(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Positional partition arguments, which `_partitions` reads by name."""
+    for name in names:
+        parser.add_argument(name)
 
 
 def _partitions(args, *names: str) -> tuple[Partition, ...]:
     return tuple(Partition.parse(getattr(args, name)) for name in names)
 
 
-def cmd_coeff(args) -> int:
-    lam, mu, nu = _partitions(args, "lam", "mu", "nu")
+def cmd_coeff(args) -> dict:
+    lam, mu, nu = _partitions(args, "lambda", "mu", "nu")
     kind = Kind(args.kind)
     if not size_pattern_ok(kind, lam, mu, nu):
         raise NotATripleError(
@@ -217,22 +226,20 @@ def cmd_coeff(args) -> int:
     if args.oracle:
         oracle_value = run("oracle")
         if oracle_value != value:
-            _warn(f"engine mismatch on {q}: primary={value} oracle={oracle_value}")
-            return EXIT_MISMATCH
+            raise MismatchError(
+                f"engine mismatch on {q}: primary={value} oracle={oracle_value}")
         engine = "both"
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    _emit({"kind": args.kind, "lambda": str(lam), "mu": str(mu), "nu": str(nu),
-           "value": value, "engine": engine, "elapsed_ms": round(elapsed_ms, 3)})
-    return EXIT_OK
+    return {"kind": args.kind, "lambda": str(lam), "mu": str(mu), "nu": str(nu),
+            "value": value, "engine": engine, "elapsed_ms": round(elapsed_ms, 3)}
 
 
-def cmd_verify_cache(args) -> int:
-    _emit({"records": len(load_cache(cache_path(), None))})
-    return EXIT_OK
+def cmd_verify_cache(args) -> dict:
+    return {"records": len(load_cache(cache_path(), None))}
 
 
-def cmd_seq(args) -> int:
-    base = _partitions(args, "lam", "mu", "nu")
+def cmd_seq(args) -> dict:
+    base = _partitions(args, "lambda", "mu", "nu")
     direction = _partitions(args, "alpha", "beta", "gamma")
     seq = stabilization_sequence(Kind(args.kind), base, direction, range(0, args.n + 1))
     hit = detect_stable_limit([v for _, v in seq], window=args.window)
@@ -246,11 +253,10 @@ def cmd_seq(args) -> int:
     }
     if hit:
         out["limit"], out["onset"] = hit
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
-def cmd_stable(args) -> int:
+def cmd_stable(args) -> dict:
     triple = classify_triple(*_partitions(args, "alpha", "beta", "gamma"))
     report = stability_check(triple, n_max=args.n_max)
     out = {
@@ -266,17 +272,15 @@ def cmd_stable(args) -> int:
         out["witness_n"], out["witness_value"] = report.witness
     if report.certified_by:
         out["certified_by"] = report.certified_by
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
-def cmd_additive(args) -> int:
+def cmd_additive(args) -> dict:
     try:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        _warn(f"cannot read matrix file: {exc}")
-        return EXIT_PARSE
+        raise MatrixParseError(f"cannot read matrix file: {exc}") from exc
     result = stable_triple(parse_matrix(text, args.kind))
     out = {"kind": args.kind, "additive": result is not None}
     if result is not None:
@@ -286,16 +290,14 @@ def cmd_additive(args) -> int:
             "beta": ",".join(map(str, result.beta)) or "0",
             "gamma": ",".join(map(str, result.gamma)) or "0",
         }
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> dict:
     try:
         beta, gamma = Composition.parse(args.rows), Composition.parse(args.cols)
     except ValueError as exc:
-        _warn(str(exc))
-        return EXIT_PARSE
+        raise MatrixParseError(str(exc)) from exc
     pi = Partition.parse(args.pi) if args.pi is not None else None
     cls = MATRIX_KINDS[args.kind]
     check_budget(cls, beta, gamma)
@@ -305,11 +307,10 @@ def cmd_enumerate(args) -> int:
         print(A.to_text())
         print()
         count += 1
-    _emit({"count": count})
-    return EXIT_OK
+    return {"count": count}
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> None:
     from fractions import Fraction as F
 
     worked = HeisenbergMatrix([(0, 4, 6, 1), (4, 5, 7, 2), (2, 3, 5, 0)])
@@ -369,7 +370,8 @@ def cmd_selftest(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}")
         failures += 0 if ok else 1
     print(f"{len(checks) - failures}/{len(checks)} conformance checks passed")
-    return EXIT_OK if failures == 0 else EXIT_SELFTEST
+    if failures:
+        raise SelftestFailure(f"{failures}/{len(checks)} conformance checks failed")
 
 
 def _int_at_least(low: int):
@@ -393,30 +395,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("coeff", help="one coefficient value")
     c.add_argument("kind", choices=kinds)
-    c.add_argument("lam", metavar="lambda")
-    c.add_argument("mu")
-    c.add_argument("nu")
+    _partition_args(c, "lambda", "mu", "nu")
     c.add_argument("--oracle", action="store_true",
                    help="run the independent second engine and compare")
     c.set_defaults(fn=cmd_coeff)
 
     s = sub.add_parser("seq", help="stabilization sequence along a direction")
     s.add_argument("kind", choices=kinds)
-    s.add_argument("lam", metavar="lambda")
-    s.add_argument("mu")
-    s.add_argument("nu")
-    s.add_argument("alpha")
-    s.add_argument("beta")
-    s.add_argument("gamma")
+    _partition_args(s, "lambda", "mu", "nu", "alpha", "beta", "gamma")
     s.add_argument("--n", type=_int_at_least(0), default=8, help="scan n = 0..N (default 8)")
     s.add_argument("--window", type=_int_at_least(2), default=4,
                    help="tail window for the heuristic limit, >= 2 (default 4)")
     s.set_defaults(fn=cmd_seq)
 
     st = sub.add_parser("stable", help="stability report for a triple")
-    st.add_argument("alpha")
-    st.add_argument("beta")
-    st.add_argument("gamma")
+    _partition_args(st, "alpha", "beta", "gamma")
     st.add_argument("--n-max", type=_int_at_least(1), default=8, dest="n_max",
                     help="scan n = 1..N, N >= 1 (default 8)")
     st.set_defaults(fn=cmd_stable)
@@ -446,9 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        obj = args.fn(args)
+        if obj is not None:
+            print(json.dumps(obj))
         sys.stdout.flush()  # a closed pipe fails here, not at exit
-        return code
+        return EXIT_OK
     except tuple(_EXITS) as exc:
         code, template = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
         _warn(template.format(exc))

@@ -366,8 +366,6 @@ def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
     c1_by_alpha: dict[Partition, list[tuple[Partition, int]]] = {}
     for alpha, beta, c1 in _splits(mu, p, q):
         c1_by_alpha.setdefault(alpha, []).append((beta, c1))
-    if not c1_by_alpha:
-        return 0
     c2_by_rho: dict[Partition, list[tuple[Partition, int]]] = {}
     for eta, rho, c2 in _splits(nu, q, r):
         c2_by_rho.setdefault(rho, []).append((eta, c2))
@@ -510,10 +508,13 @@ def _from_h_basis(cls: type[KroneckerMatrix], lam: Partition, mu: Partition,
 def heisenberg_coeff_oracle(lam, mu, nu) -> int:
     """Second, independent route: expand both factors into the h-basis,
     multiply there via cornered matrices, and convert back through Kostka
-    numbers."""
+    numbers.  Zero outside max(|mu|,|nu|) <= |lam| <= |mu|+|nu|, without
+    expanding."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if (mu.size, mu) < (nu.size, nu):
         mu, nu = nu, mu
+    if not mu.size <= lam.size <= mu.size + nu.size:
+        return 0
     return _from_h_basis(HeisenbergMatrix, lam, mu, nu)
 
 

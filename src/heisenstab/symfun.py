@@ -180,7 +180,9 @@ def kostka_by_enumeration(lam: Sequence[int], mu: Sequence[int]) -> int:
             remaining[v - 1] += 1
         return total
 
-    return place(0)
+    count = place(0)
+    del place  # place's closure holds place: break the cycle, free the state now
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisenstab.cli import CacheIntegrityError, load_cache
+from heisenstab.cli import MismatchError, load_cache
 
 # q strings that share prefixes, need escaping, or are not ASCII
 QUERIES = ["kron 3 2,1 2,1", "kron 3 2,1 2", "lr 2,1 1 1", 'heis "1" 1 1',
@@ -113,7 +113,7 @@ def scoped(path, q):
     with contextlib.redirect_stderr(err):
         try:
             recs, failure = load_cache(path, q), None
-        except CacheIntegrityError as exc:
+        except MismatchError as exc:
             recs, failure = None, str(exc)
     return recs, failure, err.getvalue()
 

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import heisenstab
+from heisenstab import cli
 from heisenstab.cli import main
+from heisenstab.stability import Kind
 
 
 @pytest.fixture
@@ -107,6 +109,14 @@ def test_cache_integrity_failure(cache_file, capsys):
     cache_file.write_text(json.dumps(rec1) + "\n" + json.dumps(rec2) + "\n")
     code, _, err = run(capsys, "coeff", "kron", "3", "2,1", "2,1")
     assert code == 4 and "disagree" in err
+
+
+def test_coeff_engine_mismatch(cache_file, capsys, monkeypatch):
+    monkeypatch.setitem(cli.ORACLE, Kind.KRONECKER, lambda lam, mu, nu: 7)
+    code, out, err = run(capsys, "coeff", "kron", "3", "2,1", "2,1", "--oracle")
+    assert code == 4 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("heisenstab: engine mismatch")
 
 
 def test_seq_constant_tail(cache_file, capsys):
@@ -221,6 +231,15 @@ def test_selftest_passes(cache_file, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("conformance checks passed")
+
+
+def test_selftest_failure_prints_the_table_then_exits_1(cache_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "kostka", lambda lam, mu: -1)
+    code, out, err = run(capsys, "selftest")
+    assert code == 1
+    assert out.count("FAIL  ") == 2
+    assert out.strip().endswith("10/12 conformance checks passed")
+    assert err == "heisenstab: 2/12 conformance checks failed\n"
 
 
 def usage_error(capsys, *argv):

@@ -298,6 +298,19 @@ def test_oracle_unit_law():
         assert heisenberg_coeff_oracle(lam, lam, ()) == 1
 
 
+def test_oracles_answer_outside_the_size_pattern_without_expanding():
+    clear_caches()
+    # |lam| below max(|mu|,|nu|), then above |mu|+|nu|
+    assert heisenberg_coeff_oracle((1,), (4, 3, 2), (3, 2, 1)) == 0
+    assert heisenberg_coeff_oracle((4, 3), (2,), (3, 1)) == 0
+    assert _h_expansion.cache_info().currsize == 0
+    with pytest.raises(ValueError) as primary:
+        kron_coeff((3,), (2,), (2, 1))
+    with pytest.raises(ValueError) as oracle:
+        kron_coeff_oracle((3,), (2,), (2, 1))
+    assert str(oracle.value) == str(primary.value)
+
+
 def test_heisenberg_dimension_identity():
     # sum_lam h^lam_{mu nu} f^lam = f^mu f^nu l!/(p! q! r!) at every degree
     # l, with p = l - |nu|, q = |mu| + |nu| - l, r = l - |mu|: a global check
