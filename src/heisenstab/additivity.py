@@ -25,7 +25,9 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .partitions import (
+    BudgetExceededError,
     Composition,
+    MatrixParseError,
     Partition,
     _bounded_vectors,
     _integer_parts,
@@ -34,14 +36,6 @@ from .partitions import (
     pi_sequence,
 )
 from .ratfeas import solve_strict
-
-
-class MatrixParseError(ValueError):
-    """Malformed matrix text (ragged rows, negative or nonzero corner...)."""
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration refused: margins exceed the budget."""
 
 
 MAX_TOTAL = 24  # |beta| + |gamma|

@@ -28,6 +28,17 @@ class NotAPartitionError(ValueError):
     """Raised when parts do not form a partition."""
 
 
+# The two refusals of the matrix layer (`additivity` re-exports them) live
+# here with the parse error, so that the CLI maps all three to exit codes
+# without loading that layer.
+class MatrixParseError(ValueError):
+    """Malformed matrix text (ragged rows, negative or nonzero corner...)."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Enumeration refused: margins exceed the budget."""
+
+
 def _integer_parts(parts: Iterable[int], error: type[ValueError]) -> tuple[int, ...]:
     """The parts as exact ints, in one pass (parts may be a generator).
 

@@ -9,23 +9,20 @@ sequence.  For the split (LR) pattern that is decidable by one finite
 check; for the other two patterns a scan can only refute (a value >= 2 at
 any scale) or stay inconclusive, unless an additivity certificate from the
 matrix pipeline certifies it externally.
+
+Loading this module loads no engine: the tables `PRIMARY` and `ORACLE`
+start empty and `coefficient` fills them from `coefficients` on its first
+call, so that a CLI query answered from the cache never imports one.
+`Triple` and `StabilityReport` are `typing.NamedTuple`s for the same reason
+(no `dataclasses` import).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .coefficients import (
-    heisenberg_coeff,
-    heisenberg_coeff_oracle,
-    kron_coeff,
-    kron_coeff_oracle,
-    lr_coeff,
-    lr_coeff_hive,
-)
 from .partitions import Partition, _integer_parts, _trusted
 
 
@@ -52,17 +49,35 @@ def size_pattern_ok(kind: Kind, a: Partition, b: Partition, c: Partition) -> boo
     raise ValueError(f"not a coefficient kind: {kind!r}")
 
 
-# The engine of each kind, and its independent second route.
-PRIMARY = {Kind.KRONECKER: kron_coeff, Kind.LR: lr_coeff,
-           Kind.HEISENBERG: heisenberg_coeff}
-ORACLE = {Kind.KRONECKER: kron_coeff_oracle, Kind.LR: lr_coeff_hive,
-          Kind.HEISENBERG: heisenberg_coeff_oracle}
+# The engine of each kind, and its independent second route: empty until
+# _load_engines fills them, and filled in place, never rebound, so that
+# every `from .stability import PRIMARY` sees the engines.
+PRIMARY: dict[Kind, Callable[..., int]] = {}
+ORACLE: dict[Kind, Callable[..., int]] = {}
+
+
+def _load_engines() -> None:
+    """Import `coefficients` and fill the engine tables.  A kind that a
+    table already holds (a stand-in a test put there) keeps its entry."""
+    from . import coefficients as c
+
+    for kind, primary, oracle in (
+            (Kind.KRONECKER, c.kron_coeff, c.kron_coeff_oracle),
+            (Kind.LR, c.lr_coeff, c.lr_coeff_hive),
+            (Kind.HEISENBERG, c.heisenberg_coeff, c.heisenberg_coeff_oracle)):
+        PRIMARY.setdefault(kind, primary)
+        ORACLE.setdefault(kind, oracle)
 
 
 def coefficient(kind: Kind, lam, mu, nu) -> int:
     if not isinstance(kind, Kind):
         raise ValueError(f"not a coefficient kind: {kind!r}")
-    return PRIMARY[kind](lam, mu, nu)
+    try:
+        engine = PRIMARY[kind]
+    except KeyError:
+        _load_engines()
+        engine = PRIMARY[kind]
+    return engine(lam, mu, nu)
 
 
 def _shifted(x: Sequence[int], n: int, d: Sequence[int]) -> Partition:
@@ -75,8 +90,7 @@ def _shifted(x: Sequence[int], n: int, d: Sequence[int]) -> Partition:
     return _trusted(parts)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     alpha: Partition
     beta: Partition
     gamma: Partition
@@ -113,8 +127,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive_up_to"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     triple: Triple
     verdict: Verdict
     n_max: int

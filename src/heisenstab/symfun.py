@@ -152,9 +152,9 @@ def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
 def kostka_by_enumeration(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Brute-force SSYT counter (test oracle): fills the diagram cell by cell
     checking weakly increasing rows, strictly increasing columns, and the
-    content budget."""
+    content budget.  mu is read through `Composition`, as `kostka` reads it."""
     lam = tuple(Partition(lam))
-    content = list(mu)
+    content = list(Composition(mu))
     if sum(lam) != sum(content):
         raise ValueError("size mismatch")
     cells = [(r, c) for r, row_len in enumerate(lam) for c in range(row_len)]

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import heisenstab
-from heisenstab import cli
+from heisenstab import cli, stability, symfun
 from heisenstab.cli import main
 from heisenstab.stability import Kind
 
@@ -112,7 +112,7 @@ def test_cache_integrity_failure(cache_file, capsys):
 
 
 def test_coeff_engine_mismatch(cache_file, capsys, monkeypatch):
-    monkeypatch.setitem(cli.ORACLE, Kind.KRONECKER, lambda lam, mu, nu: 7)
+    monkeypatch.setitem(stability.ORACLE, Kind.KRONECKER, lambda lam, mu, nu: 7)
     code, out, err = run(capsys, "coeff", "kron", "3", "2,1", "2,1", "--oracle")
     assert code == 4 and out == ""
     lines = err.splitlines()
@@ -234,7 +234,7 @@ def test_selftest_passes(cache_file, capsys):
 
 
 def test_selftest_failure_prints_the_table_then_exits_1(cache_file, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "kostka", lambda lam, mu: -1)
+    monkeypatch.setattr(symfun, "kostka", lambda lam, mu: -1)
     code, out, err = run(capsys, "selftest")
     assert code == 1
     assert out.count("FAIL  ") == 2

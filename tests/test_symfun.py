@@ -127,6 +127,16 @@ def test_kostka_rejects_a_string_part():
         kostka((1,), ("1",))
 
 
+# the brute-force oracle refuses what kostka refuses, instead of counting
+# fillings against a float, negative or bool content
+@pytest.mark.parametrize("mu", [(1.5, 0.5), (3, -1), (True, True)])
+def test_kostka_by_enumeration_rejects_what_kostka_rejects(mu):
+    with pytest.raises(ValueError):
+        kostka((2,), mu)
+    with pytest.raises(ValueError):
+        kostka_by_enumeration((2,), mu)
+
+
 def test_character_rejects_nested_input():
     with pytest.raises(ValueError):
         character((2,), [[1], [1]])
