@@ -32,6 +32,7 @@ from .partitions import (
     _bounded_vectors,
     _integer_parts,
     _integer_token,
+    _MATRIX_KIND_KEYS,
     is_dominated_by,
     pi_sequence,
 )
@@ -117,7 +118,8 @@ class HeisenbergMatrix(KroneckerMatrix):
             raise MatrixParseError("top-left corner must be 0")
 
 
-MATRIX_KINDS = {"k": KroneckerMatrix, "h": HeisenbergMatrix}
+MATRIX_KINDS = dict(zip(_MATRIX_KIND_KEYS, (KroneckerMatrix, HeisenbergMatrix),
+                        strict=True))
 
 
 def parse_matrix(text: str, kind: str) -> KroneckerMatrix:

@@ -41,13 +41,12 @@ from .partitions import (
     NotAPartitionError,
     Partition,
     _integer_token,
+    _MATRIX_KIND_KEYS,
 )
+from . import stability
 from .stability import (
-    ORACLE,
-    PRIMARY,
     Kind,
     NotATripleError,
-    _load_engines,
     classify_triple,
     detect_stable_limit,
     size_pattern_ok,
@@ -61,11 +60,6 @@ EXIT_PARSE = 2
 EXIT_SIZES = 3
 EXIT_MISMATCH = 4
 EXIT_BUDGET = 5
-
-
-# The keys of additivity.MATRIX_KINDS, the --kind choices of `additive` and
-# `enumerate`, spelt out so that building the parser loads no matrix layer.
-_MATRIX_KINDS = ("k", "h")
 
 
 def _warn(msg: str) -> None:
@@ -212,15 +206,15 @@ def cmd_coeff(args) -> dict:
     q = f"{args.kind} {lam} {mu} {nu}"
     cache = load_cache(path, q)
     engines = ("primary", "oracle") if args.oracle else ("primary",)
-    if any((q, engine) not in cache for engine in engines):
-        _load_engines()
+    # the engine for each record the cache lacks: on a miss, reading the
+    # table loads the engines here, before the timer starts
+    to_run = {engine: getattr(stability, engine.upper())[kind]
+              for engine in engines if (q, engine) not in cache}
 
     def run(engine: str) -> int:
-        key = (q, engine)
-        if key in cache:
-            return cache[key]
-        fn = (PRIMARY if engine == "primary" else ORACLE)[kind]
-        value = fn(lam, mu, nu)
+        if engine not in to_run:
+            return cache[(q, engine)]
+        value = to_run[engine](lam, mu, nu)
         append_cache(path, q, engine, value)
         return value
 
@@ -436,13 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ad = sub.add_parser("additive", help="additivity certificate for a matrix file")
     ad.add_argument("--matrix", required=True, help="text file, one row per line")
-    ad.add_argument("--kind", choices=_MATRIX_KINDS, required=True)
+    ad.add_argument("--kind", choices=_MATRIX_KIND_KEYS, required=True)
     ad.set_defaults(fn=cmd_additive)
 
     en = sub.add_parser("enumerate", help="stream all matrices with given margins")
     en.add_argument("--rows", required=True, help="row margins, comma-separated")
     en.add_argument("--cols", required=True, help="column margins, comma-separated")
-    en.add_argument("--kind", choices=_MATRIX_KINDS, required=True)
+    en.add_argument("--kind", choices=_MATRIX_KIND_KEYS, required=True)
     en.add_argument("--pi", default=None,
                     help="restrict to matrices with this sorted entry sequence")
     en.set_defaults(fn=cmd_enumerate)

@@ -28,15 +28,19 @@ class NotAPartitionError(ValueError):
     """Raised when parts do not form a partition."""
 
 
-# The two refusals of the matrix layer (`additivity` re-exports them) live
-# here with the parse error, so that the CLI maps all three to exit codes
-# without loading that layer.
+# The two refusals of the matrix layer (`additivity` re-exports them) and
+# its matrix kinds live here with the parse error, so that the CLI maps all
+# three errors to exit codes, and offers the kinds, without loading that layer.
 class MatrixParseError(ValueError):
     """Malformed matrix text (ragged rows, negative or nonzero corner...)."""
 
 
 class BudgetExceededError(RuntimeError):
     """Enumeration refused: margins exceed the budget."""
+
+
+# The keys of additivity.MATRIX_KINDS: "k" Kronecker, "h" Heisenberg.
+_MATRIX_KIND_KEYS = ("k", "h")
 
 
 def _integer_parts(parts: Iterable[int], error: type[ValueError]) -> tuple[int, ...]:

@@ -11,10 +11,12 @@ any scale) or stay inconclusive, unless an additivity certificate from the
 matrix pipeline certifies it externally.
 
 Loading this module loads no engine: the tables `PRIMARY` and `ORACLE`
-start empty and `coefficient` fills them from `coefficients` on its first
-call, so that a CLI query answered from the cache never imports one.
+are built from `coefficients` on first use (the first read of either name,
+or the first `coefficient` call), so that a CLI query answered from the
+cache never imports one.  Whoever reads a table sees it complete.
 `Triple` and `StabilityReport` are `typing.NamedTuple`s for the same reason
-(no `dataclasses` import).
+(no `dataclasses` import), so they are tuples: they unpack, and compare
+equal to a plain tuple of the same values.
 """
 
 from __future__ import annotations
@@ -49,35 +51,34 @@ def size_pattern_ok(kind: Kind, a: Partition, b: Partition, c: Partition) -> boo
     raise ValueError(f"not a coefficient kind: {kind!r}")
 
 
-# The engine of each kind, and its independent second route: empty until
-# _load_engines fills them, and filled in place, never rebound, so that
-# every `from .stability import PRIMARY` sees the engines.
-PRIMARY: dict[Kind, Callable[..., int]] = {}
-ORACLE: dict[Kind, Callable[..., int]] = {}
+def _engine_table(name: str) -> dict[Kind, Callable[..., int]]:
+    """The table `PRIMARY` (the engine of each kind) or `ORACLE` (its
+    independent second route).  The first call imports `coefficients` and
+    binds both as module globals, complete; later reads of
+    `stability.PRIMARY` find them without this hook."""
+    if name not in globals():
+        from . import coefficients as c
+
+        globals().update(
+            PRIMARY={Kind.KRONECKER: c.kron_coeff, Kind.LR: c.lr_coeff,
+                     Kind.HEISENBERG: c.heisenberg_coeff},
+            ORACLE={Kind.KRONECKER: c.kron_coeff_oracle, Kind.LR: c.lr_coeff_hive,
+                    Kind.HEISENBERG: c.heisenberg_coeff_oracle})
+    return globals()[name]
 
 
-def _load_engines() -> None:
-    """Import `coefficients` and fill the engine tables.  A kind that a
-    table already holds (a stand-in a test put there) keeps its entry."""
-    from . import coefficients as c
-
-    for kind, primary, oracle in (
-            (Kind.KRONECKER, c.kron_coeff, c.kron_coeff_oracle),
-            (Kind.LR, c.lr_coeff, c.lr_coeff_hive),
-            (Kind.HEISENBERG, c.heisenberg_coeff, c.heisenberg_coeff_oracle)):
-        PRIMARY.setdefault(kind, primary)
-        ORACLE.setdefault(kind, oracle)
+def __getattr__(name: str):
+    # PEP 562: `stability.PRIMARY` and `from .stability import ORACLE` build
+    # the engine tables on first access
+    if name in ("PRIMARY", "ORACLE"):
+        return _engine_table(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def coefficient(kind: Kind, lam, mu, nu) -> int:
     if not isinstance(kind, Kind):
         raise ValueError(f"not a coefficient kind: {kind!r}")
-    try:
-        engine = PRIMARY[kind]
-    except KeyError:
-        _load_engines()
-        engine = PRIMARY[kind]
-    return engine(lam, mu, nu)
+    return _engine_table("PRIMARY")[kind](lam, mu, nu)
 
 
 def _shifted(x: Sequence[int], n: int, d: Sequence[int]) -> Partition:

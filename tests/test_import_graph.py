@@ -8,7 +8,6 @@ import subprocess
 import sys
 
 import heisenstab
-from heisenstab import additivity, cli
 
 # Runs `heisenstab coeff ...` in-process and prints, after the CLI's line,
 # the modules that importing and running the CLI added to sys.modules.
@@ -57,7 +56,3 @@ def test_the_tracer_imports_load_every_layer():
                       "print(json.dumps(sorted(sys.modules)))")
     loaded = set(json.loads(line))
     assert {f"heisenstab.{m}" for m in LAYERS} <= loaded
-
-
-def test_the_parser_offers_every_matrix_kind():
-    assert cli._MATRIX_KINDS == tuple(additivity.MATRIX_KINDS)
