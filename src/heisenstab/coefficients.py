@@ -34,6 +34,7 @@ within a query.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,6 +66,7 @@ def clear_caches() -> None:
     _HEIS_CACHE.clear()
     _LR_PRODUCT_CACHE.clear()
     _splits.cache_clear()
+    _hive_plan.cache_clear()
     _h_expansion.cache_clear()
     symfun.clear_caches()
 
@@ -227,79 +229,77 @@ def _lr_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
     return out
 
 
+# The three unit rhombi anchored at (i, j), as offsets: short diagonal, then long.
+_RHOMBI = (((-1, -1), (0, 0), (0, -1), (-1, 0)),
+           ((-1, -1), (0, -1), (0, 0), (-1, -2)),
+           ((-1, -1), (-1, 0), (0, 0), (-2, -1)))
+
+
+@lru_cache(maxsize=None)
+def _hive_plan(k: int) -> tuple[list, list]:
+    """The size-k hive's unit rhombi as a search plan: those on the boundary
+    alone, and (v, (lower bounds, upper bounds)) per free vertex v in column
+    order.  Vertex (i, j) is entry i(i+1)/2 + j of a flat array, free when
+    0 < j < i < k.  Rhombus (a, b, c, d) demands H[a] + H[b] >= H[c] + H[d]
+    and bounds its last free vertex, from below on the short diagonal (a, b)
+    and from above on the long one.  Bound (p, q, r) is H[p] + H[q] - H[r]."""
+    free = (i * (i + 1) // 2 + j for j in range(1, k - 1) for i in range(j + 1, k))
+    rank = {v: t for t, v in enumerate(free)}
+    bounds = {v: ([], []) for v in rank}
+    boundary = []
+    for i, j, rhombus in itertools.product(range(k + 1), range(k + 1), _RHOMBI):
+        cells = [(i + di, j + dj) for di, dj in rhombus]
+        if not all(0 <= c <= r for r, c in cells):
+            continue
+        a, b, c, d = ids = [r * (r + 1) // 2 + c for r, c in cells]
+        v = max(ids, key=lambda x: rank.get(x, -1))
+        if v not in rank:
+            boundary.append((a, b, c, d))
+        elif v in (a, b):  # the other end of v's diagonal is a + b - v
+            bounds[v][0].append((c, d, a + b - v))
+        else:
+            bounds[v][1].append((a, b, c + d - v))
+    if not all(lows and highs for lows, highs in bounds.values()):
+        raise RuntimeError(f"a free cell of the size-{k} hive lacks a bound")
+    return boundary, list(bounds.items())
+
+
+def _hive_count(H: list[int], cells: list, t: int) -> int:
+    """The number of hives that extend H, filled from free cell t on."""
+    if t == len(cells):
+        return 1
+    v, (lows, highs) = cells[t]
+    total = 0
+    for H[v] in range(max(H[p] + H[q] - H[r] for p, q, r in lows),
+                      min(H[p] + H[q] - H[r] for p, q, r in highs) + 1):
+        total += _hive_count(H, cells, t + 1)
+    return total
+
+
 def lr_coeff_hive(lam, mu, nu) -> int:
-    """Same coefficient counted as integer triangular arrays with fixed
-    boundary and rhombus inequalities; independent of the tableau route."""
+    """Same coefficient counted as integer hives, independently of the
+    tableau route: triangular arrays with fixed boundary whose unit rhombi
+    each sum to at least as much over the short diagonal as over the long.
+    One rhombus table per size (`_hive_plan`): boundary-only rhombi are
+    checked first, then the free cells are filled column by column."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size != mu.size + nu.size:
         return 0
-    k = max(len(lam), len(mu), len(nu), 0) + 1
-
-    # H[i][j], 0 <= j <= i <= k.  Boundary: H[i][0] = mu_1+..+mu_i,
-    # H[i][i] = lam_1+..+lam_i, H[k][j] = |mu| + nu_1+..+nu_j.
-    # Every unit rhombus demands: sum over its short diagonal >= sum over
-    # its long diagonal.  Filling row-major, each rhombus is checked at its
-    # last-filled vertex, giving one lower and up to two upper bounds.
-    mu_ps = [0] * (k + 1)
-    lam_ps = [0] * (k + 1)
-    nu_ps = [0] * (k + 1)
+    k = max(len(lam), len(mu), len(nu)) + 1
+    boundary, cells = _hive_plan(k)
+    # H(i, 0) = mu_1+..+mu_i, H(i, i) = lam_1+..+lam_i and H(k, j) = |mu| +
+    # nu_1+..+nu_j; row is the index of (i, 0)
+    H = [0] * ((k + 1) * (k + 2) // 2)
+    row = 0
     for i in range(1, k + 1):
-        mu_ps[i] = mu_ps[i - 1] + mu.part(i - 1)
-        lam_ps[i] = lam_ps[i - 1] + lam.part(i - 1)
-        nu_ps[i] = nu_ps[i - 1] + nu.part(i - 1)
-
-    H = [[0] * (i + 1) for i in range(k + 1)]
-
-    def bounds(i: int, j: int) -> tuple[int | None, int | None]:
-        lo = None
-        hi = None
-        # lower bound: rhombus with last vertex (i,j), short diagonal
-        # (i-1,j-1)-(i,j): H[i][j] >= H[i][j-1] + H[i-1][j] - H[i-1][j-1]
-        if i >= 1 and 1 <= j <= i - 1:
-            lo = H[i][j - 1] + H[i - 1][j] - H[i - 1][j - 1]
-        # upper bound 1: short diagonal (i-1,j-1)-(i,j-1):
-        # H[i][j] <= H[i-1][j-1] + H[i][j-1] - H[i-1][j-2]
-        if i >= 1 and j >= 2:
-            b = H[i - 1][j - 1] + H[i][j - 1] - H[i - 1][j - 2]
-            hi = b if hi is None else min(hi, b)
-        # upper bound 2: short diagonal (i-1,j-1)-(i-1,j):
-        # H[i][j] <= H[i-1][j-1] + H[i-1][j] - H[i-2][j-1]
-        if i >= 2 and 1 <= j <= i - 1:
-            b = H[i - 1][j - 1] + H[i - 1][j] - H[i - 2][j - 1]
-            hi = b if hi is None else min(hi, b)
-        return lo, hi
-
-    def fixed_value(i: int, j: int) -> int | None:
-        if j == 0:
-            return mu_ps[i]
-        if j == i:
-            return lam_ps[i]
-        if i == k:
-            return mu_ps[k] + nu_ps[j]
-        return None
-
-    def fill(i: int, j: int) -> int:
-        if i > k:
-            return 1
-        nj, ni = (j + 1, i) if j < i else (0, i + 1)
-        lo, hi = bounds(i, j)
-        fv = fixed_value(i, j)
-        if fv is not None:
-            if (lo is not None and fv < lo) or (hi is not None and fv > hi):
-                return 0
-            H[i][j] = fv
-            return fill(ni, nj)
-        if lo is None or hi is None:  # interior cells always have both
-            raise AssertionError("unbounded interior hive cell")
-        total = 0
-        for v in range(lo, hi + 1):
-            H[i][j] = v
-            total += fill(ni, nj)
-        return total
-
-    count = fill(0, 0)
-    del fill  # fill's closure holds fill: break the cycle, free the state now
-    return count
+        row += i
+        H[row] = H[row - i] + mu.part(i - 1)
+        H[row + i] = H[row - 1] + lam.part(i - 1)
+    for j in range(1, k):
+        H[row + j] = H[row + j - 1] + nu.part(j - 1)
+    if any(H[a] + H[b] < H[c] + H[d] for a, b, c, d in boundary):
+        return 0
+    return _hive_count(H, cells, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
-Rational = Union[int, Fraction]
+if TYPE_CHECKING:  # a cache hit of the CLI loads this module, not fractions
+    from fractions import Fraction
+
+    Rational = Union[int, Fraction]
 
 
 class NotAPartitionError(ValueError):
@@ -189,6 +191,8 @@ class Dominance(enum.Enum):
 def _rationals(entries: Iterable[Rational]) -> list[Rational]:
     """Fraction entries as they are, and every other entry as _integer_parts
     reads it: a float, string or bool raises ValueError, never coerced."""
+    from fractions import Fraction
+
     return [e if isinstance(e, Fraction) else _integer_parts((e,), ValueError)[0]
             for e in entries]
 

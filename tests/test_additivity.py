@@ -149,12 +149,16 @@ def test_class_sizes_match_h_basis_product_multiset():
 
 def test_budget_guard():
     check_budget(HeisenbergMatrix, (2, 1), (3,))
+    check_budget(KroneckerMatrix, (12,), (12,))  # total exactly 24
+    check_budget(HeisenbergMatrix, (1, 1, 1, 1), (1, 1, 1, 1))  # exactly 5x5
     with pytest.raises(BudgetExceededError):
         check_budget(HeisenbergMatrix, (18, 10), (12, 18, 3))
     with pytest.raises(BudgetExceededError):
         check_budget(HeisenbergMatrix, (1, 1, 1, 1, 1), (5,))  # 6 rows > 5
     with pytest.raises(BudgetExceededError, match="margin total 26 exceeds budget 24"):
         check_budget(KroneckerMatrix, (13,), (13,))
+    with pytest.raises(BudgetExceededError, match="margin total 25 exceeds budget 24"):
+        check_budget(KroneckerMatrix, (13,), (12,))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +210,10 @@ def test_zero_potentials_verify_iff_no_strict_pairs():
     zeros = AdditivityCertificate(x=(F(0), F(0)), y=(F(0), F(0)))
     assert check_certificate(flat, zeros)
     assert not check_certificate(KroneckerMatrix([(2, 0), (0, 1)]), zeros)
+    # every strict pair of these has its larger entry last in reading order
+    assert not check_certificate(HeisenbergMatrix([(0, 0), (0, 1)]), zeros)
+    assert not check_certificate(KroneckerMatrix([(0, 1)]),
+                                 AdditivityCertificate(x=(F(0),), y=(F(0), F(0))))
 
 
 def test_cornered_inner_permutation_block_not_additive():

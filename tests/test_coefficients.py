@@ -87,6 +87,47 @@ def test_hive_matches_tableau_count_exhaustively_small():
                         assert lr_coeff_hive(lam, mu, nu) == lr_coeff(lam, mu, nu), (lam, mu, nu)
 
 
+def test_hive_plan_holds_every_unit_rhombus_once():
+    # a unit rhombus is two unit triangles that share an edge, its short diagonal
+    def at(i, j):
+        return i * (i + 1) // 2 + j
+
+    for k in range(1, 8):
+        tri = [{(i, j), (i + 1, j), (i + 1, j + 1)} for i in range(k) for j in range(i + 1)]
+        tri += [{(i, j), (i, j + 1), (i + 1, j + 1)} for i in range(k) for j in range(i)]
+        want = sorted((sorted(at(*x) for x in s & t), sorted(at(*x) for x in s ^ t))
+                      for s, t in itertools.combinations(tri, 2) if len(s & t) == 2)
+        boundary, cells = coefficients._hive_plan(k)
+        got = [(sorted(r[:2]), sorted(r[2:])) for r in boundary]
+        for v, (lows, highs) in cells:
+            got += [(sorted((v, r)), sorted((p, q))) for p, q, r in lows]
+            got += [(sorted((p, q)), sorted((v, r))) for p, q, r in highs]
+        assert sorted(got) == want, k
+
+
+# Past the exhaustive range: the triple that took the row-major hive search
+# seconds (c = 392), and triples of sizes 12-30 with c >= 2, among them the
+# ray N(3,2,1; 2,1, 2,1) whose coefficient is N + 1.
+LARGER_LR = [
+    ((8, 7, 6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2), (5, 4, 3, 2, 1, 1)),
+    ((6, 4, 2), (4, 2), (4, 2)),
+    ((9, 6, 3), (6, 3), (6, 3)),
+    ((12, 8, 4), (8, 4), (8, 4)),
+    ((15, 10, 5), (10, 5), (10, 5)),
+    ((5, 4, 3, 2, 1), (4, 3, 2, 1), (3, 2)),
+    ((6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1), (3, 2, 1)),
+    ((4, 4, 3, 2, 1), (3, 3, 2, 1), (2, 2, 1)),
+    ((7, 5, 4, 3, 2, 1), (5, 4, 2, 1), (4, 3, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("lam, mu, nu", LARGER_LR)
+def test_hive_matches_tableau_count_on_larger_triples(lam, mu, nu):
+    c = lr_coeff(lam, mu, nu)
+    assert c >= 2
+    assert lr_coeff_hive(lam, mu, nu) == c
+
+
 # ---------------------------------------------------------------------------
 # Kronecker
 
@@ -149,6 +190,33 @@ def test_kron_memo_key_is_the_ascending_triple():
     for t in triples:
         coefficients._kron(*t)
     assert set(coefficients._KRON_CACHE) == {tuple(sorted(t)) for t in triples}
+
+
+@pytest.fixture
+def fresh_memos():
+    """Every memo empty before and after, so a faulty engine's values reach
+    no other test."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def test_kron_refuses_a_character_sum_that_is_not_an_integer(fresh_memos, monkeypatch):
+    exact = coefficients.character_vector
+
+    def off_at_identity(lam):  # the identity class (1^n) comes last
+        chi = exact(lam)
+        return chi[:-1] + (chi[-1] + 1,)
+
+    monkeypatch.setattr(coefficients, "character_vector", off_at_identity)
+    with pytest.raises(RuntimeError, match="not an integer"):
+        kron_coeff((2, 1), (2, 1), (2, 1))  # the sum is 25, not a multiple of 3! = 6
+
+
+def test_kron_oracle_refuses_a_negative_multiplicity(fresh_memos, monkeypatch):
+    monkeypatch.setattr(coefficients, "_kostka", lambda lam, theta: -1)
+    with pytest.raises(ArithmeticError, match="negative multiplicity"):
+        kron_coeff_oracle((1,), (1,), (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -178,12 +178,13 @@ def test_clear_caches_empties_every_memo():
     heisenberg_coeff((2, 1), (2, 1), (1, 1))
     heisenberg_coeff_oracle((2, 1), (2, 1), (1, 1))
     lr_coeff((2, 1), (1,), (1, 1))
+    lr_coeff_hive((2, 1), (1,), (1, 1))
     symfun.kostka((2, 1), (1, 1, 1))
     symfun.schur_in_h_basis((2, 1))
     symfun.dimension((3, 1))
     filled = dict(_memos(coefficients)) | dict(_memos(symfun))
     assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE", "_splits",
-            "_h_expansion", "_border_strip_removals", "_mn_character", "character_vector", "_kostka",
+            "_hive_plan", "_h_expansion", "_border_strip_removals", "_mn_character", "character_vector", "_kostka",
             "_schur_in_h", "cycle_types", "class_sizes"} <= set(filled)
     assert all(filled.values()), filled
     clear_caches()

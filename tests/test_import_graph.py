@@ -47,6 +47,7 @@ def test_a_cache_hit_loads_no_engine(tmp_path):
     assert {m for m in loaded if m.startswith("heisenstab")} == {
         "heisenstab", "heisenstab.partitions", "heisenstab.stability", "heisenstab.cli"}
     assert "dataclasses" not in loaded
+    assert "fractions" not in loaded
 
 
 def test_the_tracer_imports_load_every_layer():
