@@ -18,8 +18,7 @@ _EXPORTS = {
         "dominates", "is_dominated_by", "partitions_of", "pi_sequence", "scale",
     ), "partitions"),
     **dict.fromkeys((
-        "character", "class_size", "dimension", "kostka",
-        "kostka_by_enumeration", "schur_in_h_basis",
+        "character", "class_size", "dimension", "kostka", "schur_in_h_basis",
     ), "symfun"),
     **dict.fromkeys((
         "Decomposition", "clear_caches", "heisenberg_coeff",

@@ -23,13 +23,11 @@
 
 All values are exact nonnegative integers and every engine memoizes
 process-wide: stabilization sequences hammer overlapping subqueries.  The
-public functions validate their partitions once; the cores behind them
-(`_lr`, `_kron`, the quintuple formula) take valid partitions, look up
-their memo first and compute only on a miss.  A split table lists only
-the nonzero LR factors of a shape, one filling traversal per subdiagram,
-and one traversal serves both orientations of a split.  The quintuple
-formula contracts its Kronecker factor once per (alpha, delta, rho)
-within a query.
+public functions validate their partitions once and compute only on a memo
+miss.  A split table lists only the nonzero LR factors of a shape, one
+filling traversal per subdiagram, and one traversal serves both
+orientations of a split.  The quintuple formula contracts its Kronecker
+factor once per (alpha, delta, rho) within a query.
 """
 
 from __future__ import annotations
@@ -96,8 +94,7 @@ def _lr_fillings(outer: Partition, inner: Partition,
     k = len(outer) if content is None else len(content)
     low = n + len(outer)  # slot of the bound 0 above the top row and inner
     vals = [0] * (low + 1)
-    right: list[int] = []
-    up: list[int] = []
+    right, up = [], []
     base = 0  # the cell above (r, c) has index base - c
     for r, b in enumerate(outer):
         a = inner.part(r)
@@ -110,26 +107,35 @@ def _lr_fillings(outer: Partition, inner: Partition,
             right.append(len(right) - 1 if c < b - 1 else n + r)
             up.append(base - c if c >= above else low)
         base = row + b - 1
+    if n == 0:
+        return {_trusted(()): 1}  # the empty filling of inner/inner
 
     counts = [n + 1] + [0] * k  # counts[0] bounds nothing
     cap = [0] + ([n] * k if content is None else list(content))
     found: dict[tuple[int, ...], int] = {}
-
-    def fill(i: int) -> None:
-        if i == n:
-            key = tuple(counts)
-            found[key] = found.get(key, 0) + 1
-            return
-        for v in range(vals[up[i]] + 1, vals[right[i]] + 1):
+    i, last = 0, n - 1  # the cell being filled, and the last one
+    letters = iter(range(vals[up[0]] + 1, vals[right[0]] + 1))  # left to try at i
+    left = [letters] * n  # those of the cells before i
+    while True:
+        for v in letters:
             cv = counts[v]
             if cv < cap[v] and cv < counts[v - 1]:
                 counts[v] = cv + 1
-                vals[i] = v
-                fill(i + 1)
-                counts[v] = cv
-
-    fill(0)
-    del fill  # fill's closure holds fill: break the cycle, free the state now
+                if i == last:  # a complete filling
+                    key = tuple(counts)
+                    found[key] = found.get(key, 0) + 1
+                    counts[v] = cv
+                    continue
+                vals[i], left[i] = v, letters
+                i += 1
+                letters = iter(range(vals[up[i]] + 1, vals[right[i]] + 1))
+                break
+        else:
+            if i == 0:
+                break
+            i -= 1
+            letters = left[i]
+            counts[vals[i]] -= 1  # take back cell i's letter to try the next one
     return {_trusted(filter(None, key[1:])): m for key, m in found.items()}
 
 
@@ -140,11 +146,6 @@ def lr_coeff(lam, mu, nu) -> int:
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size != mu.size + nu.size:
         return 0
-    return _lr(lam, mu, nu)
-
-
-def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """LR core on valid partitions with |lam| = |mu| + |nu|."""
     # symmetric in (mu, nu): fill the smaller content over the bigger inner shape
     if (mu.size, mu) < (nu.size, nu):
         mu, nu = nu, mu
@@ -236,57 +237,42 @@ _RHOMBI = (((-1, -1), (0, 0), (0, -1), (-1, 0)),
 
 
 @lru_cache(maxsize=None)
-def _hive_plan(k: int) -> tuple[list, list]:
-    """The size-k hive's unit rhombi as a search plan: those on the boundary
-    alone, and (v, (lower bounds, upper bounds)) per free vertex v in column
-    order.  Vertex (i, j) is entry i(i+1)/2 + j of a flat array, free when
-    0 < j < i < k.  Rhombus (a, b, c, d) demands H[a] + H[b] >= H[c] + H[d]
-    and bounds its last free vertex, from below on the short diagonal (a, b)
-    and from above on the long one.  Bound (p, q, r) is H[p] + H[q] - H[r]."""
+def _hive_plan(k: int) -> list:
+    """The size-k hive's unit rhombi as a search plan: (v, (lower bounds,
+    upper bounds)) per free vertex v in column order.  Vertex (i, j) is
+    entry i(i+1)/2 + j of a flat array, free when 0 < j < i < k.  Rhombus
+    (a, b, c, d) demands H[a] + H[b] >= H[c] + H[d] and bounds its last free
+    vertex, from below on the short diagonal (a, b) and from above on the
+    long one.  Bound (p, q, r) is H[p] + H[q] - H[r].  Only the size-2 hive
+    has rhombi without a free vertex: the size test enforces them."""
     free = (i * (i + 1) // 2 + j for j in range(1, k - 1) for i in range(j + 1, k))
     rank = {v: t for t, v in enumerate(free)}
     bounds = {v: ([], []) for v in rank}
-    boundary = []
     for i, j, rhombus in itertools.product(range(k + 1), range(k + 1), _RHOMBI):
         cells = [(i + di, j + dj) for di, dj in rhombus]
-        if not all(0 <= c <= r for r, c in cells):
-            continue
         a, b, c, d = ids = [r * (r + 1) // 2 + c for r, c in cells]
+        if not all(0 <= c <= r for r, c in cells) or rank.keys().isdisjoint(ids):
+            continue  # off the hive, or no free vertex
         v = max(ids, key=lambda x: rank.get(x, -1))
-        if v not in rank:
-            boundary.append((a, b, c, d))
-        elif v in (a, b):  # the other end of v's diagonal is a + b - v
+        if v in (a, b):  # the other end of v's diagonal is a + b - v
             bounds[v][0].append((c, d, a + b - v))
         else:
             bounds[v][1].append((a, b, c + d - v))
     if not all(lows and highs for lows, highs in bounds.values()):
         raise RuntimeError(f"a free cell of the size-{k} hive lacks a bound")
-    return boundary, list(bounds.items())
-
-
-def _hive_count(H: list[int], cells: list, t: int) -> int:
-    """The number of hives that extend H, filled from free cell t on."""
-    if t == len(cells):
-        return 1
-    v, (lows, highs) = cells[t]
-    total = 0
-    for H[v] in range(max(H[p] + H[q] - H[r] for p, q, r in lows),
-                      min(H[p] + H[q] - H[r] for p, q, r in highs) + 1):
-        total += _hive_count(H, cells, t + 1)
-    return total
+    return list(bounds.items())
 
 
 def lr_coeff_hive(lam, mu, nu) -> int:
     """Same coefficient counted as integer hives, independently of the
     tableau route: triangular arrays with fixed boundary whose unit rhombi
-    each sum to at least as much over the short diagonal as over the long.
-    One rhombus table per size (`_hive_plan`): boundary-only rhombi are
-    checked first, then the free cells are filled column by column."""
+    each sum to at least as much over the short diagonal as over the long,
+    filled column by column through one rhombus table per size (`_hive_plan`)."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size != mu.size + nu.size:
         return 0
     k = max(len(lam), len(mu), len(nu)) + 1
-    boundary, cells = _hive_plan(k)
+    cells = _hive_plan(k)
     # H(i, 0) = mu_1+..+mu_i, H(i, i) = lam_1+..+lam_i and H(k, j) = |mu| +
     # nu_1+..+nu_j; row is the index of (i, 0)
     H = [0] * ((k + 1) * (k + 2) // 2)
@@ -297,9 +283,23 @@ def lr_coeff_hive(lam, mu, nu) -> int:
         H[row + i] = H[row - 1] + lam.part(i - 1)
     for j in range(1, k):
         H[row + j] = H[row + j - 1] + nu.part(j - 1)
-    if any(H[a] + H[b] < H[c] + H[d] for a, b, c, d in boundary):
-        return 0
-    return _hive_count(H, cells, 0)
+    tops = [0] * len(cells)  # each filled cell's upper bound
+    total, t, fresh = 0, 0, True  # t: the cell to fill next, fresh: from its lower bound
+    while t >= 0:
+        if t == len(cells):  # a complete hive
+            total, t, fresh = total + 1, t - 1, False
+            continue
+        v, (lows, highs) = cells[t]
+        if fresh:
+            H[v] = max(H[p] + H[q] - H[r] for p, q, r in lows)
+            tops[t] = min(H[p] + H[q] - H[r] for p, q, r in highs)
+        else:
+            H[v] += 1
+        if H[v] <= tops[t]:
+            t, fresh = t + 1, True
+        else:
+            t, fresh = t - 1, False
+    return total
 
 
 # ---------------------------------------------------------------------------

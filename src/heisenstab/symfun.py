@@ -2,8 +2,7 @@
 
 Everything here is exact integer arithmetic.  Irreducible characters come
 from the Murnaghan-Nakayama border-strip recursion (memoized); Kostka
-numbers from the horizontal-strip recursion over capped compositions,
-with a direct semistandard tableau enumerator kept as a test oracle; the
+numbers from the horizontal-strip recursion over capped compositions; the
 Schur-to-complete-homogeneous change of basis from the Jacobi-Trudi
 determinant.
 """
@@ -147,42 +146,6 @@ def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     if lam.size != mu_sorted.size:
         raise ValueError(f"|lam| = {lam.size} but |mu| = {mu_sorted.size}")
     return _kostka(tuple(lam), tuple(mu_sorted))
-
-
-def kostka_by_enumeration(lam: Sequence[int], mu: Sequence[int]) -> int:
-    """Brute-force SSYT counter (test oracle): fills the diagram cell by cell
-    checking weakly increasing rows, strictly increasing columns, and the
-    content budget.  mu is read through `Composition`, as `kostka` reads it."""
-    lam = tuple(Partition(lam))
-    content = list(Composition(mu))
-    if sum(lam) != sum(content):
-        raise ValueError("size mismatch")
-    cells = [(r, c) for r, row_len in enumerate(lam) for c in range(row_len)]
-    fill: dict[tuple[int, int], int] = {}
-    remaining = list(content)
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, fill[(r, c - 1)])
-        if r > 0:
-            lo = max(lo, fill[(r - 1, c)] + 1)
-        total = 0
-        for v in range(lo, len(content) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            fill[(r, c)] = v
-            total += place(idx + 1)
-            remaining[v - 1] += 1
-        return total
-
-    count = place(0)
-    del place  # place's closure holds place: break the cycle, free the state now
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Shared helpers for the test suite: triple enumeration by size pattern
-and a hook-length dimension formula used as an independent oracle."""
+"""Shared helpers for the test suite: triple enumeration by size pattern,
+and two independent oracles: a hook-length dimension formula and a
+brute-force Kostka count."""
 
 from __future__ import annotations
 
 import itertools
 from math import factorial
+from typing import Sequence
 
-from heisenstab import Kind, Partition
+from heisenstab import Composition, Kind, Partition
 from heisenstab.partitions import partitions_up_to
 from heisenstab.stability import coefficient, size_pattern_ok
 
@@ -39,3 +41,39 @@ def hook_length_dimension(lam: Partition) -> int:
         for c in range(row):
             denom *= (row - c) + (conj[c] - r) - 1
     return factorial(n) // denom
+
+
+def kostka_by_enumeration(lam: Sequence[int], mu: Sequence[int]) -> int:
+    """Brute-force SSYT counter (test oracle): fills the diagram cell by cell
+    checking weakly increasing rows, strictly increasing columns, and the
+    content budget.  mu is read through `Composition`, as `kostka` reads it."""
+    lam = tuple(Partition(lam))
+    content = list(Composition(mu))
+    if sum(lam) != sum(content):
+        raise ValueError("size mismatch")
+    cells = [(r, c) for r, row_len in enumerate(lam) for c in range(row_len)]
+    fill: dict[tuple[int, int], int] = {}
+    remaining = list(content)
+
+    def place(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        lo = 1
+        if c > 0:
+            lo = max(lo, fill[(r, c - 1)])
+        if r > 0:
+            lo = max(lo, fill[(r - 1, c)] + 1)
+        total = 0
+        for v in range(lo, len(content) + 1):
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
+            fill[(r, c)] = v
+            total += place(idx + 1)
+            remaining[v - 1] += 1
+        return total
+
+    count = place(0)
+    del place  # place's closure holds place: break the cycle, free the state now
+    return count

@@ -454,6 +454,18 @@ def test_constraint_matrix_rows_independent():
             assert M.rank() == p + q
 
 
+# the constraint matrices above never put two nonzero entries in a pivot
+# column, so only these rows run the elimination step
+@pytest.mark.parametrize("rows, rank", [
+    ([(1, 2), (2, 4)], 1),
+    ([(2, 1, 0), (1, 1, 1), (3, 2, 1)], 2),
+    ([(0, 3, 1), (2, 1, 1), (4, 5, 3)], 2),
+    ([(1, 1), (1, -1)], 2),
+])
+def test_exact_rank_eliminates_rows_that_share_a_pivot_column(rows, rank):
+    assert additivity.exact_rank(rows) == rank
+
+
 def test_constraint_matrix_reproduces_margins():
     for beta in partitions_up_to(3):
         for gamma in partitions_up_to(3):

@@ -88,21 +88,42 @@ def test_hive_matches_tableau_count_exhaustively_small():
 
 
 def test_hive_plan_holds_every_unit_rhombus_once():
-    # a unit rhombus is two unit triangles that share an edge, its short diagonal
+    # a unit rhombus is two unit triangles that share an edge, its short
+    # diagonal; each one with a free vertex (0 < j < i < k) is in the plan
+    # once, and the others, found at k = 2 only, are implied by the size test
     def at(i, j):
         return i * (i + 1) // 2 + j
 
-    for k in range(1, 8):
+    for k in range(1, 13):
         tri = [{(i, j), (i + 1, j), (i + 1, j + 1)} for i in range(k) for j in range(i + 1)]
         tri += [{(i, j), (i, j + 1), (i + 1, j + 1)} for i in range(k) for j in range(i)]
-        want = sorted((sorted(at(*x) for x in s & t), sorted(at(*x) for x in s ^ t))
-                      for s, t in itertools.combinations(tri, 2) if len(s & t) == 2)
-        boundary, cells = coefficients._hive_plan(k)
-        got = [(sorted(r[:2]), sorted(r[2:])) for r in boundary]
-        for v, (lows, highs) in cells:
+        rhombi = [(s & t, s ^ t) for s, t in itertools.combinations(tri, 2) if len(s & t) == 2]
+        free = [r for r in rhombi if any(0 < j < i < k for i, j in r[0] | r[1])]
+        fixed = [r for r in rhombi if r not in free]
+        want = sorted((sorted(at(*x) for x in short), sorted(at(*x) for x in long))
+                      for short, long in free)
+        got = []
+        for v, (lows, highs) in coefficients._hive_plan(k):
             got += [(sorted((v, r)), sorted((p, q))) for p, q, r in lows]
             got += [(sorted((p, q)), sorted((v, r))) for p, q, r in highs]
         assert sorted(got) == want, k
+        assert bool(fixed) == (k == 2), k
+        # the size-2 boundary of (lam_1; mu_1, nu_1) with lam_1 = mu_1 + nu_1
+        for (mu1, nu1), (short, long) in itertools.product(
+                itertools.product(range(5), repeat=2), fixed):
+            H = {(0, 0): 0, (1, 0): mu1, (2, 0): mu1, (2, 1): mu1 + nu1,
+                 (1, 1): mu1 + nu1, (2, 2): mu1 + nu1}
+            assert sum(H[x] for x in short) >= sum(H[x] for x in long), (mu1, nu1)
+
+
+# One loop step per cell, not one stack frame: a skew shape of 1200 cells and
+# a hive with 990 free cells are past Python's default recursion limit.
+def test_lr_counts_a_skew_shape_of_1200_cells():
+    assert lr_coeff((2400,), (1200,), (1200,)) == 1
+
+
+def test_hive_counts_a_triple_of_46_parts():
+    assert lr_coeff_hive((1,) * 46, (1,) * 23, (1,) * 23) == 1
 
 
 # Past the exhaustive range: the triple that took the row-major hive search

@@ -15,11 +15,12 @@ from heisenstab import (
     heisenberg_coeff,
     heisenberg_product,
     kostka,
-    kostka_by_enumeration,
     kron_coeff,
+    lr_coeff,
     lr_coeff_hive,
     margin_matrices,
 )
+from support import kostka_by_enumeration
 
 CALLS = {
     "heisenberg_product": lambda: heisenberg_product((4, 3, 2, 1), (3, 2, 1)),
@@ -27,6 +28,7 @@ CALLS = {
     "kron_coeff": lambda: kron_coeff((3, 2, 1), (3, 2, 1), (4, 2)),
     "kostka": lambda: kostka((3, 2, 1), (2, 2, 1, 1)),
     "kostka_by_enumeration": lambda: kostka_by_enumeration((3, 2, 1), (2, 2, 1, 1)),
+    "lr_coeff": lambda: lr_coeff((8, 7, 6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2), (5, 4, 3, 2, 1, 1)),
     "lr_coeff_hive": lambda: lr_coeff_hive((4, 3, 2, 1), (3, 2), (2, 1, 1, 1)),
     "margin_matrices": lambda: list(margin_matrices(HeisenbergMatrix, (2, 1), (2, 1))),
     "margin_matrices_stopped": lambda: next(margin_matrices(HeisenbergMatrix, (2, 1), (2, 1))),

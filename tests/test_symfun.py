@@ -10,11 +10,10 @@ from heisenstab.symfun import (
     class_sizes,
     dimension,
     kostka,
-    kostka_by_enumeration,
     schur_in_h_basis,
     zee,
 )
-from support import hook_length_dimension
+from support import hook_length_dimension, kostka_by_enumeration
 
 
 def test_trivial_character_is_one():
