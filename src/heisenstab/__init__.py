@@ -32,12 +32,12 @@ _EXPORTS = {
     ), "stability"),
     **dict.fromkeys((
         "AdditivityCertificate", "BudgetExceededError", "CertifiedTriple",
-        "ConstraintMatrix", "HeisenbergMatrix", "KroneckerMatrix",
-        "MatrixParseError", "MinimalityResult", "build_constraint_matrix",
-        "check_certificate", "flatten", "heisenberg_matrices",
-        "heisenberg_stable_triple", "integer_minimality_check", "is_additive",
-        "kronecker_matrices", "kronecker_stable_triple", "margin_class",
-        "margin_matrices", "parse_matrix", "stable_triple",
+        "HeisenbergMatrix", "KroneckerMatrix", "MatrixParseError",
+        "build_constraint_matrix", "check_certificate", "flatten",
+        "heisenberg_matrices", "heisenberg_stable_triple",
+        "integer_minimality_check", "is_additive", "kronecker_matrices",
+        "kronecker_stable_triple", "margin_class", "margin_matrices",
+        "parse_matrix", "stable_triple",
     ), "additivity"),
     "solve_strict": "ratfeas",
 }

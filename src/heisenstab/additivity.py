@@ -358,35 +358,16 @@ def check_certificate(A: KroneckerMatrix, cert: AdditivityCertificate) -> bool:
 # The margin constraint matrix and the flattening map
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    p: int
-    q: int
-    rows: tuple[tuple[int, ...], ...]  # (p+q) x (pq+p+q), 0/1 entries
-
-    def rank(self) -> int:
-        return exact_rank(self.rows)
-
-
-def build_constraint_matrix(p: int, q: int) -> ConstraintMatrix:
+def build_constraint_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     """0/1 matrix M with M . flatten(A) = (row margins, col margins) for
-    every cornered matrix A of inner size p x q."""
+    every cornered matrix A of inner size p x q: over flatten's cells, one
+    row per margin, marking the cells of row r (r = 1..p), then of column c
+    (c = 1..q)."""
     if p < 1 or q < 1:
         raise ValueError("need p, q >= 1")
-    width = p * q + p + q
-    rows = []
-    for i in range(1, p + 1):
-        row = [0] * width
-        for j in range(i * (q + 1), q + i * (q + 1) + 1):
-            row[j - 1] = 1
-        rows.append(tuple(row))
-    for i in range(p + 1, p + q + 1):
-        s = i - p
-        row = [0] * width
-        for k in range(p + 1):
-            row[s + k * (q + 1) - 1] = 1
-        rows.append(tuple(row))
-    return ConstraintMatrix(p=p, q=q, rows=tuple(rows))
+    cells = _positions(HeisenbergMatrix([(0,) * (q + 1)] * (p + 1)))
+    return (tuple(tuple(int(i == r) for i, _ in cells) for r in range(1, p + 1))
+            + tuple(tuple(int(j == c) for _, j in cells) for c in range(1, q + 1)))
 
 
 def exact_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -412,41 +393,31 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def flatten(A: HeisenbergMatrix) -> tuple[int, ...]:
-    """Row-major entries skipping only the corner: (a_{1,2}..a_{1,q+1},
-    a_{2,1}..a_{2,q+1}, ..., a_{p+1,1}..a_{p+1,q+1})."""
-    out = list(A.rows[0][1:])
-    for row in A.rows[1:]:
-        out.extend(row)
-    return tuple(out)
+def flatten(A: KroneckerMatrix) -> tuple[int, ...]:
+    """Row-major entries, skipping only a cornered matrix's corner:
+    (a_{1,2}..a_{1,q+1}, a_{2,1}..a_{2,q+1}, ..., a_{p+1,1}..a_{p+1,q+1})."""
+    return tuple(A.rows[i][j] for i, j in _positions(A))
 
 
 # ---------------------------------------------------------------------------
 # Minimality and stable-triple generation
 
 
-@dataclass(frozen=True)
-class MinimalityResult:
-    minimal: bool
-    witness: Optional[KroneckerMatrix] = None
-
-
-def integer_minimality_check(A: KroneckerMatrix) -> MinimalityResult:
+def integer_minimality_check(A: KroneckerMatrix) -> Optional[KroneckerMatrix]:
     """Search A's margin class, in A's own matrix family, for a witness
     B != A whose sorted entry
     sequence is majorized by A's (equality of sorted sequences counts: the
-    class must be a singleton).  Only matrices with the same entry total can
-    compare.  Refuses (raises) outside the enumeration budget."""
+    class must be a singleton), and return it; None when A is minimal.  Only
+    matrices with the same entry total can compare.  Refuses (raises)
+    outside the enumeration budget."""
     beta, gamma = A.row_margins, A.col_margins
     check_budget(type(A), beta, gamma)
     target = A.pi
     total = A.total
     for B in margin_matrices(type(A), beta, gamma):
-        if B.total != total or B == A:
-            continue
-        if is_dominated_by(B.pi, target):
-            return MinimalityResult(minimal=False, witness=B)
-    return MinimalityResult(minimal=True)
+        if B.total == total and B != A and is_dominated_by(B.pi, target):
+            return B
+    return None
 
 
 @dataclass(frozen=True)

@@ -357,7 +357,7 @@ def cmd_selftest(args) -> None:
                    ((7, 6, 5, 5, 4, 4, 3, 2, 2, 1), (18, 10), (12, 18, 3)))(
                        stable_triple(worked)))
     check("margin constraint matrix (2,3), bit-exact",
-          lambda: build_constraint_matrix(2, 3).rows == (
+          lambda: build_constraint_matrix(2, 3) == (
               (0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0),
               (0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1),
               (1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0),

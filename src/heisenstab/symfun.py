@@ -11,24 +11,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, _bounded_vectors, pi_sequence
-
-
-def multiplicities(rho: Sequence[int]) -> dict[int, int]:
-    """m_i = number of parts of rho equal to i."""
-    out: dict[int, int] = {}
-    for p in rho:
-        out[p] = out.get(p, 0) + 1
-    return out
+from .partitions import Composition, Partition, _bounded_vectors, partitions_of, pi_sequence
 
 
 def zee(rho: Sequence[int]) -> int:
     """Order of the centralizer of a permutation with cycle type rho."""
     z = 1
-    for i, m in multiplicities(rho).items():
+    for i, m in Counter(rho).items():
         z *= i**m * math.factorial(m)
     return z
 
@@ -45,24 +38,27 @@ def _border_strip_removals(lam: tuple[int, ...], k: int) -> tuple[tuple[tuple[in
 
     Returns (remaining shape, strip height) pairs, via first-column hook
     coordinates: beta numbers b_i = lam_i + (L - 1 - i); removing a strip of
-    size k means lowering one beta number by k onto an unoccupied value.
+    size k means lowering one beta number b_i by k onto an unoccupied value
+    nb >= 0.  The beta numbers decrease strictly, so the h of them between
+    nb and b_i belong to rows i+1..i+h, and h is the strip's height.  With
+    b_i moved below them nothing needs re-sorting: rows i..i+h-1 take the
+    next row's part less one, row i+h takes nb - (L - 1 - i - h), and only
+    trailing zeros are dropped.
     """
     L = len(lam)
     betas = [lam[i] + (L - 1 - i) for i in range(L)]
-    occupied = set(betas)
     out = []
     for i, b in enumerate(betas):
         nb = b - k
-        if nb < 0 or nb in occupied:
+        if nb < 0:
             continue
-        height = sum(1 for c in betas if nb < c < b)
-        new = sorted(betas, reverse=True)
-        new.remove(b)
-        new.append(nb)
-        new.sort(reverse=True)
-        shape = tuple(new[j] - (L - 1 - j) for j in range(L))
-        shape = tuple(p for p in shape if p > 0)
-        out.append((shape, height))
+        j = i + 1  # ends at row i+h+1, the first whose beta number is not above nb
+        while j < L and betas[j] > nb:
+            j += 1
+        if j < L and betas[j] == nb:
+            continue
+        shape = lam[:i] + tuple(p - 1 for p in lam[i + 1:j]) + (nb - (L - j),) + lam[j:]
+        out.append((shape[:L - shape.count(0)], j - 1 - i))
     return tuple(out)
 
 
@@ -96,8 +92,6 @@ def dimension(lam: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
     """Cycle types of S_n in a fixed order, as plain tuples."""
-    from .partitions import partitions_of
-
     return tuple(tuple(p) for p in partitions_of(n))
 
 
@@ -157,8 +151,6 @@ def _schur_in_h(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]
     # Jacobi-Trudi: s_lam = det( h_{lam_i - i + j} ), expanded over permutations.
     # h_0 contributes an empty factor, negative indices kill the term.
     L = len(lam)
-    if L == 0:
-        return (((), 1),)
     coeffs: dict[tuple[int, ...], int] = {}
     for sigma in itertools.permutations(range(L)):
         degrees = []

@@ -14,7 +14,6 @@ from heisenstab.additivity import (
     KroneckerMatrix,
     MATRIX_KINDS,
     MatrixParseError,
-    MinimalityResult,
     build_constraint_matrix,
     check_budget,
     check_certificate,
@@ -437,8 +436,7 @@ def test_committed_verdict_table_is_rederived():
 
 
 def test_constraint_matrix_2_3_bit_exact():
-    M = build_constraint_matrix(2, 3)
-    assert M.rows == (
+    assert build_constraint_matrix(2, 3) == (
         (0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0),
         (0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1),
         (1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0),
@@ -450,8 +448,13 @@ def test_constraint_matrix_2_3_bit_exact():
 def test_constraint_matrix_rows_independent():
     for p in range(1, 5):
         for q in range(1, 5):
-            M = build_constraint_matrix(p, q)
-            assert M.rank() == p + q
+            assert additivity.exact_rank(build_constraint_matrix(p, q)) == p + q
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (2, 0)])
+def test_constraint_matrix_refuses_an_empty_side(p, q):
+    with pytest.raises(ValueError, match="need p, q >= 1"):
+        build_constraint_matrix(p, q)
 
 
 # the constraint matrices above never put two nonzero entries in a pivot
@@ -474,7 +477,7 @@ def test_constraint_matrix_reproduces_margins():
             M = build_constraint_matrix(len(beta), len(gamma))
             for A in heisenberg_matrices(beta, gamma):
                 phi = flatten(A)
-                out = tuple(sum(m * v for m, v in zip(row, phi)) for row in M.rows)
+                out = tuple(sum(m * v for m, v in zip(row, phi)) for row in M)
                 assert out == tuple(beta) + tuple(gamma)
 
 
@@ -484,6 +487,12 @@ def test_flatten_worked_matrix():
 
 def test_flatten_zero_matrix():
     assert flatten(HeisenbergMatrix([(0, 0), (0, 0)])) == (0, 0, 0)
+
+
+def test_flatten_keeps_every_entry_of_a_plain_matrix():
+    # only a cornered matrix has a corner to skip
+    assert flatten(KroneckerMatrix([(1, 2), (3, 4)])) == (1, 2, 3, 4)
+    assert flatten(KroneckerMatrix([])) == ()
 
 
 def test_permutohedron_membership():
@@ -506,7 +515,7 @@ def test_additive_implies_integer_minimal_small():
         for gamma in partitions_up_to(3):
             for A in heisenberg_matrices(beta, gamma):
                 if is_additive(A) is not None:
-                    assert integer_minimality_check(A).minimal, A
+                    assert integer_minimality_check(A) is None, A
 
 
 def test_minimality_budget_refusal():
@@ -518,23 +527,22 @@ def test_minimality_spots_a_witness():
     # the flat inner block is majorized by nothing; the spread-out matrix
     # with the same margins and total majorizes down to it
     dominated = HeisenbergMatrix([(0, 0, 0), (0, 2, 0), (0, 0, 2)])
-    res = integer_minimality_check(dominated)
-    assert not res.minimal
-    assert res.witness is not None
-    assert res.witness.total == dominated.total
+    witness = integer_minimality_check(dominated)
+    assert witness is not None
+    assert witness.total == dominated.total
 
 
 def test_plain_singleton_class_is_minimal():
     # the plain class of margins (2), (2) holds [[2]] alone; the cornered
     # class with the same margins is no witness against it
-    assert integer_minimality_check(KroneckerMatrix([[2]])) == MinimalityResult(minimal=True)
+    assert integer_minimality_check(KroneckerMatrix([[2]])) is None
 
 
 def test_degree_separated_classes_both_minimal():
     inner = HeisenbergMatrix([(0, 0), (0, 1)])
     outer = HeisenbergMatrix([(0, 1), (1, 0)])
-    assert integer_minimality_check(inner).minimal
-    assert integer_minimality_check(outer).minimal
+    assert integer_minimality_check(inner) is None
+    assert integer_minimality_check(outer) is None
 
 
 def test_worked_matrix_generates_certified_triple():

@@ -111,6 +111,25 @@ def test_cache_integrity_failure(cache_file, capsys):
     assert code == 4 and "disagree" in err
 
 
+def test_a_failed_cache_write_still_answers(tmp_path, monkeypatch, capsys):
+    # a directory: no records to read, no file to append to
+    monkeypatch.setenv("HEIS_CACHE", str(tmp_path))
+    code, out, err = run(capsys, "coeff", "lr", "2,1", "1,1", "1")
+    assert code == 0
+    assert json.loads(out)["value"] == 1
+    assert err.startswith("heisenstab: cache write failed: ")
+
+
+@pytest.mark.parametrize("env", [None, ""])
+def test_the_default_cache_lives_under_home(tmp_path, monkeypatch, env):
+    if env is None:
+        monkeypatch.delenv("HEIS_CACHE", raising=False)
+    else:
+        monkeypatch.setenv("HEIS_CACHE", env)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert cli.cache_path() == str(tmp_path / ".cache" / "heisenstab.cache")
+
+
 def test_coeff_engine_mismatch(cache_file, capsys, monkeypatch):
     monkeypatch.setitem(stability.ORACLE, Kind.KRONECKER, lambda lam, mu, nu: 7)
     code, out, err = run(capsys, "coeff", "kron", "3", "2,1", "2,1", "--oracle")

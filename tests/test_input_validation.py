@@ -91,6 +91,18 @@ def test_matrix_entries_must_be_integers():
         parse_matrix("0 3\n1 2.5\n", "h")
 
 
+def test_matrix_shapes_and_signs_the_text_format_cannot_write():
+    from heisenstab.additivity import HeisenbergMatrix, KroneckerMatrix, MatrixParseError, parse_matrix
+
+    # parse_matrix's tokens are digits, so only a direct call passes a negative entry
+    with pytest.raises(MatrixParseError, match="negative entry"):
+        KroneckerMatrix([(1, -1)])
+    for rows in ([], [()]):
+        with pytest.raises(MatrixParseError, match="at least the corner"):
+            HeisenbergMatrix(rows)
+    assert parse_matrix("0 1\n\n1 0\n", "h").rows == ((0, 1), (1, 0))
+
+
 # int() also reads "1_0" as 10, "+3" as 3 and the Arabic-Indic digit three;
 # the text parsers take ASCII digits only
 NOT_ASCII_DIGITS = ("1_0", "+3", "٣", "-1", "3.0", "")

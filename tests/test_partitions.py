@@ -56,6 +56,10 @@ def test_pi_sequence_of_composition():
     assert pi_sequence(Composition((1, 3, 0, 2))) == (3, 2, 1)
 
 
+def test_composition_parse_reads_zero_and_blank_as_empty():
+    assert Composition.parse("0") == Composition.parse(" ") == ()
+
+
 def test_pi_sequence_rejects_negative():
     with pytest.raises(ValueError):
         pi_sequence([(1, -1)])
@@ -71,6 +75,9 @@ def test_add_scale():
     assert add(Partition((2, 1)), Partition((1, 1))) == (3, 2)
     assert scale(3, Partition((2, 1))) == (6, 3)
     assert scale(0, Partition((2, 1))) == ()
+    # the factor is refused before Partition would refuse the negative parts
+    with pytest.raises(ValueError, match="scale factor must be nonnegative"):
+        scale(-1, (2, 1))
     # the operators keep their tuple meaning: concatenation and repetition
     assert Partition((2, 1)) + (0,) == (2, 1, 0)
     assert 2 * Partition((2, 1)) == (2, 1, 2, 1)

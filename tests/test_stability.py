@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from heisenstab import stability
 from heisenstab.coefficients import kron_coeff, lr_coeff
 from heisenstab.partitions import Partition, partitions_of, scale
 from heisenstab.stability import (
@@ -122,6 +123,17 @@ def test_stability_check_rejects_bad_n_max():
     t = classify_triple((1,), (1,), (1,))
     with pytest.raises(ValueError):
         stability_check(t, n_max=0)
+
+
+def test_a_vanishing_scaled_value_is_an_engine_fault(monkeypatch):
+    # a positive coefficient stays positive under scaling, so only a faulty
+    # engine can return 0 at n = 2
+    t = classify_triple((1,), (1,), (1,))
+    engine = stability.PRIMARY[t.kind]
+    monkeypatch.setitem(stability.PRIMARY, t.kind,
+                        lambda lam, mu, nu: 0 if lam == (2,) else engine(lam, mu, nu))
+    with pytest.raises(RuntimeError, match="vanished"):
+        stability_check(t, n_max=3)
 
 
 def test_sequence_classical_direction():
