@@ -152,27 +152,25 @@ def margin_matrices(cls: type[KroneckerMatrix], beta: Sequence[int],
     the first column and the first row absorb the slack, so margins hold by
     construction."""
     beta, gamma = Composition(beta), Composition(gamma)
-    corner = cls.corner
-    if not corner and beta.size != gamma.size:
+    if cls.corner or beta.size == gamma.size:
+        yield from _fill(cls, beta, 0, tuple(gamma), [])
+
+
+def _fill(cls: type[KroneckerMatrix], beta: Composition, i: int, room: tuple[int, ...],
+          acc: list[tuple[int, ...]]) -> Iterator[KroneckerMatrix]:
+    """Every matrix of margin_matrices whose first i rows (inner blocks for a
+    cornered class) are acc, room being what they leave of gamma."""
+    if i == len(beta):
+        if cls.corner:
+            yield cls([(0,) + room] + [(b - sum(row),) + row for b, row in zip(beta, acc)])
+        else:
+            yield cls(acc)
         return
-
-    def fill(i: int, room: tuple[int, ...], acc: list[tuple[int, ...]]) -> Iterator[KroneckerMatrix]:
-        if i == len(beta):
-            if corner:
-                yield cls([(0,) + room] + [(b - sum(row),) + row for b, row in zip(beta, acc)])
-            else:
-                yield cls(acc)
-            return
-        for s in range(0 if corner else beta[i], beta[i] + 1):
-            for row in _bounded_vectors(s, room):
-                acc.append(row)
-                yield from fill(i + 1, tuple(c - r for c, r in zip(room, row)), acc)
-                acc.pop()
-
-    try:
-        yield from fill(0, tuple(gamma), [])
-    finally:
-        fill = None  # fill's closure holds fill: free it also when a consumer stops early
+    for s in range(0 if cls.corner else beta[i], beta[i] + 1):
+        for row in _bounded_vectors(s, room):
+            acc.append(row)
+            yield from _fill(cls, beta, i + 1, tuple(c - r for c, r in zip(room, row)), acc)
+            acc.pop()
 
 
 def margin_class(cls: type[KroneckerMatrix], beta, gamma, alpha) -> Iterator[KroneckerMatrix]:

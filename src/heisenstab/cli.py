@@ -211,25 +211,18 @@ def cmd_coeff(args) -> dict:
     to_run = {engine: getattr(stability, engine.upper())[kind]
               for engine in engines if (q, engine) not in cache}
 
-    def run(engine: str) -> int:
-        if engine not in to_run:
-            return cache[(q, engine)]
-        value = to_run[engine](lam, mu, nu)
-        append_cache(path, q, engine, value)
-        return value
-
     t0 = time.perf_counter()
-    value = run("primary")
-    engine = "primary"
-    if args.oracle:
-        oracle_value = run("oracle")
-        if oracle_value != value:
-            raise MismatchError(
-                f"engine mismatch on {q}: primary={value} oracle={oracle_value}")
-        engine = "both"
+    for engine, fn in to_run.items():  # primary first, then the oracle
+        cache[(q, engine)] = fn(lam, mu, nu)
+        append_cache(path, q, engine, cache[(q, engine)])
+    value = cache[(q, "primary")]
+    if args.oracle and cache[(q, "oracle")] != value:
+        raise MismatchError(
+            f"engine mismatch on {q}: primary={value} oracle={cache[(q, 'oracle')]}")
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return {"kind": args.kind, "lambda": str(lam), "mu": str(mu), "nu": str(nu),
-            "value": value, "engine": engine, "elapsed_ms": round(elapsed_ms, 3)}
+            "value": value, "engine": "both" if args.oracle else "primary",
+            "elapsed_ms": round(elapsed_ms, 3)}
 
 
 def cmd_verify_cache(args) -> dict:
@@ -287,8 +280,8 @@ def cmd_additive(args) -> dict:
         out["certificate"] = result.certificate.as_json()
         out["triple"] = {
             "alpha": str(result.alpha),
-            "beta": ",".join(map(str, result.beta)) or "0",
-            "gamma": ",".join(map(str, result.gamma)) or "0",
+            "beta": str(result.beta),
+            "gamma": str(result.gamma),
         }
     return out
 

@@ -1,12 +1,15 @@
 """Integer partitions, weak compositions, and majorization order.
 
-Partitions are stored as tuples of positive parts in weakly decreasing
-order; the empty tuple is the unique partition of 0.  `Partition` is a
-tuple under `+` and `*` (concatenation, repetition); the vector
-arithmetic `add` and `scale` is coordinatewise with implicit zero
-padding.  The dominance comparison works on arbitrary rational vectors,
-not just partitions, and is always exact: its entries are ints and
-`fractions.Fraction`s, and a float is refused, never compared.
+A `Composition` is a tuple of nonnegative parts, and a `Partition` is a
+`Composition` whose parts are positive and weakly decreasing; the empty
+tuple is the unique partition of 0.  Both share `size`, a `repr` naming
+their class, and the comma syntax: `str` writes it ("0" when empty) and
+`parse` reads it.  Either is a tuple under `+` and `*` (concatenation,
+repetition); the vector arithmetic `add` and `scale` is coordinatewise
+with implicit zero padding.  The dominance comparison works on arbitrary
+rational vectors, not just partitions, and is always exact: its entries
+are ints and `fractions.Fraction`s, and a float is refused, never
+compared.
 
 The package's enumerators: partitions inside a shape (`_inside`; the n x n
 box for `partitions_of(n)`), and capped compositions (`_bounded_vectors`),
@@ -70,57 +73,6 @@ def _integer_token(tok: str) -> int:
     return int(tok)
 
 
-class Partition(tuple):
-    """Weakly decreasing tuple of positive integers."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        if type(parts) is cls:
-            return parts  # immutable and already validated
-        ps = _integer_parts(parts, NotAPartitionError)
-        while ps and ps[-1] == 0:
-            ps = ps[:-1]
-        for i, p in enumerate(ps):
-            if p < 0:
-                raise NotAPartitionError(f"negative part {p} in {ps}")
-            if i and ps[i - 1] < p:
-                raise NotAPartitionError(f"parts not weakly decreasing: {ps}")
-        return super().__new__(cls, ps)
-
-    @property
-    def size(self) -> int:
-        return sum(self)
-
-    def part(self, i: int) -> int:
-        """i-th part (0-based), zero beyond the stored length."""
-        return self[i] if 0 <= i < len(self) else 0
-
-    def __repr__(self) -> str:
-        return f"Partition({tuple(self)})"
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self) if self else "0"
-
-    @staticmethod
-    def parse(text: str) -> "Partition":
-        """Parse the comma syntax, e.g. "7,6,5,5,4,4,3,2,2,1"; "" or "0" is empty."""
-        text = text.strip()
-        if text in ("", "0"):
-            return Partition()
-        try:
-            parts = [_integer_token(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise NotAPartitionError(f"cannot parse partition {text!r}") from exc
-        return Partition(parts)
-
-
-def _trusted(parts: Iterable[int]) -> Partition:
-    """A Partition from parts the caller built weakly decreasing and
-    positive, without the checks of Partition()."""
-    return tuple.__new__(Partition, parts)
-
-
 class Composition(tuple):
     """Finite sequence of nonnegative integers; order and padding preserved."""
 
@@ -137,7 +89,10 @@ class Composition(tuple):
         return sum(self)
 
     def __repr__(self) -> str:
-        return f"Composition({tuple(self)})"
+        return f"{type(self).__name__}({tuple(self)})"
+
+    def __str__(self) -> str:
+        return ",".join(str(p) for p in self) if self else "0"
 
     @staticmethod
     def parse(text: str) -> "Composition":
@@ -147,10 +102,48 @@ class Composition(tuple):
         return Composition(_integer_token(tok) for tok in text.split(","))
 
 
+class Partition(Composition):
+    """Weakly decreasing composition with no zero parts."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is cls:
+            return parts  # immutable and already validated
+        ps = _integer_parts(parts, NotAPartitionError)
+        while ps and ps[-1] == 0:
+            ps = ps[:-1]
+        for i, p in enumerate(ps):
+            if p < 0:
+                raise NotAPartitionError(f"negative part {p} in {ps}")
+            if i and ps[i - 1] < p:
+                raise NotAPartitionError(f"parts not weakly decreasing: {ps}")
+        return tuple.__new__(cls, ps)
+
+    def part(self, i: int) -> int:
+        """i-th part (0-based), zero beyond the stored length."""
+        return self[i] if 0 <= i < len(self) else 0
+
+    @staticmethod
+    def parse(text: str) -> "Partition":
+        """Parse the comma syntax, e.g. "7,6,5,5,4,4,3,2,2,1"; "" or "0" is empty."""
+        try:
+            parts = Composition.parse(text)
+        except ValueError as exc:
+            raise NotAPartitionError(f"cannot parse partition {text.strip()!r}") from exc
+        return Partition(parts)
+
+
+def _trusted(parts: Iterable[int]) -> Partition:
+    """A Partition from parts the caller built weakly decreasing and
+    positive, without the checks of Partition()."""
+    return tuple.__new__(Partition, parts)
+
+
 def pi_sequence(data) -> Partition:
     """Entries of a matrix (iterable of rows) or a flat sequence, sorted
     weakly decreasingly with trailing zeros dropped."""
-    if isinstance(data, (Partition, Composition)):
+    if isinstance(data, Composition):
         entries = data
     else:
         rows = list(data)

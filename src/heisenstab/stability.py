@@ -11,9 +11,10 @@ any scale) or stay inconclusive, unless an additivity certificate from the
 matrix pipeline certifies it externally.
 
 Loading this module loads no engine: the tables `PRIMARY` and `ORACLE`
-are built from `coefficients` on first use (the first read of either name,
-or the first `coefficient` call), so that a CLI query answered from the
-cache never imports one.  Whoever reads a table sees it complete.
+are built from `coefficients` on first use, by the module `__getattr__`
+(the first read of either name, or the first `coefficient` call), so that
+a CLI query answered from the cache never imports one.  Whoever reads a
+table sees it complete.
 `Triple` and `StabilityReport` are `typing.NamedTuple`s for the same reason
 (no `dataclasses` import), so they are tuples: they unpack, and compare
 equal to a plain tuple of the same values.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from itertools import zip_longest
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .partitions import Partition, _integer_parts, _trusted
 
@@ -51,44 +52,38 @@ def size_pattern_ok(kind: Kind, a: Partition, b: Partition, c: Partition) -> boo
     raise ValueError(f"not a coefficient kind: {kind!r}")
 
 
-def _engine_table(name: str) -> dict[Kind, Callable[..., int]]:
-    """The table `PRIMARY` (the engine of each kind) or `ORACLE` (its
-    independent second route).  The first call imports `coefficients` and
-    binds both as module globals, complete; later reads of
-    `stability.PRIMARY` find them without this hook."""
-    if name not in globals():
-        from . import coefficients as c
-
-        globals().update(
-            PRIMARY={Kind.KRONECKER: c.kron_coeff, Kind.LR: c.lr_coeff,
-                     Kind.HEISENBERG: c.heisenberg_coeff},
-            ORACLE={Kind.KRONECKER: c.kron_coeff_oracle, Kind.LR: c.lr_coeff_hive,
-                    Kind.HEISENBERG: c.heisenberg_coeff_oracle})
-    return globals()[name]
-
-
 def __getattr__(name: str):
-    # PEP 562: `stability.PRIMARY` and `from .stability import ORACLE` build
-    # the engine tables on first access
-    if name in ("PRIMARY", "ORACLE"):
-        return _engine_table(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """PEP 562: the first read of `PRIMARY` (the engine of each kind) or
+    `ORACLE` (its independent second route), also through `from .stability
+    import ORACLE`, imports `coefficients` and binds both tables as module
+    globals, complete; later reads find them without this hook."""
+    if name not in ("PRIMARY", "ORACLE"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import coefficients as c
+
+    globals().update(
+        PRIMARY={Kind.KRONECKER: c.kron_coeff, Kind.LR: c.lr_coeff,
+                 Kind.HEISENBERG: c.heisenberg_coeff},
+        ORACLE={Kind.KRONECKER: c.kron_coeff_oracle, Kind.LR: c.lr_coeff_hive,
+                Kind.HEISENBERG: c.heisenberg_coeff_oracle})
+    return globals()[name]
 
 
 def coefficient(kind: Kind, lam, mu, nu) -> int:
     if not isinstance(kind, Kind):
         raise ValueError(f"not a coefficient kind: {kind!r}")
-    return _engine_table("PRIMARY")[kind](lam, mu, nu)
+    table = globals()["PRIMARY"] if "PRIMARY" in globals() else __getattr__("PRIMARY")
+    return table[kind](lam, mu, nu)
 
 
-def _shifted(x: Sequence[int], n: int, d: Sequence[int]) -> Partition:
-    """x + n*d for partitions x, d and n >= 0 that the caller validated: the
-    sum is a partition again, so it is built without re-validation.  Only
-    its tail can be zero, and only when n = 0."""
-    parts = [a + n * b for a, b in zip_longest(x, d, fillvalue=0)]
-    while parts and not parts[-1]:
-        parts.pop()
-    return _trusted(parts)
+def _shifted(x: Partition, n: int, d: Sequence[int]) -> Partition:
+    """x + n*d for partitions x, d and n >= 0 that the caller validated.
+    For n >= 1 every part of the sum is positive (each position has a
+    positive part of x or of d), so it is a partition, built without
+    re-validation; n = 0 gives x itself."""
+    if not n:
+        return x
+    return _trusted([a + n * b for a, b in zip_longest(x, d, fillvalue=0)])
 
 
 class Triple(NamedTuple):

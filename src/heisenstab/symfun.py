@@ -150,27 +150,18 @@ def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
 def _schur_in_h(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     # Jacobi-Trudi: s_lam = det( h_{lam_i - i + j} ), expanded over permutations.
     # h_0 contributes an empty factor, negative indices kill the term.
-    L = len(lam)
-    coeffs: dict[tuple[int, ...], int] = {}
-    for sigma in itertools.permutations(range(L)):
+    coeffs: Counter[tuple[int, ...]] = Counter()
+    for sigma in itertools.permutations(range(len(lam))):
         degrees = []
-        dead = False
-        for i in range(L):
-            d = lam[i] - i + sigma[i]
+        for i, s in enumerate(sigma):
+            d = lam[i] - i + s
             if d < 0:
-                dead = True
-                break
+                break  # the first negative degree kills the term: skip the rest
             if d > 0:
                 degrees.append(d)
-        if dead:
-            continue
-        sign = 1
-        for i in range(L):
-            for j in range(i):
-                if sigma[j] > sigma[i]:
-                    sign = -sign
-        key = tuple(sorted(degrees, reverse=True))
-        coeffs[key] = coeffs.get(key, 0) + sign
+        else:
+            inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+            coeffs[tuple(sorted(degrees, reverse=True))] += -1 if inversions % 2 else 1
     return tuple((k, v) for k, v in coeffs.items() if v != 0)
 
 

@@ -52,6 +52,11 @@ def test_worked_matrix_views():
     assert WORKED.total == 39
 
 
+def test_matrix_repr_names_its_class():
+    assert repr(KroneckerMatrix([[1]])) == "KroneckerMatrix([[1]])"
+    assert repr(WORKED) == "HeisenbergMatrix([[0, 4, 6, 1], [4, 5, 7, 2], [2, 3, 5, 0]])"
+
+
 def test_matrix_parsing():
     A = parse_matrix("0 1\n1 0\n", "h")
     assert isinstance(A, HeisenbergMatrix) and A.rows == ((0, 1), (1, 0))

@@ -138,6 +138,42 @@ def test_coeff_engine_mismatch(cache_file, capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("heisenstab: engine mismatch")
 
 
+def test_an_oracle_query_on_a_cached_primary_runs_only_the_oracle(cache_file, capsys, monkeypatch):
+    cache_file.write_text(record("lr 2,1 1,1 1", "primary", 1) + "\n")
+    calls = []
+    monkeypatch.setitem(stability.PRIMARY, Kind.LR, lambda *args: calls.append(args))
+    code, out, err = run(capsys, "coeff", "lr", "2,1", "1,1", "1", "--oracle")
+    assert (code, err, calls) == (0, "", [])
+    rec = json.loads(out)
+    assert rec["value"] == 1 and rec["engine"] == "both"
+    assert cache_file.read_text().splitlines() == [record("lr 2,1 1,1 1", "primary", 1),
+                                                   record("lr 2,1 1,1 1", "oracle", 1)]
+
+
+def test_a_live_mismatch_caches_both_records(cache_file, capsys, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setitem(stability.ORACLE, Kind.KRONECKER, lambda lam, mu, nu: 7)
+        assert run(capsys, "coeff", "kron", "3", "2,1", "2,1", "--oracle")[0] == 4
+    assert cache_file.read_text().splitlines() == [record("kron 3 2,1 2,1", "primary", 1),
+                                                   record("kron 3 2,1 2,1", "oracle", 7)]
+    code, out, err = run(capsys, "coeff", "kron", "3", "2,1", "2,1", "--oracle")
+    assert (code, out) == (4, "")
+    assert err == "heisenstab: primary and oracle records disagree for kron 3 2,1 2,1: 1 vs 7\n"
+
+
+def test_a_failed_cache_lock_still_writes_the_record(cache_file, capsys, monkeypatch):
+    fcntl = pytest.importorskip("fcntl")
+
+    def refuse(*args):
+        raise OSError("no locks here")
+
+    monkeypatch.setattr(fcntl, "flock", refuse)
+    code, out, err = run(capsys, "coeff", "lr", "2,1", "1,1", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 1
+    assert cache_file.read_text() == record("lr 2,1 1,1 1", "primary", 1) + "\n"
+
+
 def test_seq_constant_tail(cache_file, capsys):
     code, out, _ = run(capsys, "seq", "kron", "1", "1", "1", "1", "1", "1", "--n", "6")
     assert code == 0
@@ -259,6 +295,21 @@ def test_selftest_failure_prints_the_table_then_exits_1(cache_file, capsys, monk
     assert out.count("FAIL  ") == 2
     assert out.strip().endswith("10/12 conformance checks passed")
     assert err == "heisenstab: 2/12 conformance checks failed\n"
+
+
+def test_a_selftest_check_that_raises_fails_its_row_without_a_traceback(cache_file, capsys,
+                                                                         monkeypatch):
+    def boom(lam, mu):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(symfun, "kostka", boom)
+    code, out, err = run(capsys, "selftest")
+    assert code == 1
+    assert out.count("FAIL  ") == 2
+    assert out.strip().endswith("10/12 conformance checks passed")
+    assert err == ("heisenstab: kostka positivity boundary K[(1,1),(2)] = 0: boom\n"
+                   "heisenstab: unit diagonal kostka K[(2,1),(2,1)] = 1: boom\n"
+                   "heisenstab: 2/12 conformance checks failed\n")
 
 
 def usage_error(capsys, *argv):

@@ -43,6 +43,43 @@ def test_parse_and_str_round_trip():
         Partition.parse("2,x")
 
 
+# what Partition.parse makes of each token at the commit that made Partition a
+# Composition: a value, or the error type and message
+PARSED = {
+    "3,2": (3, 2), " 3 , 2 ": (3, 2), "": (), "0": (), "0,0": (), "3,0": (3,),
+    "3,,2": "cannot parse partition '3,,2'",
+    "a": "cannot parse partition 'a'",
+    " a ": "cannot parse partition 'a'",
+    "1,2": "parts not weakly decreasing: (1, 2)",
+    "-1": "cannot parse partition '-1'",
+    "+3": "cannot parse partition '+3'",
+    "1_0": "cannot parse partition '1_0'",
+    "2.0": "cannot parse partition '2.0'",
+    "3,2,": "cannot parse partition '3,2,'",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSED))
+def test_parse_gives_the_value_or_the_message(text):
+    want = PARSED[text]
+    if isinstance(want, tuple):
+        got = Partition.parse(text)
+        assert type(got) is Partition and got == want
+    else:
+        with pytest.raises(NotAPartitionError) as exc:
+            Partition.parse(text)
+        assert str(exc.value) == want
+
+
+def test_a_partition_is_a_composition_with_the_same_repr_and_str():
+    assert isinstance(Partition((2, 1)), Composition)
+    assert repr(Partition((2, 1))) == "Partition((2, 1))"
+    assert repr(Composition((1, 0))) == "Composition((1, 0))"
+    assert str(Composition((1, 0, 2))) == "1,0,2"
+    assert str(Composition()) == "0"
+    assert Partition((2, 1)).size == Composition((1, 0, 2)).size == 3
+
+
 def test_pi_sequence_of_matrix():
     rows = [(0, 4, 6, 1), (4, 5, 7, 2), (2, 3, 5, 0)]
     assert pi_sequence(rows) == (7, 6, 5, 5, 4, 4, 3, 2, 2, 1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from heisenstab import ratfeas
 from heisenstab.ratfeas import solve_strict
 
 
@@ -87,3 +88,18 @@ def test_soundness_on_random_wider_systems():
             feasible += 1
             assert _satisfies(rows, z)
     assert feasible > 0  # the sweep should not be vacuous
+
+
+# The two internal-consistency checks raise rather than hand back a wrong
+# point; only a broken arithmetic helper can reach them.
+def test_an_empty_back_substitution_interval_raises(monkeypatch):
+    monkeypatch.setattr(ratfeas, "Fraction", lambda *args: 0)
+    with pytest.raises(RuntimeError, match="Fourier-Motzkin back-substitution interval empty"):
+        solve_strict([(1, 0), (-1, 1)], 2)
+
+
+def test_an_assignment_that_fails_a_row_raises(monkeypatch):
+    primitive = ratfeas._primitive
+    monkeypatch.setattr(ratfeas, "_primitive", lambda row: tuple(-c for c in primitive(row)))
+    with pytest.raises(RuntimeError, match="solver produced an invalid assignment"):
+        solve_strict([(1,)], 1)
