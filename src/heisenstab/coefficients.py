@@ -5,11 +5,18 @@
   a triangular array) as the second route.  One filling kernel
   (`_lr_fillings`) serves `lr_coeff` with a fixed content and the split
   tables with a free one.
-* Kronecker coefficients by the exact character sum over conjugacy classes.
+* Kronecker coefficients, each query by its cheapest exact route, chosen
+  from the query alone (`_kron_route`): a closed form when one shape is
+  one row or one column; the h-basis route (below) from size 20 on when the
+  two factors it expands have at most two rows; otherwise the exact
+  character sum over conjugacy classes, one class-size-weighted character
+  vector against two plain ones.  The oracle runs a route the primary did
+  not take.
 * Heisenberg coefficients by the quintuple-product formula that splits a
   query into two LR decompositions, one Kronecker factor in the shared
   degree, and two LR recombinations.
-* One h-basis route checks both of the last two: it expands the Schur
+* One h-basis route checks the Heisenberg engine and serves Kronecker
+  queries both as a primary route and as the oracle: it expands the Schur
   factors into the complete-homogeneous basis by Jacobi-Trudi, multiplies
   there by summing h_pi(A) over the margin matrices A of one class (plain
   for the Kronecker product, cornered for the Heisenberg product), and
@@ -37,6 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from typing import Counter as CounterT
 
 from . import symfun
@@ -66,6 +74,7 @@ def clear_caches() -> None:
     _splits.cache_clear()
     _hive_plan.cache_clear()
     _h_expansion.cache_clear()
+    _weighted_characters.cache_clear()
     symfun.clear_caches()
 
 
@@ -307,8 +316,8 @@ def lr_coeff_hive(lam, mu, nu) -> int:
 
 
 def kron_coeff(lam, mu, nu) -> int:
-    """Kronecker coefficient via the exact character sum; fully symmetric in
-    its three arguments."""
+    """Kronecker coefficient by the cheapest exact route for the query (see
+    `_kron_route`); fully symmetric in its three arguments."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if mu.size != lam.size or nu.size != lam.size:
         raise ValueError(f"Kronecker query needs equal sizes, got {lam.size}, {mu.size}, {nu.size}")
@@ -327,13 +336,81 @@ def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
     key = (lam, mu, nu)
     val = _KRON_CACHE.get(key)
     if val is None:
-        n = lam.size
-        a, b, c = (character_vector(x) for x in key)
-        total = sum(s * x * y * z for s, x, y, z in zip(class_sizes(n), a, b, c))
-        if total % factorial(n):
-            raise RuntimeError("character sum is not an integer")
-        val = _KRON_CACHE[key] = total // factorial(n)
+        val = _KRON_CACHE[key] = _kron_route(*key)(*key)
     return val
+
+
+# From this size on, a Kronecker query whose two expanded factors have at
+# most two rows takes the h-basis route (see `_kron_route`).  Measured on 2
+# vCPUs: over the stabilization sweeps of the benchmark, whose character
+# vectors are shared by many queries of one size, the character sum is
+# faster on such queries up to size 17 and slower at 18; a single cold
+# random query of size 24 takes 29 ms by the character sum and 0.4 ms by
+# the h-basis route.
+_H_ROUTE_MIN_SIZE = 20
+
+
+def _kron_route(lam: Partition, mu: Partition, nu: Partition):
+    """The primary's route for an ascending triple lam <= mu <= nu of one
+    size, a pure function of the query: the closed form when one shape is
+    one row, (n), which sorts last, or one column, (1^n), which sorts
+    first; the h-basis route from size `_H_ROUTE_MIN_SIZE` on when the two
+    factors it expands have at most two rows; the character sum otherwise."""
+    if len(nu) < 2 or lam[0] == 1:
+        return _kron_closed_form
+    if sum(lam) >= _H_ROUTE_MIN_SIZE and max(map(len, _h_orientation(lam, mu, nu)[1:])) <= 2:
+        return _kron_by_h_basis
+    return _kron_by_characters
+
+
+def _kron_closed_form(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """g((n), mu, nu) = [mu = nu] and g((1^n), mu, nu) = [mu = nu'], on an
+    ascending triple whose last shape is (n) or whose first is (1^n)."""
+    return int(lam == mu if len(nu) < 2 else mu == _conjugate(nu))
+
+
+@lru_cache(maxsize=None)
+def _weighted_characters(lam: Partition) -> tuple[int, ...]:
+    """Class size times chi^lam, class by class: one factor of the
+    character sum."""
+    return tuple(map(mul, class_sizes(sum(lam)), character_vector(lam)))
+
+
+def _kron_by_characters(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """The exact character sum over the classes of S_n, divided by n!."""
+    n = sum(lam)
+    total = sum(map(mul, _weighted_characters(lam),
+                    map(mul, character_vector(mu), character_vector(nu))))
+    if total % factorial(n):
+        raise RuntimeError("character sum is not an integer")
+    return total // factorial(n)
+
+
+def _conjugate(x: Partition) -> Partition:
+    """The transpose of x: column c holds one cell per part above c."""
+    return _trusted([sum(1 for p in x if p > c) for c in range(x.part(0))])
+
+
+def _h_orientation(lam: Partition, mu: Partition,
+                   nu: Partition) -> tuple[Partition, Partition, Partition]:
+    """The query as (z, x, y) with g(z, x, y) = g(lam, mu, nu), where x and
+    y, the two factors the h-basis route expands, have the fewest rows: any
+    two of the three, conjugated together or not (g is symmetric, and
+    g(z, x, y) = g(z, x', y')).  Fewest rows means the smallest larger row
+    count, then the smallest sum; ties go to the first candidate."""
+    def rows(candidate):  # a conjugate has as many rows as the shape has columns
+        _, x, y, conj = candidate
+        a, b = (x.part(0), y.part(0)) if conj else (len(x), len(y))
+        return max(a, b), a + b
+
+    z, x, y, conj = min(((z, x, y, conj) for z, x, y in ((lam, mu, nu), (mu, lam, nu), (nu, lam, mu))
+                         for conj in (False, True)), key=rows)
+    return (z, _conjugate(x), _conjugate(y)) if conj else (z, x, y)
+
+
+def _kron_by_h_basis(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """The h-basis route on the orientation that expands the fewest rows."""
+    return _from_h_basis(KroneckerMatrix, *_h_orientation(lam, mu, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +596,15 @@ def heisenberg_coeff_oracle(lam, mu, nu) -> int:
 
 
 def kron_coeff_oracle(lam, mu, nu) -> int:
-    """h-basis route for Kronecker coefficients (second engine for the CLI
-    cross-check)."""
+    """Second engine for Kronecker coefficients: the route `kron_coeff` did
+    not take for this query.  That is the character sum when the primary
+    took the h-basis route, and the h-basis route (on the orientation that
+    expands the fewest rows) when it took the character sum or a closed
+    form."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if mu.size != lam.size or nu.size != lam.size:
         raise ValueError(f"Kronecker query needs equal sizes, got {lam.size}, {mu.size}, {nu.size}")
-    return _from_h_basis(KroneckerMatrix, lam, mu, nu)
+    key = sorted((lam, mu, nu))
+    if _kron_route(*key) is _kron_by_h_basis:
+        return _kron_by_characters(*key)
+    return _kron_by_h_basis(*key)

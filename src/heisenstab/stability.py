@@ -56,7 +56,13 @@ def __getattr__(name: str):
     """PEP 562: the first read of `PRIMARY` (the engine of each kind) or
     `ORACLE` (its independent second route), also through `from .stability
     import ORACLE`, imports `coefficients` and binds both tables as module
-    globals, complete; later reads find them without this hook."""
+    globals, complete; later reads find them without this hook.
+
+    For every query the oracle takes a route the primary did not: hives
+    against LR fillings, the h-basis route against the quintuple formula,
+    and for the Kronecker kind the character sum when the primary took the
+    h-basis route, else the h-basis route (the primary picks among a closed
+    form, the h-basis route and the character sum by the query alone)."""
     if name not in ("PRIMARY", "ORACLE"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import coefficients as c

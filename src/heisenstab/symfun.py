@@ -1,7 +1,9 @@
 """Symmetric-group character kernels and basis data.
 
 Everything here is exact integer arithmetic.  Irreducible characters come
-from the Murnaghan-Nakayama border-strip recursion (memoized); Kostka
+from the Murnaghan-Nakayama border-strip recursion, taken a block of
+classes at a time: one memo of vectors keyed by (shape, bound on the parts)
+(`_mn_vector`) serves both `character_vector` and `character`.  Kostka
 numbers from the horizontal-strip recursion over capped compositions; the
 Schur-to-complete-homogeneous change of basis from the Jacobi-Trudi
 determinant.
@@ -13,6 +15,7 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
+from operator import add, neg, sub
 from typing import Iterator, Sequence
 
 from .partitions import Composition, Partition, _bounded_vectors, partitions_of, pi_sequence
@@ -63,24 +66,73 @@ def _border_strip_removals(lam: tuple[int, ...], k: int) -> tuple[tuple[tuple[in
 
 
 @lru_cache(maxsize=None)
-def _mn_character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    if not rho:
-        return 1 if not lam else 0
-    k, rest = rho[0], rho[1:]
-    total = 0
-    for shape, height in _border_strip_removals(lam, k):
-        total += (-1) ** height * _mn_character(shape, rest)
-    return total
+def _class_count(m: int, k: int) -> int:
+    """Number of partitions of m whose parts are all <= k."""
+    if m == 0:
+        return 1
+    if k <= 0:
+        return 0
+    if k > m:
+        return _class_count(m, m)
+    return _class_count(m, k - 1) + _class_count(m - k, k)
+
+
+def _mn_block(lam: tuple[int, ...], j: int) -> Sequence[int]:
+    """chi^lam on block j, the classes of S_|lam| whose largest part is j
+    (1 <= j <= |lam|), in cycle_types order: (j, rest) in the order of the
+    classes rest of S_{|lam|-j} with parts <= j.  By Murnaghan-Nakayama it
+    is the signed sum, over the border strips of size j, of the remaining
+    shape's vector on parts <= j; zero when lam has no such strip."""
+    n = sum(lam)
+    block = None
+    for shape, height in _border_strip_removals(lam, j):
+        v = _mn_vector(shape, min(j, n - j))
+        if block is None:
+            block = list(map(neg, v)) if height & 1 else v
+        else:
+            block = list(map(sub if height & 1 else add, block, v))
+    return [0] * _class_count(n - j, j) if block is None else block
+
+
+@lru_cache(maxsize=None)
+def _mn_vector(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """chi^lam on the classes of S_|lam| whose parts are all <= k, in
+    cycle_types order, for 0 <= k <= |lam| (k >= 1 unless lam is empty).
+    In that order those classes are a suffix, blocks k, ..., 1 (see
+    `_mn_block`).  Blocks past the longest hook have no strip and are zero."""
+    n = sum(lam)
+    if n == 0:
+        return (1,)
+    top = min(k, lam[0] + len(lam) - 1)  # the longest hook is the (0, 0) one
+    out = [0] * (_class_count(n, k) - _class_count(n, top))
+    for j in range(top, 0, -1):
+        out.extend(_mn_block(lam, j))
+    return tuple(out)
+
+
+def _class_rank(rho: tuple[int, ...], k: int) -> int:
+    """Position of the partition rho among the partitions of |rho| with
+    parts <= k (rho_1 <= k), in cycle_types order: the sizes of the blocks
+    before rho's, part by part.  So (j, rho) is entry _class_rank(rho, j)
+    of block j."""
+    m, pos = sum(rho), 0
+    for part in rho:
+        pos += sum(_class_count(m - j, j) for j in range(part + 1, min(k, m) + 1))
+        m, k = m - part, part
+    return pos
 
 
 def character(lam: Sequence[int], rho: Sequence[int]) -> int:
     """Irreducible character value chi^lam at cycle type rho, whose parts
-    may come in any order."""
+    may come in any order.  Read from chi^lam on the block of classes whose
+    largest part is rho's, so the identity class needs one entry."""
     lam = Partition(lam)
     rho = pi_sequence(Composition(rho))
     if lam.size != rho.size:
         raise ValueError(f"|lam| = {lam.size} but |rho| = {rho.size}")
-    return _mn_character(tuple(lam), tuple(rho))
+    if not rho:
+        return 1
+    return _mn_block(tuple(lam), rho[0])[_class_rank(tuple(rho[1:]), rho[0])]
 
 
 def dimension(lam: Sequence[int]) -> int:
@@ -91,7 +143,8 @@ def dimension(lam: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
-    """Cycle types of S_n in a fixed order, as plain tuples."""
+    """Cycle types of S_n in a fixed order, as plain tuples: largest part
+    first, so the classes with parts <= k are a suffix."""
     return tuple(tuple(p) for p in partitions_of(n))
 
 
@@ -103,8 +156,7 @@ def class_sizes(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def character_vector(lam: tuple[int, ...]) -> tuple[int, ...]:
     """chi^lam evaluated on every class of S_{|lam|}, in cycle_types order."""
-    n = sum(lam)
-    return tuple(_mn_character(lam, rho) for rho in cycle_types(n))
+    return _mn_vector(lam, sum(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +176,8 @@ def _kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         return 1 if not lam else 0
     if len(mu) == 1:
         return 1 if lam == mu else 0
+    if len(lam) > len(mu):
+        return 0  # a column holds distinct letters, so no filling has more rows
     last = mu[-1]
     rest = mu[:-1]
     return sum(_kostka(shape, rest) for shape in _horizontal_strip_shrinks(lam, last))
@@ -172,7 +226,7 @@ def schur_in_h_basis(lam: Sequence[int]) -> dict[Partition, int]:
 
 
 # the originals, so that a caller who rebinds the module names still clears them
-_MEMOS = (_border_strip_removals, _mn_character, character_vector, _kostka, _schur_in_h,
+_MEMOS = (_border_strip_removals, _class_count, _mn_vector, character_vector, _kostka, _schur_in_h,
           cycle_types, class_sizes)
 
 

@@ -1,15 +1,18 @@
 """Shared helpers for the test suite: triple enumeration by size pattern,
-and two independent oracles: a hook-length dimension formula and a
-brute-force Kostka count."""
+and independent oracles: a hook-length dimension formula, a brute-force
+Kostka count, the per-class Murnaghan-Nakayama recursion and the plain
+Kronecker character sum over it."""
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
 from heisenstab import Composition, Kind, Partition
-from heisenstab.partitions import partitions_up_to
+from heisenstab.partitions import partitions_of, partitions_up_to
+from heisenstab.symfun import class_size
 from heisenstab.stability import coefficient, size_pattern_ok
 
 
@@ -77,3 +80,37 @@ def kostka_by_enumeration(lam: Sequence[int], mu: Sequence[int]) -> int:
     count = place(0)
     del place  # place's closure holds place: break the cycle, free the state now
     return count
+
+
+@lru_cache(maxsize=None)
+def mn_character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """chi^lam at the cycle type rho, one class at a time (test oracle):
+    remove a border strip of size rho_1 in every way and recurse on the
+    rest of rho.  A strip moves one beta number b = lam_i + (L - 1 - i) down
+    by rho_1 onto a free value; its height is the number of beta numbers it
+    jumps over."""
+    if not rho:
+        return 1 if not lam else 0
+    k, L = rho[0], len(lam)
+    betas = {p + L - 1 - i for i, p in enumerate(lam)}
+    total = 0
+    for b in betas:
+        if b - k < 0 or b - k in betas:
+            continue
+        moved = sorted(betas - {b} | {b - k}, reverse=True)
+        shape = tuple(x - (L - 1 - i) for i, x in enumerate(moved))
+        height = sum(1 for x in betas if b - k < x < b)
+        total += (-1) ** height * mn_character(tuple(p for p in shape if p), rho[1:])
+    return total
+
+
+def kron_by_class_sum(lam, mu, nu) -> int:
+    """g(lam, mu, nu) as the plain character sum over the classes of S_n,
+    each character value from `mn_character` (test oracle)."""
+    lam, mu, nu = (tuple(Partition(x)) for x in (lam, mu, nu))
+    n = sum(lam)
+    total = sum(class_size(rho) * mn_character(lam, rho) * mn_character(mu, rho)
+                * mn_character(nu, rho) for rho in map(tuple, partitions_of(n)))
+    if total % factorial(n):
+        raise ValueError("character sum is not a multiple of n!")
+    return total // factorial(n)

@@ -8,12 +8,13 @@ from heisenstab.symfun import (
     character_vector,
     class_size,
     class_sizes,
+    cycle_types,
     dimension,
     kostka,
     schur_in_h_basis,
     zee,
 )
-from support import hook_length_dimension, kostka_by_enumeration
+from support import hook_length_dimension, kostka_by_enumeration, mn_character
 
 
 def test_trivial_character_is_one():
@@ -76,6 +77,36 @@ def test_character_table_rows_are_orthonormal():
             for mu, b in rows.items():
                 total = sum(s * x * y for s, x, y in zip(sizes, a, b))
                 assert total == (factorial(n) if lam == mu else 0), (lam, mu)
+
+
+def test_character_vector_matches_the_per_class_recursion():
+    for n in range(13):
+        classes = cycle_types(n)
+        for lam in map(tuple, partitions_of(n)):
+            assert character_vector(lam) == tuple(mn_character(lam, rho) for rho in classes), lam
+
+
+def test_character_reads_one_class_of_a_block_vector():
+    for n in range(9):
+        for lam in map(tuple, partitions_of(n)):
+            for rho in map(tuple, partitions_of(n)):
+                assert character(lam, rho) == mn_character(lam, rho), (lam, rho)
+
+
+def test_dimension_of_a_large_shape_needs_no_class_list():
+    # p(60) = 966,467 classes: the identity class alone is read
+    assert dimension((30, 20, 10)) == hook_length_dimension((30, 20, 10))
+
+
+def test_character_table_columns_are_orthogonal():
+    # sum_lam chi^lam(rho) chi^lam(sigma) = z_rho [rho = sigma]
+    n = 14
+    columns = list(zip(*(character_vector(tuple(lam)) for lam in partitions_of(n))))
+    classes = cycle_types(n)
+    for i, a in enumerate(columns):
+        for j in range(i, len(columns)):
+            total = sum(x * y for x, y in zip(a, columns[j]))
+            assert total == (zee(classes[i]) if i == j else 0), (classes[i], classes[j])
 
 
 def test_kostka_examples():
