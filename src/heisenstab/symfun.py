@@ -1,12 +1,13 @@
 """Symmetric-group character kernels and basis data.
 
 Everything here is exact integer arithmetic.  Irreducible characters come
-from the Murnaghan-Nakayama border-strip recursion, taken a block of
-classes at a time: one memo of vectors keyed by (shape, bound on the parts)
-(`_mn_vector`) serves both `character_vector` and `character`.  Kostka
-numbers from the horizontal-strip recursion over capped compositions; the
-Schur-to-complete-homogeneous change of basis from the Jacobi-Trudi
-determinant.
+from the Murnaghan-Nakayama border-strip recursion: whole vectors
+(`character_vector`) a block of classes at a time, from one memo keyed by
+(shape, bound on the parts) (`_mn_vector`); single values (`character`) by
+a strip walk over the parts of the cycle type, which builds no vector.
+Kostka numbers from the horizontal-strip recursion over capped
+compositions; the Schur-to-complete-homogeneous change of basis from the
+Jacobi-Trudi determinant.
 """
 
 from __future__ import annotations
@@ -77,62 +78,50 @@ def _class_count(m: int, k: int) -> int:
     return _class_count(m, k - 1) + _class_count(m - k, k)
 
 
-def _mn_block(lam: tuple[int, ...], j: int) -> Sequence[int]:
-    """chi^lam on block j, the classes of S_|lam| whose largest part is j
-    (1 <= j <= |lam|), in cycle_types order: (j, rest) in the order of the
-    classes rest of S_{|lam|-j} with parts <= j.  By Murnaghan-Nakayama it
-    is the signed sum, over the border strips of size j, of the remaining
-    shape's vector on parts <= j; zero when lam has no such strip."""
-    n = sum(lam)
-    block = None
-    for shape, height in _border_strip_removals(lam, j):
-        v = _mn_vector(shape, min(j, n - j))
-        if block is None:
-            block = list(map(neg, v)) if height & 1 else v
-        else:
-            block = list(map(sub if height & 1 else add, block, v))
-    return [0] * _class_count(n - j, j) if block is None else block
-
-
 @lru_cache(maxsize=None)
 def _mn_vector(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
     """chi^lam on the classes of S_|lam| whose parts are all <= k, in
     cycle_types order, for 0 <= k <= |lam| (k >= 1 unless lam is empty).
-    In that order those classes are a suffix, blocks k, ..., 1 (see
-    `_mn_block`).  Blocks past the longest hook have no strip and are zero."""
+    In that order those classes are a suffix, blocks k, ..., 1, where block
+    j holds the classes (j, rest) with rest a class of S_{|lam|-j} with
+    parts <= j.  By Murnaghan-Nakayama block j is the signed sum, over the
+    border strips of size j, of the remaining shape's vector on parts <= j;
+    it is zero when lam has no such strip, so every block past the longest
+    hook is."""
     n = sum(lam)
     if n == 0:
         return (1,)
     top = min(k, lam[0] + len(lam) - 1)  # the longest hook is the (0, 0) one
     out = [0] * (_class_count(n, k) - _class_count(n, top))
     for j in range(top, 0, -1):
-        out.extend(_mn_block(lam, j))
+        block = None
+        for shape, height in _border_strip_removals(lam, j):
+            v = _mn_vector(shape, min(j, n - j))
+            if block is None:
+                block = list(map(neg, v)) if height & 1 else v
+            else:
+                block = list(map(sub if height & 1 else add, block, v))
+        out.extend([0] * _class_count(n - j, j) if block is None else block)
     return tuple(out)
-
-
-def _class_rank(rho: tuple[int, ...], k: int) -> int:
-    """Position of the partition rho among the partitions of |rho| with
-    parts <= k (rho_1 <= k), in cycle_types order: the sizes of the blocks
-    before rho's, part by part.  So (j, rho) is entry _class_rank(rho, j)
-    of block j."""
-    m, pos = sum(rho), 0
-    for part in rho:
-        pos += sum(_class_count(m - j, j) for j in range(part + 1, min(k, m) + 1))
-        m, k = m - part, part
-    return pos
 
 
 def character(lam: Sequence[int], rho: Sequence[int]) -> int:
     """Irreducible character value chi^lam at cycle type rho, whose parts
-    may come in any order.  Read from chi^lam on the block of classes whose
-    largest part is rho's, so the identity class needs one entry."""
+    may come in any order.  Murnaghan-Nakayama one part of rho at a time,
+    largest first, over the signed counts of the shapes left after removing
+    border strips of those sizes; no class vector is built."""
     lam = Partition(lam)
     rho = pi_sequence(Composition(rho))
     if lam.size != rho.size:
         raise ValueError(f"|lam| = {lam.size} but |rho| = {rho.size}")
-    if not rho:
-        return 1
-    return _mn_block(tuple(lam), rho[0])[_class_rank(tuple(rho[1:]), rho[0])]
+    counts = {tuple(lam): 1}
+    for part in rho:
+        left: Counter[tuple[int, ...]] = Counter()
+        for shape, c in counts.items():
+            for rest, height in _border_strip_removals(shape, part):
+                left[rest] += -c if height & 1 else c
+        counts = left
+    return counts.get((), 0)
 
 
 def dimension(lam: Sequence[int]) -> int:
@@ -172,12 +161,10 @@ def _horizontal_strip_shrinks(lam: tuple[int, ...], k: int) -> Iterator[tuple[in
 
 @lru_cache(maxsize=None)
 def _kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not mu:
-        return 1 if not lam else 0
-    if len(mu) == 1:
-        return 1 if lam == mu else 0
     if len(lam) > len(mu):
         return 0  # a column holds distinct letters, so no filling has more rows
+    if len(lam) <= 1:
+        return 1  # |lam| = |mu|: a single row (or none) has exactly one filling
     last = mu[-1]
     rest = mu[:-1]
     return sum(_kostka(shape, rest) for shape in _horizontal_strip_shrinks(lam, last))

@@ -1,7 +1,9 @@
+import sys
 from math import factorial
 
 import pytest
 
+from heisenstab import symfun
 from heisenstab.partitions import Partition, is_dominated_by, partitions_of
 from heisenstab.symfun import (
     character,
@@ -86,16 +88,30 @@ def test_character_vector_matches_the_per_class_recursion():
             assert character_vector(lam) == tuple(mn_character(lam, rho) for rho in classes), lam
 
 
-def test_character_reads_one_class_of_a_block_vector():
-    for n in range(9):
-        for lam in map(tuple, partitions_of(n)):
-            for rho in map(tuple, partitions_of(n)):
-                assert character(lam, rho) == mn_character(lam, rho), (lam, rho)
+def test_character_matches_the_per_class_recursion():
+    pairs = [(lam, rho) for n in range(9) for lam in map(tuple, partitions_of(n))
+             for rho in map(tuple, partitions_of(n))]
+    # small largest parts against n: a class vector here has thousands of entries
+    pairs += [((20, 10, 5), (7,) * 5), ((8, 8, 8, 8), (10, 10, 10, 2))]
+    for lam, rho in pairs:
+        assert character(lam, rho) == mn_character(lam, rho), (lam, rho)
+
+
+def test_a_single_character_builds_no_class_vector():
+    symfun.clear_caches()
+    character((20, 10, 5), (7,) * 5)
+    assert symfun._mn_vector.cache_info().currsize == 0
 
 
 def test_dimension_of_a_large_shape_needs_no_class_list():
     # p(60) = 966,467 classes: the identity class alone is read
     assert dimension((30, 20, 10)) == hook_length_dimension((30, 20, 10))
+
+
+def test_dimension_and_kostka_of_a_long_row_stay_within_the_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    assert dimension((990,)) == 1
+    assert kostka((1100,), (1,) * 1100) == 1
 
 
 def test_character_table_columns_are_orthogonal():
