@@ -33,6 +33,7 @@ from .partitions import (
     _integer_parts,
     _integer_token,
     _MATRIX_KIND_KEYS,
+    _sorted_entries,
     is_dominated_by,
     pi_sequence,
 )
@@ -79,7 +80,7 @@ class KroneckerMatrix:
 
     @property
     def pi(self) -> Partition:
-        return pi_sequence(self.rows)
+        return _sorted_entries(itertools.chain.from_iterable(self.rows))
 
     @property
     def total(self) -> int:
@@ -153,18 +154,18 @@ def margin_matrices(cls: type[KroneckerMatrix], beta: Sequence[int],
     construction."""
     beta, gamma = Composition(beta), Composition(gamma)
     if cls.corner or beta.size == gamma.size:
-        yield from _fill(cls, beta, 0, tuple(gamma), [])
+        yield from map(cls, _fill(cls, beta, 0, tuple(gamma), []))
 
 
-def _fill(cls: type[KroneckerMatrix], beta: Composition, i: int, room: tuple[int, ...],
-          acc: list[tuple[int, ...]]) -> Iterator[KroneckerMatrix]:
-    """Every matrix of margin_matrices whose first i rows (inner blocks for a
-    cornered class) are acc, room being what they leave of gamma."""
+def _fill(cls: type[KroneckerMatrix], beta: Sequence[int], i: int, room: tuple[int, ...],
+          acc: list[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Unvalidated rows of every matrix of margin_matrices whose first i rows
+    (inner blocks for a cornered class) are acc, room what they leave of gamma."""
     if i == len(beta):
         if cls.corner:
-            yield cls([(0,) + room] + [(b - sum(row),) + row for b, row in zip(beta, acc)])
+            yield ((0,) + room, *((b - sum(row),) + row for b, row in zip(beta, acc)))
         else:
-            yield cls(acc)
+            yield tuple(acc)
         return
     for s in range(0 if cls.corner else beta[i], beta[i] + 1):
         for row in _bounded_vectors(s, room):

@@ -48,10 +48,11 @@ from operator import mul
 from typing import Counter as CounterT
 
 from . import symfun
-from .additivity import HeisenbergMatrix, KroneckerMatrix, margin_matrices
+from .additivity import HeisenbergMatrix, KroneckerMatrix, _fill
 from .partitions import (
     Partition,
     _integer_parts,
+    _sorted_entries,
     _trusted,
     partitions_of,
     subpartitions_of_size,
@@ -552,15 +553,15 @@ def _h_expansion(cls: type[KroneckerMatrix], mu: Partition,
                  nu: Partition) -> tuple[tuple[Partition, int], ...]:
     """Signed h-basis coefficients of the product of s_mu and s_nu, grouped
     by sorted margin sequence.  Both factors are expanded by Jacobi-Trudi,
-    and each product h_delta h_eps is the sum of h_pi(A) over the matrices A
-    of class `cls` with margins (delta, eps): plain matrices give the
-    Kronecker product, cornered ones the Heisenberg product."""
+    and each h_delta h_eps is the sum of h_pi(A) over the matrices A of class
+    `cls` with margins (delta, eps), read as `_fill`'s rows and not built:
+    plain matrices give the Kronecker product, cornered the Heisenberg one."""
     out: CounterT[Partition] = Counter()
     for delta, a in _schur_in_h(mu):
         for eps, b in _schur_in_h(nu):
             w = a * b
-            for A in margin_matrices(cls, delta, eps):
-                out[A.pi] += w
+            for rows in _fill(cls, delta, 0, eps, []):
+                out[_sorted_entries(itertools.chain.from_iterable(rows))] += w
     return tuple((theta, v) for theta, v in out.items() if v != 0)
 
 

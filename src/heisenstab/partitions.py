@@ -140,6 +140,11 @@ def _trusted(parts: Iterable[int]) -> Partition:
     return tuple.__new__(Partition, parts)
 
 
+def _sorted_entries(entries: Iterable[int]) -> Partition:
+    """pi_sequence of entries the caller knows are nonnegative ints, unchecked."""
+    return _trusted(sorted(filter(None, entries), reverse=True))
+
+
 def pi_sequence(data) -> Partition:
     """Entries of a matrix (iterable of rows) or a flat sequence, sorted
     weakly decreasingly with trailing zeros dropped."""
@@ -154,7 +159,7 @@ def pi_sequence(data) -> Partition:
         entries = _integer_parts(rows, ValueError)
     if any(e < 0 for e in entries):
         raise ValueError(f"negative entry in {list(entries)}")
-    return _trusted(e for e in sorted(entries, reverse=True) if e)
+    return _sorted_entries(entries)
 
 
 def _padded(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -7,12 +7,11 @@ from the Murnaghan-Nakayama border-strip recursion: whole vectors
 a strip walk over the parts of the cycle type, which builds no vector.
 Kostka numbers from the horizontal-strip recursion over capped
 compositions; the Schur-to-complete-homogeneous change of basis from the
-Jacobi-Trudi determinant.
+Jacobi-Trudi determinant as a strip walk over its special rim hooks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from functools import lru_cache
@@ -189,21 +188,25 @@ def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _schur_in_h(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # Jacobi-Trudi: s_lam = det( h_{lam_i - i + j} ), expanded over permutations.
-    # h_0 contributes an empty factor, negative indices kill the term.
-    coeffs: Counter[tuple[int, ...]] = Counter()
-    for sigma in itertools.permutations(range(len(lam))):
-        degrees = []
-        for i, s in enumerate(sigma):
-            d = lam[i] - i + s
-            if d < 0:
-                break  # the first negative degree kills the term: skip the rest
-            if d > 0:
-                degrees.append(d)
-        else:
-            inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
-            coeffs[tuple(sorted(degrees, reverse=True))] += -1 if inversions % 2 else 1
-    return tuple((k, v) for k, v in coeffs.items() if v != 0)
+    """s_lam in the h-basis, as (sorted degrees, coefficient) pairs.  Along
+    the last column of Jacobi-Trudi's det(h_{lam_i - i + j}) row i holds h_b,
+    b = lam_i + L - 1 - i its beta number, and that entry's minor is the one
+    of the shape left by moving b to 0 (free: lam_{L-1} > 0), a strip of size
+    b that leaves fewer rows, with sign (-1)^(L-1-i), the parity of its
+    height.  No lower beta number reaches b, so it is the last strip that
+    `_border_strip_removals` lists: special rim hooks (Egecioglu-Remmel)."""
+    counts, out = {(lam, ()): 1}, {}
+    while counts:
+        left: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
+        for (shape, degrees), c in counts.items():
+            if not shape:
+                out[degrees] = c  # a key is reached after len(degrees) strips only
+            for i, part in enumerate(shape):
+                b = part + len(shape) - 1 - i
+                rest, height = _border_strip_removals(shape, b)[-1]
+                left[rest, tuple(sorted(degrees + (b,), reverse=True))] += -c if height & 1 else c
+        counts = {k: v for k, v in left.items() if v}
+    return tuple(out.items())
 
 
 def schur_in_h_basis(lam: Sequence[int]) -> dict[Partition, int]:

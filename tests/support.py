@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: triple enumeration by size pattern,
 and independent oracles: a hook-length dimension formula, a brute-force
 Kostka count, the per-class Murnaghan-Nakayama recursion and the plain
-Kronecker character sum over it."""
+Kronecker character sum over it, and the Jacobi-Trudi determinant expanded
+over all permutations."""
 
 from __future__ import annotations
 
@@ -114,3 +115,20 @@ def kron_by_class_sum(lam, mu, nu) -> int:
     if total % factorial(n):
         raise ValueError("character sum is not a multiple of n!")
     return total // factorial(n)
+
+
+def schur_in_h_by_permutations(lam: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """s_lam in the h-basis as {sorted degrees: coefficient} (test oracle):
+    the Jacobi-Trudi determinant det(h_{lam_i - i + j}) expanded over all
+    L! permutations, each term signed by its inversion count; h_0 is an
+    empty factor and a negative degree kills the term."""
+    lam = tuple(Partition(lam))
+    coeffs: dict[tuple[int, ...], int] = {}
+    for sigma in itertools.permutations(range(len(lam))):
+        degrees = [lam[i] - i + s for i, s in enumerate(sigma)]
+        if min(degrees, default=0) < 0:
+            continue
+        inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+        key = tuple(sorted((d for d in degrees if d), reverse=True))
+        coeffs[key] = coeffs.get(key, 0) + (-1) ** inversions
+    return {k: v for k, v in coeffs.items() if v}

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from heisenstab import coefficients
+from heisenstab import additivity, coefficients
 from heisenstab.additivity import HeisenbergMatrix, KroneckerMatrix, margin_matrices
 from heisenstab.coefficients import (
     _h_expansion,
@@ -370,6 +370,28 @@ def test_bottom_degree_of_the_heisenberg_expansion_is_the_kronecker_one():
             heis = {theta: v for theta, v in _h_expansion(HeisenbergMatrix, mu, nu)
                     if sum(theta) == n}
             assert heis == dict(_h_expansion(KroneckerMatrix, mu, nu)), (mu, nu)
+
+
+def test_the_h_basis_route_builds_no_matrix(monkeypatch):
+    # the route reads the enumerator's rows; only margin_matrices builds,
+    # and so validates, matrix objects
+    calls = []
+    validated_rows = additivity._validated_rows
+    monkeypatch.setattr(additivity, "_validated_rows",
+                        lambda rows: calls.append(rows) or validated_rows(rows))
+    clear_caches()
+    assert coefficients._kron_route(P((30, 30)), P((40, 20)), P((45, 15))) \
+        is coefficients._kron_by_h_basis
+    assert kron_coeff((30, 30), (40, 20), (45, 15)) == 0
+    assert kron_coeff_oracle((4, 1, 1), (3, 2, 1), (3, 3)) == 1
+    assert kron_coeff_oracle((2, 2, 2, 2), (4, 4), (4, 1, 1, 1, 1)) == 1
+    assert heisenberg_coeff_oracle((4, 3, 2, 1), (3, 2, 1), (2, 1, 1)) == 3
+    assert heisenberg_coeff_oracle((1,) * 11, (1,) * 10, (1,)) == 1
+    assert coefficients._h_expansion.cache_info().currsize == 5
+    assert calls == []
+    matrices = list(margin_matrices(HeisenbergMatrix, (2, 1), (2, 1)))
+    assert len(calls) == len(matrices) > 0
+    assert all(type(A) is HeisenbergMatrix for A in matrices)
 
 
 def test_oracle_agrees_exhaustively_small():

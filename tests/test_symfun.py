@@ -16,7 +16,12 @@ from heisenstab.symfun import (
     schur_in_h_basis,
     zee,
 )
-from support import hook_length_dimension, kostka_by_enumeration, mn_character
+from support import (
+    hook_length_dimension,
+    kostka_by_enumeration,
+    mn_character,
+    schur_in_h_by_permutations,
+)
 
 
 def test_trivial_character_is_one():
@@ -199,6 +204,25 @@ def test_schur_in_h_single_row():
 
 def test_schur_in_h_column():
     assert schur_in_h_basis((1, 1)) == {Partition((1, 1)): 1, Partition((2,)): -1}
+
+
+def test_schur_in_h_matches_the_permutation_expansion():
+    for n in range(9):
+        for lam in partitions_of(n):
+            assert schur_in_h_basis(lam) == schur_in_h_by_permutations(lam), lam
+
+
+def test_schur_in_h_of_a_column_is_the_elementary_expansion():
+    # s_{1^n} = e_n = sum over mu |- n of (-1)^(n - l(mu)) l(mu)! / prod_i m_i(mu)! h_mu
+    for n in range(13):
+        expected = {}
+        for mu in partitions_of(n):
+            multiplicities = [mu.count(p) for p in set(mu)]
+            coef = factorial(len(mu))
+            for m in multiplicities:
+                coef //= factorial(m)
+            expected[mu] = (-1) ** (n - len(mu)) * coef
+        assert schur_in_h_basis((1,) * n) == expected, n
 
 
 def test_schur_in_h_round_trip_is_identity():
