@@ -24,9 +24,13 @@
   switch and the key of its memo (`_h_expansion`).
 * Whole degrees of the Heisenberg product by the same decomposition run
   once per degree, with both recombinations taken as Schur products by the
-  LR rule (`_lr_product`).  Both Heisenberg engines read their LR factors
-  from one memoized table of splits (`_splits`) and share `_kron`; only
-  their recombinations differ (LR fillings against strip-DP products).
+  LR rule, one letter at a time through one process-wide memo of strip
+  steps (`_strips`).  The first recombination, alpha by delta, is memoized
+  per pair (`_lr_product`); the second is one weighted run per rho over
+  every tau of its weights (`_lr_run`).  Both Heisenberg engines read their
+  LR factors from one memoized table of splits (`_splits`) and share
+  `_kron`; only their recombinations differ (LR fillings against strip
+  steps).
 
 All values are exact nonnegative integers and every engine memoizes
 process-wide: stabilization sequences hammer overlapping subqueries.  The
@@ -73,6 +77,7 @@ def clear_caches() -> None:
     _HEIS_CACHE.clear()
     _LR_PRODUCT_CACHE.clear()
     _splits.cache_clear()
+    _strips.cache_clear()
     _hive_plan.cache_clear()
     _h_expansion.cache_clear()
     _weighted_characters.cache_clear()
@@ -182,61 +187,79 @@ def _splits(outer: Partition, a: int, b: int) -> tuple[tuple[Partition, Partitio
                  for y, c in _lr_fillings(outer, x).items())
 
 
-def _lr_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """The Schur product s_mu s_nu as {lam: c^lam_{mu nu}}, by the LR rule.
+@lru_cache(maxsize=None)
+def _strips(shape: Partition, below: tuple[int, ...],
+            n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """One letter of the LR rule on `shape`: every horizontal strip of n
+    cells that keeps the lattice bound, as (new shape, this letter's
+    row-cumulative counts).
 
-    The letters i = 1..k of the smaller factor go onto the bigger one as
-    horizontal strips, nu_i cells each, row by row.  The reverse reading
-    word is a lattice word iff, for every row j, the number of i's in rows
-    <= j is at most the number of (i-1)'s in rows <= j-1.  So a partial
-    filling matters only through its shape and the row-cumulative counts of
-    its last letter, and fillings that agree there are counted together.
+    The reverse reading word is a lattice word iff, for every row j, the
+    number of i's in rows <= j is at most the number of (i-1)'s in rows
+    <= j-1.  A letter's counts stop at the row where they reach n, and
+    `below` is the previous letter's counts cut the same way (() for the
+    first letter, which no letter bounds).  Past the cut the bound never binds:
+    the previous letter has at least n cells, as the parts of a partition
+    weakly decrease.  From row j on a horizontal strip holds at most
+    shape[j-1] cells, so each row takes at least what the rows under it
+    cannot.  The rows are walked with an explicit stack of partial strips
+    (new rows so far, their counts, cells placed).  Memoized process-wide:
+    every Schur product shares its steps."""
+    base = shape + (0,)
+    caps = (0, *below) if below else ()  # caps[j] bounds the count in rows <= j
+    out = []
+    stack = [((), (), 0)]
+    while stack:
+        rows, counts, placed = stack.pop()
+        j, left = len(rows), n - placed
+        b = base[j]
+        lo = left - b if left > b else 0
+        hi = left if j == 0 or left < shape[j - 1] - b else shape[j - 1] - b
+        if j < len(caps) and caps[j] - placed < hi:
+            hi = caps[j] - placed
+        for a in range(lo, hi + 1):
+            if a == left:
+                out.append((_trusted(rows + (b + a,) + shape[j + 1:]), counts + (n,)))
+            else:
+                stack.append((rows + (b + a,), counts + (placed + a,), placed + a))
+    return tuple(out)
+
+
+def _lr_run(start: dict[Partition, int], nu: Partition) -> dict[Partition, int]:
+    """The Schur combination sum_tau w_tau s_tau s_nu as {lam: coefficient},
+    from start = {tau: w_tau}, by the LR rule.
+
+    The letters i = 1..k of nu go on as horizontal strips, nu_i cells each
+    (`_strips`).  A partial filling matters only through its shape and the
+    cut counts of its last letter, so fillings that agree there, whatever
+    tau they started from, are counted together; the last letter bounds
+    nothing, so its fillings are counted by shape."""
+    if not nu:
+        return dict(start)
+    states = {(tau, ()): w for tau, w in start.items()}
+    for n in nu[:-1]:
+        grown: dict[tuple[Partition, tuple[int, ...]], int] = {}
+        for (shape, below), w in states.items():
+            for state in _strips(shape, below, n):
+                grown[state] = grown.get(state, 0) + w
+        states = grown
+    out: dict[Partition, int] = {}
+    for (shape, below), w in states.items():
+        for lam, _ in _strips(shape, below, nu[-1]):
+            out[lam] = out.get(lam, 0) + w
+    return out
+
+
+def _lr_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """The Schur product s_mu s_nu as {lam: c^lam_{mu nu}}: the weighted run
+    `_lr_run({mu: 1}, nu)` with the smaller factor as the letters.
     Memoized per pair; callers must not mutate the result."""
     if (mu.size, mu) < (nu.size, nu):
         mu, nu = nu, mu  # fewer letters to place
     key = (mu, nu)
     out = _LR_PRODUCT_CACHE.get(key)
-    if out is not None:
-        return out
-    rows = len(mu) + len(nu)  # each letter opens at most one new row
-    # (shape, cumulative counts of the last letter by row) -> fillings; the
-    # first letter has no lattice bound, the last one bounds nothing
-    states: dict[tuple, int] = {(mu + (0,) * len(nu), None): 1}
-    for i, n in enumerate(nu):
-        last = i == len(nu) - 1
-        grown: dict[tuple, int] = {}
-        for (shape, below), c in states.items():
-            new, cum = list(shape), [0] * rows
-
-            def place(j: int, placed: int) -> None:
-                left = n - placed
-                if left == 0:
-                    cum[j:] = [n] * (rows - j)
-                    state = (tuple(new), None if last else tuple(cum))
-                    grown[state] = grown.get(state, 0) + c
-                    return
-                if j:
-                    room = shape[j - 1]
-                    if left > room:
-                        return  # from row j on a horizontal strip holds shape[j-1] cells
-                    top = room - shape[j]
-                    if top > left:
-                        top = left
-                    if below is not None and below[j - 1] - placed < top:
-                        top = below[j - 1] - placed
-                else:
-                    top = left if below is None else 0
-                for a in range(top, -1, -1):
-                    new[j] = shape[j] + a
-                    cum[j] = placed + a
-                    place(j + 1, placed + a)
-                new[j] = shape[j]
-
-            place(0, 0)
-        states = grown
-    place = None  # place's closure holds place; bound only when nu is nonempty
-    out = _LR_PRODUCT_CACHE[key] = {
-        _trusted(p for p in shape if p): c for (shape, _), c in states.items()}
+    if out is None:
+        out = _LR_PRODUCT_CACHE[key] = _lr_run({mu: 1}, nu)
     return out
 
 
@@ -488,12 +511,15 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
     s_mu # s_nu |_l = sum c^mu_{alpha beta} c^nu_{eta rho} g_{delta beta eta}
     s_alpha s_delta s_rho (Aguiar-Ferrer-Moreira), with alpha |- p,
     beta, eta, delta |- q, rho |- r.  The splits and the Kronecker
-    contraction are done once; the two Schur products come from
-    `_lr_product`.  One term is then checked against the pointwise
-    formula (`heisenberg_coeff`): the lexicographically largest lam, whose
-    few subdiagrams make it the cheapest query for that formula.  The check
-    shares `_splits` and `_kron` with this pass, so only the recombinations
-    are independent (LR fillings against strip-DP products).  The
+    contraction are done once, grouped by rho.  Per rho, the first Schur
+    products give the weights W[tau] = sum c^tau_{alpha delta} c1 c2 g
+    (`_lr_product`, memoized per pair), and one weighted run gives
+    sum_tau W[tau] s_tau s_rho (`_lr_run`).  One term is then checked
+    against the pointwise formula (`heisenberg_coeff`): the
+    lexicographically largest lam, whose few subdiagrams make it the
+    cheapest query for that formula.  The check shares `_splits` and
+    `_kron` with this pass, so only the recombinations are independent
+    (LR fillings against strip steps).  The
     independent checks are the h-basis oracle (acceptance 01, |mu|, |nu|
     <= 4) and the dimension identity."""
     mu, nu = Partition(mu), Partition(nu)
@@ -505,27 +531,28 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
         mu, nu = nu, mu  # the product is commutative
     p, q, r = degree - nu.size, mu.size + nu.size - degree, degree - mu.size
 
-    # inner[(alpha, delta)][rho] = sum c1 c2 g(delta, beta, eta)
+    # inner[rho][(alpha, delta)] = sum c1 c2 g(delta, beta, eta)
     deltas = list(partitions_of(q))
-    inner: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+    inner: dict[Partition, dict[tuple[Partition, Partition], int]] = {}
     for alpha, beta, c1 in _splits(mu, p, q):
         for eta, rho, c2 in _splits(nu, q, r):
+            by_pair = inner.setdefault(rho, {})
             for delta in deltas:
                 g = _kron(delta, beta, eta)
                 if g:
-                    by_rho = inner.setdefault((alpha, delta), {})
-                    by_rho[rho] = by_rho.get(rho, 0) + c1 * c2 * g
+                    key = (alpha, delta)
+                    by_pair[key] = by_pair.get(key, 0) + c1 * c2 * g
 
-    # W[(tau, rho)] = sum c^tau_{alpha delta} inner, then lam from tau and rho
-    W: CounterT[tuple[Partition, Partition]] = Counter()
-    for (alpha, delta), by_rho in inner.items():
-        for tau, c3 in _lr_product(alpha, delta).items():
-            for rho, v in by_rho.items():
-                W[(tau, rho)] += c3 * v
-    terms: CounterT[Partition] = Counter()
-    for (tau, rho), w in W.items():
-        for lam, c4 in _lr_product(tau, rho).items():
-            terms[lam] += c4 * w
+    # per rho, the weights W[tau] = sum c^tau_{alpha delta} inner, then lam
+    # from one weighted run: rho |- r is never bigger than tau |- p + q
+    terms: dict[Partition, int] = {}
+    for rho, by_pair in inner.items():
+        W: dict[Partition, int] = {}
+        for (alpha, delta), v in by_pair.items():
+            for tau, c3 in _lr_product(alpha, delta).items():
+                W[tau] = W.get(tau, 0) + c3 * v
+        for lam, c4 in _lr_run(W, rho).items():
+            terms[lam] = terms.get(lam, 0) + c4
     # in partitions_of(degree) order
     terms = dict(sorted(terms.items(), reverse=True))
     lam, h = next(iter(terms.items()))

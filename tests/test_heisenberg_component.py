@@ -12,6 +12,7 @@ import heisenstab
 from heisenstab import coefficients, symfun
 from heisenstab.coefficients import (
     _lr_product,
+    _lr_run,
     clear_caches,
     heisenberg_coeff,
     heisenberg_coeff_oracle,
@@ -33,6 +34,45 @@ def test_lr_product_matches_lr_coeff():
             expected = {lam: c for lam in partitions_of(size) if (c := lr_coeff(lam, mu, nu))}
             assert _lr_product(mu, nu) == expected, (mu, nu)
             assert _lr_product(nu, mu) == expected, (nu, mu)
+
+
+def test_lr_product_of_a_long_column_needs_no_recursion():
+    # one frame per row would pass the default recursion limit of 1000
+    column = Partition((1,) * 1100)
+    assert _lr_product(column, Partition((1,))) == {(2,) + (1,) * 1099: 1, (1,) * 1101: 1}
+
+
+def test_weighted_runs_match_lr_coeff(monkeypatch):
+    # every run of every component with |mu|, |nu| <= 4, the second
+    # recombination's one run per rho of its weights among them, against
+    # sum_tau w_tau c^lam_{tau rho} from the LR fillings of lr_coeff, which
+    # share no code with the strip walk; checked as it is made, before the
+    # component's own spot check
+    letters_run = set()
+
+    def checked(start, letters):
+        got = _lr_run(start, letters)
+        if start:
+            size = letters.size + next(iter(start)).size
+            expected = {lam: c for lam in partitions_of(size) if (c := sum(
+                w * lr_coeff(lam, tau, letters) for tau, w in start.items()))}
+            assert got == expected, (start, letters)
+        letters_run.add(letters)
+        return got
+
+    monkeypatch.setattr(coefficients, "_lr_run", checked)
+    clear_caches()
+    small = list(partitions_up_to(4))
+    for mu in small:
+        for nu in small:
+            big, little = (mu, nu) if (mu.size, mu) >= (nu.size, nu) else (nu, mu)
+            for l in range(big.size, mu.size + nu.size + 1):
+                q, r = mu.size + nu.size - l, l - big.size
+                letters_run.clear()
+                heisenberg_component(mu, nu, l)
+                # every rho of the weights gets its run
+                rhos = {rho for _, rho, _ in coefficients._splits(little, q, r)}
+                assert rhos <= letters_run, (mu, nu, l)
 
 
 def test_split_table_matches_brute_force():
@@ -183,7 +223,7 @@ def test_clear_caches_empties_every_memo():
     symfun.schur_in_h_basis((2, 1))
     symfun.dimension((3, 1))
     filled = dict(_memos(coefficients)) | dict(_memos(symfun))
-    assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE", "_splits",
+    assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE", "_splits", "_strips",
             "_hive_plan", "_h_expansion", "_border_strip_removals", "_mn_vector", "character_vector", "_kostka",
             "_schur_in_h", "cycle_types", "class_sizes"} <= set(filled)
     assert all(filled.values()), filled
