@@ -14,7 +14,8 @@
   not take.
 * Heisenberg coefficients by the quintuple-product formula that splits a
   query into two LR decompositions, one Kronecker factor in the shared
-  degree, and two LR recombinations.
+  degree, and two LR recombinations, the larger outer factor split off
+  first.
 * One h-basis route checks the Heisenberg engine and serves Kronecker
   queries both as a primary route and as the oracle: it expands the Schur
   factors into the complete-homogeneous basis by Jacobi-Trudi, multiplies
@@ -28,17 +29,20 @@
   steps (`_strips`).  The first recombination, alpha by delta, is memoized
   per pair (`_lr_product`); the second is one weighted run per rho over
   every tau of its weights (`_lr_run`).  Both Heisenberg engines read their
-  LR factors from one memoized table of splits (`_splits`) and share
-  `_kron`; only their recombinations differ (LR fillings against strip
-  steps).
+  LR factors from one memoized table of splits (`_split_table`) and share
+  the Kronecker memos; only their recombinations differ (LR fillings
+  against strip steps).
 
 All values are exact nonnegative integers and every engine memoizes
 process-wide: stabilization sequences hammer overlapping subqueries.  The
 public functions validate their partitions once and compute only on a memo
-miss.  A split table lists only the nonzero LR factors of a shape, one
-filling traversal per subdiagram, and one traversal serves both
-orientations of a split.  The quintuple formula contracts its Kronecker
-factor once per (alpha, delta, rho) within a query.
+miss.  A split table lists only the nonzero LR factors of a shape, grouped
+by the first factor, one filling traversal per subdiagram, and one
+traversal serves both orientations of a split.  The quintuple formula
+splits lam into (alpha |- p, delta |- q, rho |- r) by two LR splits in a
+row, alpha first when p > r and rho first otherwise, and contracts its
+Kronecker factor once per (alpha, delta, rho) within a query, reading
+g(delta, beta, eta) from a memo keyed in that order (`_KRON_CALL_CACHE`).
 """
 
 from __future__ import annotations
@@ -67,6 +71,9 @@ _LR_CACHE: dict[tuple, int] = {}
 _KRON_CACHE: dict[tuple, int] = {}
 _HEIS_CACHE: dict[tuple, int] = {}
 _LR_PRODUCT_CACHE: dict[tuple, dict[Partition, int]] = {}
+# g(delta, beta, eta) keyed in the order the Heisenberg contraction asks it,
+# filled from `_kron`: a hit is one lookup, with no call and no sort
+_KRON_CALL_CACHE: dict[tuple, int] = {}
 
 
 def clear_caches() -> None:
@@ -76,7 +83,9 @@ def clear_caches() -> None:
     _KRON_CACHE.clear()
     _HEIS_CACHE.clear()
     _LR_PRODUCT_CACHE.clear()
-    _splits.cache_clear()
+    _KRON_CALL_CACHE.clear()
+    _partitions.cache_clear()
+    _split_table.cache_clear()
     _strips.cache_clear()
     _hive_plan.cache_clear()
     _h_expansion.cache_clear()
@@ -106,6 +115,8 @@ def _lr_fillings(outer: Partition, inner: Partition,
     n = outer.size - inner.size
     if n < 0 or len(inner) > len(outer):
         return {}  # inner is not inside outer
+    if n == 0:  # the empty filling of outer/outer
+        return {_trusted(()): 1} if inner == outer else {}
     k = len(outer) if content is None else len(content)
     low = n + len(outer)  # slot of the bound 0 above the top row and inner
     vals = [0] * (low + 1)
@@ -122,8 +133,6 @@ def _lr_fillings(outer: Partition, inner: Partition,
             right.append(len(right) - 1 if c < b - 1 else n + r)
             up.append(base - c if c >= above else low)
         base = row + b - 1
-    if n == 0:
-        return {_trusted(()): 1}  # the empty filling of inner/inner
 
     counts = [n + 1] + [0] * k  # counts[0] bounds nothing
     cap = [0] + ([n] * k if content is None else list(content))
@@ -172,19 +181,30 @@ def lr_coeff(lam, mu, nu) -> int:
 
 
 @lru_cache(maxsize=None)
-def _splits(outer: Partition, a: int, b: int) -> tuple[tuple[Partition, Partition, int], ...]:
-    """Every LR split of `outer` as (x, y, c^outer_{x y}) with x |- a and
-    y |- b inside `outer` and c > 0, for a + b = |outer|: one traversal of
-    outer/x per x, so pairs that give zero are never searched.  The one
-    split table of both Heisenberg engines.  Since c^outer_{x y} =
-    c^outer_{y x}, the table for a < b is the transpose of the one for
-    (b, a), whose traversals fill the smaller skew shapes: one traversal
-    serves both orientations."""
+def _split_table(outer: Partition, a: int,
+                 b: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+    """Every LR split of `outer` grouped by its first factor, as {x: ((y,
+    c^outer_{x y}), ...)} with x |- a and y |- b inside `outer` and c > 0,
+    for a + b = |outer|: one traversal of outer/x per x, so pairs that give
+    zero are never searched.  The one split table of both Heisenberg
+    engines.  Since c^outer_{x y} = c^outer_{y x}, the table for a < b is
+    the transpose of the one for (b, a), whose traversals fill the smaller
+    skew shapes: one traversal serves both orientations.  Callers must not
+    mutate the result."""
     if a < b:
-        return tuple((x, y, c) for y, x, c in _splits(outer, b, a))
+        by_y: dict[Partition, list[tuple[Partition, int]]] = {}
+        for x, ys in _split_table(outer, b, a).items():
+            for y, c in ys:
+                by_y.setdefault(y, []).append((x, c))
+        return {y: tuple(xs) for y, xs in by_y.items()}
     ys: dict[Partition, Partition] = {}  # equal y's of different x share one object
-    return tuple((x, ys.setdefault(y, y), c) for x in subpartitions_of_size(outer, a)
-                 for y, c in _lr_fillings(outer, x).items())
+    return {x: tuple((ys.setdefault(y, y), c) for y, c in _lr_fillings(outer, x).items())
+            for x in subpartitions_of_size(outer, a)}
+
+
+def _splits(outer: Partition, a: int, b: int) -> tuple[tuple[Partition, Partition, int], ...]:
+    """`_split_table` flat, as (x, y, c^outer_{x y}) triples."""
+    return tuple((x, y, c) for x, ys in _split_table(outer, a, b).items() for y, c in ys)
 
 
 @lru_cache(maxsize=None)
@@ -441,6 +461,12 @@ def _kron_by_h_basis(lam: Partition, mu: Partition, nu: Partition) -> int:
 # Heisenberg
 
 
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
+    """Every partition of n, in `partitions_of` order."""
+    return tuple(partitions_of(n))
+
+
 def heisenberg_coeff(lam, mu, nu) -> int:
     """Multiplicity of the lam-irreducible in the Heisenberg product of the
     mu- and nu-irreducibles.  Zero outside max(|mu|,|nu|) <= |lam| <=
@@ -461,37 +487,50 @@ def heisenberg_coeff(lam, mu, nu) -> int:
 
 def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
                      p: int, q: int, r: int) -> int:
-    # mu splits into (alpha |- p, beta |- q) and nu into (eta |- q, rho |- r)
-    # by LR; beta and eta meet in a Kronecker factor over delta |- q; alpha
-    # and delta recombine into tau |- p+q, then tau and rho into lam.
-    c1_by_alpha: dict[Partition, list[tuple[Partition, int]]] = {}
-    for alpha, beta, c1 in _splits(mu, p, q):
-        c1_by_alpha.setdefault(alpha, []).append((beta, c1))
-    c2_by_rho: dict[Partition, list[tuple[Partition, int]]] = {}
-    for eta, rho, c2 in _splits(nu, q, r):
-        c2_by_rho.setdefault(rho, []).append((eta, c2))
-
-    # inner[(alpha, delta, rho)] = sum c1 c2 g(delta, beta, eta), shared by
-    # every tau that splits into (alpha, delta)
-    inner: dict[tuple[Partition, Partition, Partition], int] = {}
+    # mu splits into (alpha |- p, beta |- q) and nu into (rho |- r, eta |- q)
+    # by LR, both tables grouped by the factor that meets lam; beta and eta
+    # meet in a Kronecker factor over delta |- q; lam splits into (alpha,
+    # delta, rho) by two LR splits in a row.  The larger of alpha and rho
+    # goes first, so the second split runs over the smaller shapes: alpha
+    # first when p > r (lam -> (alpha, sigma |- q+r), sigma -> (delta, rho)),
+    # else rho first (lam -> (rho, tau |- p+q), tau -> (alpha, delta)); at
+    # p = r, rho first measured faster on the stabilization sweeps.
+    betas = _split_table(mu, p, q)
+    etas = _split_table(nu, r, q)
+    # the triple factor c^lam_{alpha delta rho}, over the alpha and rho that
+    # mu and nu have
+    lr3: dict[tuple[Partition, Partition, Partition], int] = {}
+    if p > r:
+        for alpha, sigmas in _split_table(lam, p, q + r).items():
+            if alpha in betas:
+                for sigma, c in sigmas:
+                    for delta, rhos in _split_table(sigma, q, r).items():
+                        for rho, c3 in rhos:
+                            if rho in etas:
+                                key = (alpha, delta, rho)
+                                lr3[key] = lr3.get(key, 0) + c * c3
+    else:
+        for rho, taus in _split_table(lam, r, p + q).items():
+            if rho in etas:
+                for tau, c in taus:
+                    for alpha, deltas in _split_table(tau, p, q).items():
+                        if alpha in betas:
+                            for delta, c3 in deltas:
+                                key = (alpha, delta, rho)
+                                lr3[key] = lr3.get(key, 0) + c * c3
+    # contracted once per (alpha, delta, rho)
+    kron = _KRON_CALL_CACHE
     total = 0
-    for tau, rho, c4 in _splits(lam, p + q, r):
-        c2_terms = c2_by_rho.get(rho)
-        if c2_terms is None:
-            continue
-        for alpha, delta, c3 in _splits(tau, p, q):
-            c1_terms = c1_by_alpha.get(alpha)
-            if c1_terms is None:
-                continue
-            key = (alpha, delta, rho)
-            v = inner.get(key)
-            if v is None:
-                v = 0
-                for beta, c1 in c1_terms:
-                    for eta, c2 in c2_terms:
-                        v += c1 * c2 * _kron(delta, beta, eta)
-                inner[key] = v
-            total += c4 * c3 * v
+    for (alpha, delta, rho), c in lr3.items():
+        v = 0
+        for beta, c1 in betas[alpha]:
+            for eta, c2 in etas[rho]:
+                key = (delta, beta, eta)
+                g = kron.get(key)
+                if g is None:
+                    g = kron[key] = _kron(delta, beta, eta)
+                v += c1 * c2 * g
+        total += c * v
     return total
 
 
@@ -532,16 +571,22 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
     p, q, r = degree - nu.size, mu.size + nu.size - degree, degree - mu.size
 
     # inner[rho][(alpha, delta)] = sum c1 c2 g(delta, beta, eta)
-    deltas = list(partitions_of(q))
+    deltas = _partitions(q)
+    kron = _KRON_CALL_CACHE
     inner: dict[Partition, dict[tuple[Partition, Partition], int]] = {}
-    for alpha, beta, c1 in _splits(mu, p, q):
-        for eta, rho, c2 in _splits(nu, q, r):
+    for alpha, betas in _split_table(mu, p, q).items():
+        for rho, etas in _split_table(nu, r, q).items():
             by_pair = inner.setdefault(rho, {})
-            for delta in deltas:
-                g = _kron(delta, beta, eta)
-                if g:
-                    key = (alpha, delta)
-                    by_pair[key] = by_pair.get(key, 0) + c1 * c2 * g
+            for beta, c1 in betas:
+                for eta, c2 in etas:
+                    for delta in deltas:
+                        key = (delta, beta, eta)
+                        g = kron.get(key)
+                        if g is None:
+                            g = kron[key] = _kron(delta, beta, eta)
+                        if g:
+                            pair = (alpha, delta)
+                            by_pair[pair] = by_pair.get(pair, 0) + c1 * c2 * g
 
     # per rho, the weights W[tau] = sum c^tau_{alpha delta} inner, then lam
     # from one weighted run: rho |- r is never bigger than tau |- p + q

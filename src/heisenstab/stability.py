@@ -75,11 +75,16 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-def coefficient(kind: Kind, lam, mu, nu) -> int:
+def _primary(kind: Kind):
+    """The kind's engine, read from `PRIMARY` at the time of the call."""
     if not isinstance(kind, Kind):
         raise ValueError(f"not a coefficient kind: {kind!r}")
     table = globals()["PRIMARY"] if "PRIMARY" in globals() else __getattr__("PRIMARY")
-    return table[kind](lam, mu, nu)
+    return table[kind]
+
+
+def coefficient(kind: Kind, lam, mu, nu) -> int:
+    return _primary(kind)(lam, mu, nu)
 
 
 def _shifted(x: Partition, n: int, d: Sequence[int]) -> Partition:
@@ -152,11 +157,11 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     a, b, c = triple.alpha, triple.beta, triple.gamma
+    engine = _primary(triple.kind)
     seq: list[tuple[int, int]] = []
     witness = None
     for n in range(1, n_max + 1):
-        value = coefficient(triple.kind, _shifted((), n, a), _shifted((), n, b),
-                            _shifted((), n, c))
+        value = engine(_shifted((), n, a), _shifted((), n, b), _shifted((), n, c))
         seq.append((n, value))
         if value >= 2:
             witness = (n, value)
@@ -190,8 +195,8 @@ def stabilization_sequence(kind: Kind,
         if not size_pattern_ok(kind, a, b, c):
             raise NotATripleError("size_pattern", f"{name} sizes ({a.size}; {b.size}, "
                                   f"{c.size}) violate the {kind.value} pattern")
-    return [(n, coefficient(kind, _shifted(lam, n, al), _shifted(mu, n, be),
-                            _shifted(nu, n, ga)))
+    engine = _primary(kind)
+    return [(n, engine(_shifted(lam, n, al), _shifted(mu, n, be), _shifted(nu, n, ga)))
             for n in ns]
 
 

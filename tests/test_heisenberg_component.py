@@ -223,8 +223,9 @@ def test_clear_caches_empties_every_memo():
     symfun.schur_in_h_basis((2, 1))
     symfun.dimension((3, 1))
     filled = dict(_memos(coefficients)) | dict(_memos(symfun))
-    assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE", "_splits", "_strips",
-            "_hive_plan", "_h_expansion", "_border_strip_removals", "_mn_vector", "character_vector", "_kostka",
+    assert {"_LR_CACHE", "_KRON_CACHE", "_KRON_CALL_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE",
+            "_partitions", "_split_table", "_strips", "_hive_plan", "_h_expansion",
+            "_border_strip_removals", "_mn_vector", "character_vector", "_kostka",
             "_schur_in_h", "cycle_types", "class_sizes"} <= set(filled)
     assert all(filled.values()), filled
     clear_caches()
