@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .partitions import (
     BudgetExceededError,
@@ -38,6 +37,9 @@ from .partitions import (
     pi_sequence,
 )
 from .ratfeas import solve_strict
+
+if TYPE_CHECKING:  # the engines load this module, not fractions
+    from fractions import Fraction
 
 
 MAX_TOTAL = 24  # |beta| + |gamma|
@@ -327,6 +329,8 @@ def is_additive(A: KroneckerMatrix) -> Optional[AdditivityCertificate]:
     z = solve_strict(rows, num_vars)
     if z is None:
         return None
+    from fractions import Fraction
+
     # z holds the free row potentials, the free column potentials, then the
     # thresholds, which are dropped
     n_rows, n_cols = A.shape
@@ -371,6 +375,8 @@ def build_constraint_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals by fraction-exact Gaussian elimination."""
+    from fractions import Fraction
+
     m = [[Fraction(e) for e in row] for row in rows]
     rank = 0
     col = 0

@@ -35,8 +35,13 @@
 
 All values are exact nonnegative integers and every engine memoizes
 process-wide: stabilization sequences hammer overlapping subqueries.  The
-public functions validate their partitions once and compute only on a memo
-miss.  A split table lists only the nonzero LR factors of a shape, grouped
+public functions validate their partitions once, at the boundary, and call
+one core per kind (`_lr`, `_kron`, `_heis`; `stability.PRIMARY` maps each
+kind to its core), which computes only on a memo miss.  A core takes three
+partitions its caller has validated, calls no `Partition()`, and builds
+every partition it keeps as an exact tuple, which the cyclic GC untracks
+where it never untracks a Partition; only public results are Partitions.
+A split table lists only the nonzero LR factors of a shape, grouped
 by the first factor, one filling traversal per subdiagram, and one
 traversal serves both orientations of a split.  The quintuple formula
 splits lam into (alpha |- p, delta |- q, rho |- r) by two LR splits in a
@@ -57,20 +62,16 @@ from typing import Counter as CounterT
 
 from . import symfun
 from .additivity import HeisenbergMatrix, KroneckerMatrix, _fill
-from .partitions import (
-    Partition,
-    _integer_parts,
-    _sorted_entries,
-    _trusted,
-    partitions_of,
-    subpartitions_of_size,
-)
+from .partitions import Partition, _inside, _integer_parts, _trusted
 from .symfun import _kostka, _schur_in_h, character_vector, class_sizes
+
+# A partition as the cores hold it: an exact tuple (see the module docstring)
+Shape = tuple[int, ...]
 
 _LR_CACHE: dict[tuple, int] = {}
 _KRON_CACHE: dict[tuple, int] = {}
 _HEIS_CACHE: dict[tuple, int] = {}
-_LR_PRODUCT_CACHE: dict[tuple, dict[Partition, int]] = {}
+_LR_PRODUCT_CACHE: dict[tuple, dict[Shape, int]] = {}
 # g(delta, beta, eta) keyed in the order the Heisenberg contraction asks it,
 # filled from `_kron`: a hit is one lookup, with no call and no sort
 _KRON_CALL_CACHE: dict[tuple, int] = {}
@@ -97,8 +98,8 @@ def clear_caches() -> None:
 # Littlewood-Richardson
 
 
-def _lr_fillings(outer: Partition, inner: Partition,
-                 content: Partition | None = None) -> dict[Partition, int]:
+def _lr_fillings(outer: Shape, inner: Shape,
+                 content: Shape | None = None) -> dict[Shape, int]:
     """The nonzero LR coefficients c^outer_{inner y} as {y: c}, from one
     traversal of the LR fillings of the skew shape outer/inner; with
     `content`, only the fillings of that content are counted.
@@ -112,21 +113,22 @@ def _lr_fillings(outer: Partition, inner: Partition,
     filled before it; their slots in `vals` are indexed beforehand.  The
     first cell of row r is bounded by r + 1: no letter of an LR filling
     exceeds its row number."""
-    n = outer.size - inner.size
+    n = sum(outer) - sum(inner)
     if n < 0 or len(inner) > len(outer):
         return {}  # inner is not inside outer
     if n == 0:  # the empty filling of outer/outer
-        return {_trusted(()): 1} if inner == outer else {}
+        return {(): 1} if inner == outer else {}
+    inner = (*inner, *(0,) * (len(outer) - len(inner)))
     k = len(outer) if content is None else len(content)
     low = n + len(outer)  # slot of the bound 0 above the top row and inner
     vals = [0] * (low + 1)
     right, up = [], []
     base = 0  # the cell above (r, c) has index base - c
     for r, b in enumerate(outer):
-        a = inner.part(r)
+        a = inner[r]
         if a > b:
             return {}  # inner is not inside outer
-        above = inner.part(r - 1) if r else b  # (r - 1, c) is a cell iff c >= above
+        above = inner[r - 1] if r else b  # (r - 1, c) is a cell iff c >= above
         vals[n + r] = min(r + 1, k)
         row = len(right)
         for c in range(b - 1, a - 1, -1):
@@ -160,18 +162,23 @@ def _lr_fillings(outer: Partition, inner: Partition,
             i -= 1
             letters = left[i]
             counts[vals[i]] -= 1  # take back cell i's letter to try the next one
-    return {_trusted(filter(None, key[1:])): m for key, m in found.items()}
+    return {tuple(filter(None, key[1:])): m for key, m in found.items()}
 
 
 def lr_coeff(lam, mu, nu) -> int:
     """Littlewood-Richardson coefficient: multiplicity of the lam-irreducible
     in the induction product of the mu- and nu-irreducibles.  Returns 0 when
     |lam| != |mu| + |nu|."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if lam.size != mu.size + nu.size:
+    return _lr(Partition(lam), Partition(mu), Partition(nu))
+
+
+def _lr(lam: Shape, mu: Shape, nu: Shape) -> int:
+    """LR core on valid partitions."""
+    m, n = sum(mu), sum(nu)
+    if sum(lam) != m + n:
         return 0
     # symmetric in (mu, nu): fill the smaller content over the bigger inner shape
-    if (mu.size, mu) < (nu.size, nu):
+    if (m, mu) < (n, nu):
         mu, nu = nu, mu
     key = (lam, mu, nu)
     val = _LR_CACHE.get(key)
@@ -181,8 +188,8 @@ def lr_coeff(lam, mu, nu) -> int:
 
 
 @lru_cache(maxsize=None)
-def _split_table(outer: Partition, a: int,
-                 b: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+def _split_table(outer: Shape, a: int,
+                 b: int) -> dict[Shape, tuple[tuple[Shape, int], ...]]:
     """Every LR split of `outer` grouped by its first factor, as {x: ((y,
     c^outer_{x y}), ...)} with x |- a and y |- b inside `outer` and c > 0,
     for a + b = |outer|: one traversal of outer/x per x, so pairs that give
@@ -192,24 +199,24 @@ def _split_table(outer: Partition, a: int,
     skew shapes: one traversal serves both orientations.  Callers must not
     mutate the result."""
     if a < b:
-        by_y: dict[Partition, list[tuple[Partition, int]]] = {}
+        by_y: dict[Shape, list[tuple[Shape, int]]] = {}
         for x, ys in _split_table(outer, b, a).items():
             for y, c in ys:
                 by_y.setdefault(y, []).append((x, c))
         return {y: tuple(xs) for y, xs in by_y.items()}
-    ys: dict[Partition, Partition] = {}  # equal y's of different x share one object
+    ys: dict[Shape, Shape] = {}  # equal y's of different x share one object
     return {x: tuple((ys.setdefault(y, y), c) for y, c in _lr_fillings(outer, x).items())
-            for x in subpartitions_of_size(outer, a)}
+            for x in _inside(outer, 0, a, a, [])}
 
 
-def _splits(outer: Partition, a: int, b: int) -> tuple[tuple[Partition, Partition, int], ...]:
+def _splits(outer: Shape, a: int, b: int) -> tuple[tuple[Shape, Shape, int], ...]:
     """`_split_table` flat, as (x, y, c^outer_{x y}) triples."""
     return tuple((x, y, c) for x, ys in _split_table(outer, a, b).items() for y, c in ys)
 
 
 @lru_cache(maxsize=None)
-def _strips(shape: Partition, below: tuple[int, ...],
-            n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+def _strips(shape: Shape, below: tuple[int, ...],
+            n: int) -> tuple[tuple[Shape, tuple[int, ...]], ...]:
     """One letter of the LR rule on `shape`: every horizontal strip of n
     cells that keeps the lattice bound, as (new shape, this letter's
     row-cumulative counts).
@@ -239,13 +246,13 @@ def _strips(shape: Partition, below: tuple[int, ...],
             hi = caps[j] - placed
         for a in range(lo, hi + 1):
             if a == left:
-                out.append((_trusted(rows + (b + a,) + shape[j + 1:]), counts + (n,)))
+                out.append((rows + (b + a, *shape[j + 1:]), counts + (n,)))
             else:
                 stack.append((rows + (b + a,), counts + (placed + a,), placed + a))
     return tuple(out)
 
 
-def _lr_run(start: dict[Partition, int], nu: Partition) -> dict[Partition, int]:
+def _lr_run(start: dict[Shape, int], nu: Shape) -> dict[Shape, int]:
     """The Schur combination sum_tau w_tau s_tau s_nu as {lam: coefficient},
     from start = {tau: w_tau}, by the LR rule.
 
@@ -258,23 +265,23 @@ def _lr_run(start: dict[Partition, int], nu: Partition) -> dict[Partition, int]:
         return dict(start)
     states = {(tau, ()): w for tau, w in start.items()}
     for n in nu[:-1]:
-        grown: dict[tuple[Partition, tuple[int, ...]], int] = {}
+        grown: dict[tuple[Shape, tuple[int, ...]], int] = {}
         for (shape, below), w in states.items():
             for state in _strips(shape, below, n):
                 grown[state] = grown.get(state, 0) + w
         states = grown
-    out: dict[Partition, int] = {}
+    out: dict[Shape, int] = {}
     for (shape, below), w in states.items():
         for lam, _ in _strips(shape, below, nu[-1]):
             out[lam] = out.get(lam, 0) + w
     return out
 
 
-def _lr_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
+def _lr_product(mu: Shape, nu: Shape) -> dict[Shape, int]:
     """The Schur product s_mu s_nu as {lam: c^lam_{mu nu}}: the weighted run
     `_lr_run({mu: 1}, nu)` with the smaller factor as the letters.
     Memoized per pair; callers must not mutate the result."""
-    if (mu.size, mu) < (nu.size, nu):
+    if (sum(mu), mu) < (sum(nu), nu):
         mu, nu = nu, mu  # fewer letters to place
     key = (mu, nu)
     out = _LR_PRODUCT_CACHE.get(key)
@@ -362,13 +369,19 @@ def lr_coeff_hive(lam, mu, nu) -> int:
 def kron_coeff(lam, mu, nu) -> int:
     """Kronecker coefficient by the cheapest exact route for the query (see
     `_kron_route`); fully symmetric in its three arguments."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if mu.size != lam.size or nu.size != lam.size:
-        raise ValueError(f"Kronecker query needs equal sizes, got {lam.size}, {mu.size}, {nu.size}")
+    lam, mu, nu = _equal_sizes(lam, mu, nu)
     return _kron(lam, mu, nu)
 
 
-def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
+def _equal_sizes(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
+    """The three validated, refused unless they are partitions of one size."""
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    if mu.size != lam.size or nu.size != lam.size:
+        raise ValueError(f"Kronecker query needs equal sizes, got {lam.size}, {mu.size}, {nu.size}")
+    return lam, mu, nu
+
+
+def _kron(lam: Shape, mu: Shape, nu: Shape) -> int:
     """Kronecker core on valid partitions of one size."""
     # the memo key is the ascending triple; three comparisons cost less than sorted()
     if lam > mu:
@@ -394,7 +407,7 @@ def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
 _H_ROUTE_MIN_SIZE = 20
 
 
-def _kron_route(lam: Partition, mu: Partition, nu: Partition):
+def _kron_route(lam: Shape, mu: Shape, nu: Shape):
     """The primary's route for an ascending triple lam <= mu <= nu of one
     size, a pure function of the query: the closed form when one shape is
     one row, (n), which sorts last, or one column, (1^n), which sorts
@@ -407,20 +420,20 @@ def _kron_route(lam: Partition, mu: Partition, nu: Partition):
     return _kron_by_characters
 
 
-def _kron_closed_form(lam: Partition, mu: Partition, nu: Partition) -> int:
+def _kron_closed_form(lam: Shape, mu: Shape, nu: Shape) -> int:
     """g((n), mu, nu) = [mu = nu] and g((1^n), mu, nu) = [mu = nu'], on an
     ascending triple whose last shape is (n) or whose first is (1^n)."""
     return int(lam == mu if len(nu) < 2 else mu == _conjugate(nu))
 
 
 @lru_cache(maxsize=None)
-def _weighted_characters(lam: Partition) -> tuple[int, ...]:
+def _weighted_characters(lam: Shape) -> tuple[int, ...]:
     """Class size times chi^lam, class by class: one factor of the
     character sum."""
     return tuple(map(mul, class_sizes(sum(lam)), character_vector(lam)))
 
 
-def _kron_by_characters(lam: Partition, mu: Partition, nu: Partition) -> int:
+def _kron_by_characters(lam: Shape, mu: Shape, nu: Shape) -> int:
     """The exact character sum over the classes of S_n, divided by n!."""
     n = sum(lam)
     total = sum(map(mul, _weighted_characters(lam),
@@ -430,13 +443,12 @@ def _kron_by_characters(lam: Partition, mu: Partition, nu: Partition) -> int:
     return total // factorial(n)
 
 
-def _conjugate(x: Partition) -> Partition:
+def _conjugate(x: Shape) -> Shape:
     """The transpose of x: column c holds one cell per part above c."""
-    return _trusted([sum(1 for p in x if p > c) for c in range(x.part(0))])
+    return tuple(sum(1 for p in x if p > c) for c in range(x[0] if x else 0))
 
 
-def _h_orientation(lam: Partition, mu: Partition,
-                   nu: Partition) -> tuple[Partition, Partition, Partition]:
+def _h_orientation(lam: Shape, mu: Shape, nu: Shape) -> tuple[Shape, Shape, Shape]:
     """The query as (z, x, y) with g(z, x, y) = g(lam, mu, nu), where x and
     y, the two factors the h-basis route expands, have the fewest rows: any
     two of the three, conjugated together or not (g is symmetric, and
@@ -444,7 +456,7 @@ def _h_orientation(lam: Partition, mu: Partition,
     count, then the smallest sum; ties go to the first candidate."""
     def rows(candidate):  # a conjugate has as many rows as the shape has columns
         _, x, y, conj = candidate
-        a, b = (x.part(0), y.part(0)) if conj else (len(x), len(y))
+        a, b = (x[0] if x else 0, y[0] if y else 0) if conj else (len(x), len(y))
         return max(a, b), a + b
 
     z, x, y, conj = min(((z, x, y, conj) for z, x, y in ((lam, mu, nu), (mu, lam, nu), (nu, lam, mu))
@@ -452,7 +464,7 @@ def _h_orientation(lam: Partition, mu: Partition,
     return (z, _conjugate(x), _conjugate(y)) if conj else (z, x, y)
 
 
-def _kron_by_h_basis(lam: Partition, mu: Partition, nu: Partition) -> int:
+def _kron_by_h_basis(lam: Shape, mu: Shape, nu: Shape) -> int:
     """The h-basis route on the orientation that expands the fewest rows."""
     return _from_h_basis(KroneckerMatrix, *_h_orientation(lam, mu, nu))
 
@@ -462,17 +474,21 @@ def _kron_by_h_basis(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[Partition, ...]:
+def _partitions(n: int) -> tuple[Shape, ...]:
     """Every partition of n, in `partitions_of` order."""
-    return tuple(partitions_of(n))
+    return tuple(_inside((n,) * n, 0, n, n, []))
 
 
 def heisenberg_coeff(lam, mu, nu) -> int:
     """Multiplicity of the lam-irreducible in the Heisenberg product of the
     mu- and nu-irreducibles.  Zero outside max(|mu|,|nu|) <= |lam| <=
     |mu|+|nu|."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    l, m, n = lam.size, mu.size, nu.size
+    return _heis(Partition(lam), Partition(mu), Partition(nu))
+
+
+def _heis(lam: Shape, mu: Shape, nu: Shape) -> int:
+    """Heisenberg core on valid partitions."""
+    l, m, n = sum(lam), sum(mu), sum(nu)
     if (m, mu) < (n, nu):
         mu, nu, m, n = nu, mu, n, m  # the product is commutative
     p, q, r = l - n, m + n - l, l - m
@@ -485,8 +501,7 @@ def heisenberg_coeff(lam, mu, nu) -> int:
     return val
 
 
-def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
-                     p: int, q: int, r: int) -> int:
+def _heis_by_formula(lam: Shape, mu: Shape, nu: Shape, p: int, q: int, r: int) -> int:
     # mu splits into (alpha |- p, beta |- q) and nu into (rho |- r, eta |- q)
     # by LR, both tables grouped by the factor that meets lam; beta and eta
     # meet in a Kronecker factor over delta |- q; lam splits into (alpha,
@@ -499,7 +514,7 @@ def _heis_by_formula(lam: Partition, mu: Partition, nu: Partition,
     etas = _split_table(nu, r, q)
     # the triple factor c^lam_{alpha delta rho}, over the alpha and rho that
     # mu and nu have
-    lr3: dict[tuple[Partition, Partition, Partition], int] = {}
+    lr3: dict[tuple[Shape, Shape, Shape], int] = {}
     if p > r:
         for alpha, sigmas in _split_table(lam, p, q + r).items():
             if alpha in betas:
@@ -556,11 +571,12 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
     sum_tau W[tau] s_tau s_rho (`_lr_run`).  One term is then checked
     against the pointwise formula (`heisenberg_coeff`): the
     lexicographically largest lam, whose few subdiagrams make it the
-    cheapest query for that formula.  The check shares `_splits` and
+    cheapest query for that formula.  The check shares `_split_table` and
     `_kron` with this pass, so only the recombinations are independent
-    (LR fillings against strip steps).  The
-    independent checks are the h-basis oracle (acceptance 01, |mu|, |nu|
-    <= 4) and the dimension identity."""
+    (LR fillings against strip steps).  The independent checks are the
+    h-basis oracle (acceptance 01, |mu|, |nu| <= 4) and the dimension
+    identity.  The pass works on plain tuples; each term's key becomes a
+    Partition once, at the end."""
     mu, nu = Partition(mu), Partition(nu)
     (degree,) = _integer_parts((degree,), ValueError)
     lo, hi = max(mu.size, nu.size), mu.size + nu.size
@@ -573,7 +589,7 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
     # inner[rho][(alpha, delta)] = sum c1 c2 g(delta, beta, eta)
     deltas = _partitions(q)
     kron = _KRON_CALL_CACHE
-    inner: dict[Partition, dict[tuple[Partition, Partition], int]] = {}
+    inner: dict[Shape, dict[tuple[Shape, Shape], int]] = {}
     for alpha, betas in _split_table(mu, p, q).items():
         for rho, etas in _split_table(nu, r, q).items():
             by_pair = inner.setdefault(rho, {})
@@ -590,16 +606,16 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
 
     # per rho, the weights W[tau] = sum c^tau_{alpha delta} inner, then lam
     # from one weighted run: rho |- r is never bigger than tau |- p + q
-    terms: dict[Partition, int] = {}
+    terms: dict[Shape, int] = {}
     for rho, by_pair in inner.items():
-        W: dict[Partition, int] = {}
+        W: dict[Shape, int] = {}
         for (alpha, delta), v in by_pair.items():
             for tau, c3 in _lr_product(alpha, delta).items():
                 W[tau] = W.get(tau, 0) + c3 * v
         for lam, c4 in _lr_run(W, rho).items():
             terms[lam] = terms.get(lam, 0) + c4
-    # in partitions_of(degree) order
-    terms = dict(sorted(terms.items(), reverse=True))
+    # in partitions_of(degree) order, keyed by Partitions
+    terms = {_trusted(lam): h for lam, h in sorted(terms.items(), reverse=True)}
     lam, h = next(iter(terms.items()))
     if heisenberg_coeff(lam, mu, nu) != h:
         raise RuntimeError(f"degree pass and pointwise formula disagree at {lam}")
@@ -621,30 +637,30 @@ def heisenberg_product(mu, nu) -> Decomposition:
 
 
 @lru_cache(maxsize=None)
-def _h_expansion(cls: type[KroneckerMatrix], mu: Partition,
-                 nu: Partition) -> tuple[tuple[Partition, int], ...]:
+def _h_expansion(cls: type[KroneckerMatrix], mu: Shape,
+                 nu: Shape) -> tuple[tuple[Shape, int], ...]:
     """Signed h-basis coefficients of the product of s_mu and s_nu, grouped
     by sorted margin sequence.  Both factors are expanded by Jacobi-Trudi,
     and each h_delta h_eps is the sum of h_pi(A) over the matrices A of class
     `cls` with margins (delta, eps), read as `_fill`'s rows and not built:
     plain matrices give the Kronecker product, cornered the Heisenberg one."""
-    out: CounterT[Partition] = Counter()
+    out: CounterT[Shape] = Counter()
     for delta, a in _schur_in_h(mu):
         for eps, b in _schur_in_h(nu):
             w = a * b
             for rows in _fill(cls, delta, 0, eps, []):
-                out[_sorted_entries(itertools.chain.from_iterable(rows))] += w
+                entries = filter(None, itertools.chain.from_iterable(rows))
+                out[tuple(sorted(entries, reverse=True))] += w
     return tuple((theta, v) for theta, v in out.items() if v != 0)
 
 
-def _from_h_basis(cls: type[KroneckerMatrix], lam: Partition, mu: Partition,
-                  nu: Partition) -> int:
+def _from_h_basis(cls: type[KroneckerMatrix], lam: Shape, mu: Shape, nu: Shape) -> int:
     """Multiplicity of s_lam in the class-`cls` product of s_mu and s_nu,
     converted back from the h-basis through Kostka numbers.  The signed
     total must be a nonnegative integer."""
-    total = 0
+    total, size = 0, sum(lam)
     for theta, w in _h_expansion(cls, mu, nu):
-        if sum(theta) == lam.size:
+        if sum(theta) == size:
             k = _kostka(lam, theta)
             if k:
                 total += w * k
@@ -674,10 +690,7 @@ def kron_coeff_oracle(lam, mu, nu) -> int:
     took the h-basis route, and the h-basis route (on the orientation that
     expands the fewest rows) when it took the character sum or a closed
     form."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if mu.size != lam.size or nu.size != lam.size:
-        raise ValueError(f"Kronecker query needs equal sizes, got {lam.size}, {mu.size}, {nu.size}")
-    key = sorted((lam, mu, nu))
+    key = sorted(_equal_sizes(lam, mu, nu))
     if _kron_route(*key) is _kron_by_h_basis:
         return _kron_by_characters(*key)
     return _kron_by_h_basis(*key)

@@ -11,9 +11,11 @@ rational vectors, not just partitions, and is always exact: its entries
 are ints and `fractions.Fraction`s, and a float is refused, never
 compared.
 
-The package's enumerators: partitions inside a shape (`_inside`; the n x n
-box for `partitions_of(n)`), and capped compositions (`_bounded_vectors`),
-the rows of margin matrices and the horizontal strips of Kostka numbers.
+The package's enumerators: partitions inside a shape (`_inside`, which
+yields the plain tuples the engines keep; its public forms
+`subpartitions_of_size` and `partitions_of(n)`, the n x n box, yield
+Partitions), and capped compositions (`_bounded_vectors`), the rows of
+margin matrices and the horizontal strips of Kostka numbers.
 """
 
 from __future__ import annotations
@@ -242,12 +244,14 @@ def _bounded_vectors(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...
                 yield (head,) + tail
 
 
-def _inside(outer: tuple[int, ...], i: int, rem: int, bound: int,
-            acc: list[int]) -> Iterator[Partition]:
+def _inside(outer: Sequence[int], i: int, rem: int, bound: int,
+            acc: list[int]) -> Iterator[tuple[int, ...]]:
     """acc extended by every partition of rem with parts <= bound that fits
-    rows i.. of outer, largest part first."""
+    rows i.. of outer, largest part first, as plain tuples: the engines
+    keep these in their memos, and the cyclic GC untracks a plain tuple of
+    ints, never a Partition."""
     if rem == 0:
-        yield _trusted(acc)
+        yield tuple(acc)
         return
     if i >= len(outer):
         return
@@ -264,7 +268,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, largest part first; none when n < 0.  They are
     the partitions of n inside the n x n box."""
     (n,) = _integer_parts((n,), ValueError)
-    return _inside((n,) * n, 0, n, n, [])
+    return map(_trusted, _inside((n,) * n, 0, n, n, []))
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
@@ -276,4 +280,4 @@ def subpartitions_of_size(outer: Sequence[int], size: int) -> Iterator[Partition
     """All partitions of `size` contained in `outer` (coordinatewise)."""
     outer = tuple(outer)
     if 0 <= size <= sum(outer):
-        yield from _inside(outer, 0, size, size, [])
+        yield from map(_trusted, _inside(outer, 0, size, size, []))

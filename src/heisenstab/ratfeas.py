@@ -16,9 +16,22 @@ handed back; an internal inconsistency raises instead of returning.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def __getattr__(name: str):
+    """PEP 562: `Fraction`, imported and bound on its first use, so that
+    the engines, which load this module, do not load fractions."""
+    if name != "Fraction":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    globals()["Fraction"] = Fraction
+    return Fraction
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
@@ -29,6 +42,7 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
 
 def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Fraction, ...]]:
     """Find rational z with row . z >= 1 for every row, or None if infeasible."""
+    Fraction = globals()["Fraction"] if "Fraction" in globals() else __getattr__("Fraction")
     exact = []
     system: set[tuple[int, ...]] = set()
     for row in rows:

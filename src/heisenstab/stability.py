@@ -10,6 +10,13 @@ check; for the other two patterns a scan can only refute (a value >= 2 at
 any scale) or stay inconclusive, unless an additivity certificate from the
 matrix pipeline certifies it externally.
 
+Partitions are validated once, here at the public boundary: `PRIMARY`
+maps each kind to its core in `coefficients`, which takes validated
+partitions and validates nothing again.  `coefficient` and
+`classify_triple` validate their three shapes once; a sequence validates
+its base and direction once and builds each shifted query unchecked.
+`ORACLE` holds the public oracles, which validate on their own.
+
 Loading this module loads no engine: the tables `PRIMARY` and `ORACLE`
 are built from `coefficients` on first use, by the module `__getattr__`
 (the first read of either name, or the first `coefficient` call), so that
@@ -53,7 +60,7 @@ def size_pattern_ok(kind: Kind, a: Partition, b: Partition, c: Partition) -> boo
 
 
 def __getattr__(name: str):
-    """PEP 562: the first read of `PRIMARY` (the engine of each kind) or
+    """PEP 562: the first read of `PRIMARY` (the core of each kind) or
     `ORACLE` (its independent second route), also through `from .stability
     import ORACLE`, imports `coefficients` and binds both tables as module
     globals, complete; later reads find them without this hook.
@@ -68,8 +75,7 @@ def __getattr__(name: str):
     from . import coefficients as c
 
     globals().update(
-        PRIMARY={Kind.KRONECKER: c.kron_coeff, Kind.LR: c.lr_coeff,
-                 Kind.HEISENBERG: c.heisenberg_coeff},
+        PRIMARY={Kind.KRONECKER: c._kron, Kind.LR: c._lr, Kind.HEISENBERG: c._heis},
         ORACLE={Kind.KRONECKER: c.kron_coeff_oracle, Kind.LR: c.lr_coeff_hive,
                 Kind.HEISENBERG: c.heisenberg_coeff_oracle})
     return globals()[name]
@@ -84,17 +90,14 @@ def _primary(kind: Kind):
 
 
 def coefficient(kind: Kind, lam, mu, nu) -> int:
-    return _primary(kind)(lam, mu, nu)
-
-
-def _shifted(x: Partition, n: int, d: Sequence[int]) -> Partition:
-    """x + n*d for partitions x, d and n >= 0 that the caller validated.
-    For n >= 1 every part of the sum is positive (each position has a
-    positive part of x or of d), so it is a partition, built without
-    re-validation; n = 0 gives x itself."""
-    if not n:
-        return x
-    return _trusted([a + n * b for a, b in zip_longest(x, d, fillvalue=0)])
+    """The kind's coefficient, by its engine in `PRIMARY`, of the three
+    validated partitions; a Kronecker query on unequal sizes raises
+    ValueError."""
+    engine = _primary(kind)
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    if kind is Kind.KRONECKER and not size_pattern_ok(kind, lam, mu, nu):
+        raise ValueError(f"Kronecker query needs equal sizes, got {lam.size}, {mu.size}, {nu.size}")
+    return engine(lam, mu, nu)
 
 
 class Triple(NamedTuple):
@@ -119,7 +122,7 @@ def classify_triple(alpha, beta, gamma) -> Triple:
             "size_pattern",
             f"sizes ({alpha.size}; {beta.size}, {gamma.size}) fit no pattern")
     kind, flags = fits[0], frozenset(fits)
-    value = coefficient(kind, alpha, beta, gamma)
+    value = _primary(kind)(alpha, beta, gamma)
     if value == 0:
         raise NotATripleError(
             "zero_coefficient",
@@ -156,12 +159,12 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     (n_max,) = _integer_parts((n_max,), ValueError)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    a, b, c = triple.alpha, triple.beta, triple.gamma
+    shapes = (triple.alpha, triple.beta, triple.gamma)
     engine = _primary(triple.kind)
     seq: list[tuple[int, int]] = []
     witness = None
     for n in range(1, n_max + 1):
-        value = engine(_shifted((), n, a), _shifted((), n, b), _shifted((), n, c))
+        value = engine(*[_trusted([n * p for p in x]) for x in shapes])
         seq.append((n, value))
         if value >= 2:
             witness = (n, value)
@@ -186,18 +189,25 @@ def stabilization_sequence(kind: Kind,
     n.  Both the base and the direction must fit the kind's size pattern,
     which makes every shifted query fit it too; NotATripleError (a
     ValueError) names the one that does not."""
-    lam, mu, nu = (Partition(x) for x in base)
-    al, be, ga = (Partition(x) for x in direction)
+    base = tuple(Partition(x) for x in base)
+    direction = tuple(Partition(x) for x in direction)
     ns = _integer_parts(ns, ValueError)
     if any(n < 0 for n in ns):
         raise ValueError("scale factor must be nonnegative")
-    for name, (a, b, c) in (("base", (lam, mu, nu)), ("direction", (al, be, ga))):
+    for name, (a, b, c) in (("base", base), ("direction", direction)):
         if not size_pattern_ok(kind, a, b, c):
             raise NotATripleError("size_pattern", f"{name} sizes ({a.size}; {b.size}, "
                                   f"{c.size}) violate the {kind.value} pattern")
     engine = _primary(kind)
-    return [(n, engine(_shifted(lam, n, al), _shifted(mu, n, be), _shifted(nu, n, ga)))
-            for n in ns]
+    # each shape x with its direction d, padded once: for n >= 1 every part
+    # of x + n*d is positive (each position has a positive part of x or of
+    # d), so it is a partition, built unchecked; n = 0 gives x itself
+    pairs = [tuple(zip_longest(x, d, fillvalue=0)) for x, d in zip(base, direction)]
+    out = []
+    for n in ns:
+        shapes = [_trusted([a + n * b for a, b in ab]) for ab in pairs] if n else base
+        out.append((n, engine(*shapes)))
+    return out
 
 
 def detect_stable_limit(values: Sequence[int], window: int = 4

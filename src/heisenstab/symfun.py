@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import add, neg, sub
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, _bounded_vectors, partitions_of, pi_sequence
+from .partitions import Composition, Partition, _bounded_vectors, _inside, pi_sequence
 
 
 def zee(rho: Sequence[int]) -> int:
@@ -133,7 +133,7 @@ def dimension(lam: Sequence[int]) -> int:
 def cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
     """Cycle types of S_n in a fixed order, as plain tuples: largest part
     first, so the classes with parts <= k are a suffix."""
-    return tuple(tuple(p) for p in partitions_of(n))
+    return tuple(_inside((n,) * n, 0, n, n, []))
 
 
 @lru_cache(maxsize=None)

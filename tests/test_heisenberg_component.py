@@ -53,7 +53,7 @@ def test_weighted_runs_match_lr_coeff(monkeypatch):
     def checked(start, letters):
         got = _lr_run(start, letters)
         if start:
-            size = letters.size + next(iter(start)).size
+            size = sum(letters) + sum(next(iter(start)))
             expected = {lam: c for lam in partitions_of(size) if (c := sum(
                 w * lr_coeff(lam, tau, letters) for tau, w in start.items()))}
             assert got == expected, (start, letters)

@@ -57,3 +57,13 @@ def test_the_tracer_imports_load_every_layer():
                       "print(json.dumps(sorted(sys.modules)))")
     loaded = set(json.loads(line))
     assert {f"heisenstab.{m}" for m in LAYERS} <= loaded
+
+
+def test_the_engines_load_no_fractions():
+    # every sweep and product op and every CLI miss imports the engines
+    (line,) = _python("import json, sys\n"
+                      "import heisenstab.coefficients\n"
+                      "print(json.dumps(sorted(sys.modules)))")
+    loaded = set(json.loads(line))
+    assert "heisenstab.coefficients" in loaded
+    assert "fractions" not in loaded and "decimal" not in loaded
