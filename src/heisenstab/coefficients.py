@@ -45,9 +45,12 @@ A split table lists only the nonzero LR factors of a shape, grouped
 by the first factor, one filling traversal per subdiagram, and one
 traversal serves both orientations of a split.  The quintuple formula
 splits lam into (alpha |- p, delta |- q, rho |- r) by two LR splits in a
-row, alpha first when p > r and rho first otherwise, and contracts its
-Kronecker factor once per (alpha, delta, rho) within a query, reading
-g(delta, beta, eta) from a memo keyed in that order (`_KRON_CALL_CACHE`).
+row, the larger of alpha and rho first, in one loop for both orders, and
+contracts its Kronecker factor once per (alpha, delta, rho) within a
+query.  One Kronecker memo (`_KRON_CACHE`) holds g under any order of its
+key, as g is symmetric: `_kron` writes the ascending triple and the two
+Heisenberg contractions write the order they ask in, (delta, beta, eta),
+so each of their hits is one lookup.
 """
 
 from __future__ import annotations
@@ -63,18 +66,17 @@ from typing import Counter as CounterT
 from . import symfun
 from .additivity import HeisenbergMatrix, KroneckerMatrix, _fill
 from .partitions import Partition, _inside, _integer_parts, _trusted
-from .symfun import _kostka, _schur_in_h, character_vector, class_sizes
+from .symfun import _kostka, _schur_in_h, character_vector, class_sizes, cycle_types
 
 # A partition as the cores hold it: an exact tuple (see the module docstring)
 Shape = tuple[int, ...]
 
 _LR_CACHE: dict[tuple, int] = {}
+# g under its key in any order: ascending from `_kron`, (delta, beta, eta)
+# from the Heisenberg contractions (see the module docstring)
 _KRON_CACHE: dict[tuple, int] = {}
 _HEIS_CACHE: dict[tuple, int] = {}
 _LR_PRODUCT_CACHE: dict[tuple, dict[Shape, int]] = {}
-# g(delta, beta, eta) keyed in the order the Heisenberg contraction asks it,
-# filled from `_kron`: a hit is one lookup, with no call and no sort
-_KRON_CALL_CACHE: dict[tuple, int] = {}
 
 
 def clear_caches() -> None:
@@ -84,8 +86,6 @@ def clear_caches() -> None:
     _KRON_CACHE.clear()
     _HEIS_CACHE.clear()
     _LR_PRODUCT_CACHE.clear()
-    _KRON_CALL_CACHE.clear()
-    _partitions.cache_clear()
     _split_table.cache_clear()
     _strips.cache_clear()
     _hive_plan.cache_clear()
@@ -207,11 +207,6 @@ def _split_table(outer: Shape, a: int,
     ys: dict[Shape, Shape] = {}  # equal y's of different x share one object
     return {x: tuple((ys.setdefault(y, y), c) for y, c in _lr_fillings(outer, x).items())
             for x in _inside(outer, 0, a, a, [])}
-
-
-def _splits(outer: Shape, a: int, b: int) -> tuple[tuple[Shape, Shape, int], ...]:
-    """`_split_table` flat, as (x, y, c^outer_{x y}) triples."""
-    return tuple((x, y, c) for x, ys in _split_table(outer, a, b).items() for y, c in ys)
 
 
 @lru_cache(maxsize=None)
@@ -473,12 +468,6 @@ def _kron_by_h_basis(lam: Shape, mu: Shape, nu: Shape) -> int:
 # Heisenberg
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[Shape, ...]:
-    """Every partition of n, in `partitions_of` order."""
-    return tuple(_inside((n,) * n, 0, n, n, []))
-
-
 def heisenberg_coeff(lam, mu, nu) -> int:
     """Multiplicity of the lam-irreducible in the Heisenberg product of the
     mu- and nu-irreducibles.  Zero outside max(|mu|,|nu|) <= |lam| <=
@@ -505,38 +494,30 @@ def _heis_by_formula(lam: Shape, mu: Shape, nu: Shape, p: int, q: int, r: int) -
     # mu splits into (alpha |- p, beta |- q) and nu into (rho |- r, eta |- q)
     # by LR, both tables grouped by the factor that meets lam; beta and eta
     # meet in a Kronecker factor over delta |- q; lam splits into (alpha,
-    # delta, rho) by two LR splits in a row.  The larger of alpha and rho
-    # goes first, so the second split runs over the smaller shapes: alpha
-    # first when p > r (lam -> (alpha, sigma |- q+r), sigma -> (delta, rho)),
-    # else rho first (lam -> (rho, tau |- p+q), tau -> (alpha, delta)); at
-    # p = r, rho first measured faster on the stabilization sweeps.
+    # delta, rho) by two LR splits in a row.  The larger outer factor x |- a
+    # goes first, lam -> (x, rest |- q + b), so that the second split, rest ->
+    # (y |- b, delta) grouped by the other outer factor y, runs over the
+    # smaller shapes: x is alpha when p > r, else rho (at p = r, rho first
+    # measured faster on the stabilization sweeps).
     betas = _split_table(mu, p, q)
     etas = _split_table(nu, r, q)
-    # the triple factor c^lam_{alpha delta rho}, over the alpha and rho that
-    # mu and nu have
+    alpha_first = p > r
+    a, b, first, second = (p, r, betas, etas) if alpha_first else (r, p, etas, betas)
+    # the triple factor c^lam_{x delta y}, over the x and y that mu and nu have
     lr3: dict[tuple[Shape, Shape, Shape], int] = {}
-    if p > r:
-        for alpha, sigmas in _split_table(lam, p, q + r).items():
-            if alpha in betas:
-                for sigma, c in sigmas:
-                    for delta, rhos in _split_table(sigma, q, r).items():
-                        for rho, c3 in rhos:
-                            if rho in etas:
-                                key = (alpha, delta, rho)
-                                lr3[key] = lr3.get(key, 0) + c * c3
-    else:
-        for rho, taus in _split_table(lam, r, p + q).items():
-            if rho in etas:
-                for tau, c in taus:
-                    for alpha, deltas in _split_table(tau, p, q).items():
-                        if alpha in betas:
-                            for delta, c3 in deltas:
-                                key = (alpha, delta, rho)
-                                lr3[key] = lr3.get(key, 0) + c * c3
-    # contracted once per (alpha, delta, rho)
-    kron = _KRON_CALL_CACHE
+    for x, rests in _split_table(lam, a, q + b).items():
+        if x in first:
+            for rest, c in rests:
+                for y, deltas in _split_table(rest, b, q).items():
+                    if y in second:
+                        for delta, c3 in deltas:
+                            key = (x, delta, y)
+                            lr3[key] = lr3.get(key, 0) + c * c3
+    # contracted once per (alpha, delta, rho), g read in call order
+    kron = _KRON_CACHE
     total = 0
-    for (alpha, delta, rho), c in lr3.items():
+    for (x, delta, y), c in lr3.items():
+        alpha, rho = (x, y) if alpha_first else (y, x)
         v = 0
         for beta, c1 in betas[alpha]:
             for eta, c2 in etas[rho]:
@@ -587,8 +568,8 @@ def heisenberg_component(mu, nu, degree: int) -> Decomposition:
     p, q, r = degree - nu.size, mu.size + nu.size - degree, degree - mu.size
 
     # inner[rho][(alpha, delta)] = sum c1 c2 g(delta, beta, eta)
-    deltas = _partitions(q)
-    kron = _KRON_CALL_CACHE
+    deltas = cycle_types(q)
+    kron = _KRON_CACHE
     inner: dict[Shape, dict[tuple[Shape, Shape], int]] = {}
     for alpha, betas in _split_table(mu, p, q).items():
         for rho, etas in _split_table(nu, r, q).items():

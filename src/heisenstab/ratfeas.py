@@ -19,19 +19,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # the engines load this module, not fractions
     from fractions import Fraction
-
-
-def __getattr__(name: str):
-    """PEP 562: `Fraction`, imported and bound on its first use, so that
-    the engines, which load this module, do not load fractions."""
-    if name != "Fraction":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from fractions import Fraction
-
-    globals()["Fraction"] = Fraction
-    return Fraction
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
@@ -42,7 +31,8 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
 
 def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Fraction, ...]]:
     """Find rational z with row . z >= 1 for every row, or None if infeasible."""
-    Fraction = globals()["Fraction"] if "Fraction" in globals() else __getattr__("Fraction")
+    from fractions import Fraction
+
     exact = []
     system: set[tuple[int, ...]] = set()
     for row in rows:

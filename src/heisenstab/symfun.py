@@ -141,9 +141,9 @@ def class_sizes(n: int) -> tuple[int, ...]:
     return tuple(class_size(rho) for rho in cycle_types(n))
 
 
-@lru_cache(maxsize=None)
 def character_vector(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """chi^lam evaluated on every class of S_{|lam|}, in cycle_types order."""
+    """chi^lam evaluated on every class of S_{|lam|}, in cycle_types order:
+    the memoized `_mn_vector` on parts <= |lam|, which is every class."""
     return _mn_vector(lam, sum(lam))
 
 
@@ -216,8 +216,8 @@ def schur_in_h_basis(lam: Sequence[int]) -> dict[Partition, int]:
 
 
 # the originals, so that a caller who rebinds the module names still clears them
-_MEMOS = (_border_strip_removals, _class_count, _mn_vector, character_vector, _kostka, _schur_in_h,
-          cycle_types, class_sizes)
+_MEMOS = (_border_strip_removals, _class_count, _mn_vector, _kostka, _schur_in_h, cycle_types,
+          class_sizes)
 
 
 def clear_caches() -> None:

@@ -26,6 +26,11 @@ from support import hook_length_dimension
 from test_input_validation import Three
 
 
+def _splits(outer, a, b):
+    """`_split_table` flat, as (x, y, c^outer_{x y}) triples."""
+    return tuple((x, y, c) for x, ys in coefficients._split_table(outer, a, b).items() for y, c in ys)
+
+
 def test_lr_product_matches_lr_coeff():
     small = list(partitions_up_to(5))
     for mu in small:
@@ -71,7 +76,7 @@ def test_weighted_runs_match_lr_coeff(monkeypatch):
                 letters_run.clear()
                 heisenberg_component(mu, nu, l)
                 # every rho of the weights gets its run
-                rhos = {rho for _, rho, _ in coefficients._splits(little, q, r)}
+                rhos = {rho for _, rho, _ in _splits(little, q, r)}
                 assert rhos <= letters_run, (mu, nu, l)
 
 
@@ -80,7 +85,7 @@ def test_split_table_matches_brute_force():
     for outer in partitions_up_to(7):
         for a in range(outer.size + 1):
             b = outer.size - a
-            table = coefficients._splits(outer, a, b)
+            table = _splits(outer, a, b)
             assert type(table) is tuple
             expected = [(x, y, c) for x in partitions_of(a) for y in partitions_of(b)
                         if (c := lr_coeff(outer, x, y))]
@@ -91,8 +96,8 @@ def test_split_tables_of_both_orientations_are_transposes():
     for outer in partitions_up_to(7):
         for a in range(outer.size + 1):
             b = outer.size - a
-            table = coefficients._splits(outer, a, b)
-            swapped = {(y, x, c) for x, y, c in coefficients._splits(outer, b, a)}
+            table = _splits(outer, a, b)
+            swapped = {(y, x, c) for x, y, c in _splits(outer, b, a)}
             assert len(set(table)) == len(table) and set(table) == swapped, (outer, a, b)
 
 
@@ -111,23 +116,23 @@ def test_one_traversal_serves_both_orientations(monkeypatch, first):
 
     monkeypatch.setattr(coefficients, "_lr_fillings", counting)
     clear_caches()
-    coefficients._splits(outer, *orders[0])
+    _splits(outer, *orders[0])
     # the table of the bigger x is filled: one traversal per x |- 7 inside outer
     assert sorted(traversals) == sorted(subpartitions_of_size(outer, big))
     traversals.clear()
-    coefficients._splits(outer, *orders[1])
+    _splits(outer, *orders[1])
     assert traversals == []
 
 
 def test_split_table_matches_hive_counts():
-    # lr_coeff and _splits share one filling kernel; the hive model is
+    # lr_coeff and _split_table share one filling kernel; the hive model is
     # independent of it
     for outer in partitions_up_to(8):
         for a in range(outer.size + 1):
             b = outer.size - a
             expected = [(x, y, c) for x in partitions_of(a) for y in partitions_of(b)
                         if (c := lr_coeff_hive(outer, x, y))]
-            assert sorted(coefficients._splits(outer, a, b)) == sorted(expected), (outer, a, b)
+            assert sorted(_splits(outer, a, b)) == sorted(expected), (outer, a, b)
 
 
 def test_component_matches_pointwise_formula():
@@ -223,9 +228,9 @@ def test_clear_caches_empties_every_memo():
     symfun.schur_in_h_basis((2, 1))
     symfun.dimension((3, 1))
     filled = dict(_memos(coefficients)) | dict(_memos(symfun))
-    assert {"_LR_CACHE", "_KRON_CACHE", "_KRON_CALL_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE",
-            "_partitions", "_split_table", "_strips", "_hive_plan", "_h_expansion",
-            "_border_strip_removals", "_mn_vector", "character_vector", "_kostka",
+    assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE",
+            "_split_table", "_strips", "_hive_plan", "_h_expansion",
+            "_border_strip_removals", "_mn_vector", "_kostka",
             "_schur_in_h", "cycle_types", "class_sizes"} <= set(filled)
     assert all(filled.values()), filled
     clear_caches()

@@ -55,11 +55,11 @@ def test_the_engine_memos_hold_no_partition(monkeypatch):
     seq = stabilization_sequence(Kind.HEISENBERG, ((3, 1), (2, 1), (2,)),
                                  ((2, 1), (2,), (1,)), range(4))
     assert strips and tables and coefficients._LR_PRODUCT_CACHE
-    assert coefficients._KRON_CALL_CACHE
+    assert coefficients._KRON_CACHE
     assert not any(_partitions_in(strips))
     assert not any(_partitions_in(tables))
     assert not any(_partitions_in(list(coefficients._LR_PRODUCT_CACHE.values())))
-    assert not any(_partitions_in(list(coefficients._KRON_CALL_CACHE)))
+    assert not any(_partitions_in(list(coefficients._KRON_CACHE)))
     # the public results stay Partitions
     assert all(type(lam) is Partition for lam in product.terms)
     assert [n for n, _ in seq] == [0, 1, 2, 3] and all(v > 0 for _, v in seq)

@@ -1,3 +1,4 @@
+import fractions
 import itertools
 import random
 from fractions import Fraction
@@ -93,7 +94,7 @@ def test_soundness_on_random_wider_systems():
 # The two internal-consistency checks raise rather than hand back a wrong
 # point; only a broken arithmetic helper can reach them.
 def test_an_empty_back_substitution_interval_raises(monkeypatch):
-    monkeypatch.setattr(ratfeas, "Fraction", lambda *args: 0)
+    monkeypatch.setattr(fractions, "Fraction", lambda *args: 0)
     with pytest.raises(RuntimeError, match="Fourier-Motzkin back-substitution interval empty"):
         solve_strict([(1, 0), (-1, 1)], 2)
 
