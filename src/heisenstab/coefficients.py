@@ -46,11 +46,14 @@ by the first factor, one filling traversal per subdiagram, and one
 traversal serves both orientations of a split.  The quintuple formula
 splits lam into (alpha |- p, delta |- q, rho |- r) by two LR splits in a
 row, the larger of alpha and rho first, in one loop for both orders, and
-contracts its Kronecker factor once per (alpha, delta, rho) within a
-query.  One Kronecker memo (`_KRON_CACHE`) holds g under any order of its
-key, as g is symmetric: `_kron` writes the ascending triple and the two
-Heisenberg contractions write the order they ask in, (delta, beta, eta),
-so each of their hits is one lookup.
+contracts inside that loop: its Kronecker factor once per (alpha, delta,
+rho) within a query, the first time the loop meets it.  At the lowest
+degree, r = 0, the second split is the identity, so lam's first split is
+the triple factor and no rest is split.  One Kronecker memo
+(`_KRON_CACHE`) holds g under any order of its key, as g is symmetric:
+`_kron` writes the ascending triple and the two Heisenberg contractions
+write the order they ask in, (delta, beta, eta), so each of their hits is
+one lookup.
 """
 
 from __future__ import annotations
@@ -499,34 +502,55 @@ def _heis_by_formula(lam: Shape, mu: Shape, nu: Shape, p: int, q: int, r: int) -
     # (y |- b, delta) grouped by the other outer factor y, runs over the
     # smaller shapes: x is alpha when p > r, else rho (at p = r, rho first
     # measured faster on the stabilization sweeps).
+    #
+    # The formula contracts inside the split loop: each (x, delta, y) is
+    # contracted once, the first time the loop meets it, g read in call
+    # order, and every later path reuses its value.  The contraction is
+    # written out in both paths below: a call per contraction costs more.
     betas = _split_table(mu, p, q)
     etas = _split_table(nu, r, q)
     alpha_first = p > r
     a, b, first, second = (p, r, betas, etas) if alpha_first else (r, p, etas, betas)
-    # the triple factor c^lam_{x delta y}, over the x and y that mu and nu have
-    lr3: dict[tuple[Shape, Shape, Shape], int] = {}
+    kron = _KRON_CACHE
+    total = 0
+    if b == 0:
+        # the lowest degree, r = 0: every rest splits only as (y, delta) =
+        # ((), rest) with c = 1, so lam's first split is the triple factor,
+        # each (x, delta) met once
+        for x, deltas in _split_table(lam, a, q).items():
+            if x in first:
+                beta_row, eta_row = (betas[x], etas[()]) if alpha_first else (betas[()], etas[x])
+                for delta, c in deltas:
+                    v = 0
+                    for beta, c1 in beta_row:
+                        for eta, c2 in eta_row:
+                            key = (delta, beta, eta)
+                            g = kron.get(key)
+                            if g is None:
+                                g = kron[key] = _kron(delta, beta, eta)
+                            v += c1 * c2 * g
+                    total += c * v
+        return total
+    values: dict[tuple[Shape, Shape, Shape], int] = {}  # the contraction per (x, delta, y)
     for x, rests in _split_table(lam, a, q + b).items():
         if x in first:
             for rest, c in rests:
                 for y, deltas in _split_table(rest, b, q).items():
                     if y in second:
                         for delta, c3 in deltas:
-                            key = (x, delta, y)
-                            lr3[key] = lr3.get(key, 0) + c * c3
-    # contracted once per (alpha, delta, rho), g read in call order
-    kron = _KRON_CACHE
-    total = 0
-    for (x, delta, y), c in lr3.items():
-        alpha, rho = (x, y) if alpha_first else (y, x)
-        v = 0
-        for beta, c1 in betas[alpha]:
-            for eta, c2 in etas[rho]:
-                key = (delta, beta, eta)
-                g = kron.get(key)
-                if g is None:
-                    g = kron[key] = _kron(delta, beta, eta)
-                v += c1 * c2 * g
-        total += c * v
+                            trio = (x, delta, y)
+                            v = values.get(trio)
+                            if v is None:
+                                v = 0
+                                for beta, c1 in betas[x if alpha_first else y]:
+                                    for eta, c2 in etas[y if alpha_first else x]:
+                                        key = (delta, beta, eta)
+                                        g = kron.get(key)
+                                        if g is None:
+                                            g = kron[key] = _kron(delta, beta, eta)
+                                        v += c1 * c2 * g
+                                values[trio] = v
+                            total += c * c3 * v
     return total
 
 

@@ -3,11 +3,14 @@ against the independent h-basis oracle.
 
 `_heis_by_formula` splits lam into (alpha |- p, delta |- q, rho |- r) by
 two LR splits in a row, the larger of alpha and rho first: alpha first
-when p > r, rho first otherwise.  The value pin covers sizes <= 5 only,
-so each case here has sizes 6 to 8 and is checked at every lam |- l."""
+when p > r, rho first otherwise.  At the lowest degree, r = 0, the
+second split is the identity and lam's first split is the triple factor.
+The value pin covers sizes <= 5 only, so each case here has sizes 6 to 8
+and is checked at every lam |- l."""
 
 import pytest
 
+from heisenstab import coefficients
 from heisenstab.coefficients import clear_caches, heisenberg_coeff, heisenberg_coeff_oracle
 from heisenstab.partitions import partitions_of
 
@@ -21,6 +24,9 @@ CASES = [
     ((4, 2), (3, 3), 9),         # 3, 3, 3: rho first, p = q = r
     ((6,), (3, 2, 1), 8),        # 2, 4, 2: rho first, mu has no alpha = (1, 1)
     ((3, 2, 1), (2, 2, 2), 6),   # 0, 6, 0: rho first, the Kronecker degree
+    ((4, 2), (2, 1), 6),         # 3, 3, 0: alpha first, r = 0, p = q
+    ((3, 3, 1), (3, 2, 1), 7),   # 1, 6, 0: alpha first, r = 0, q largest
+    ((5, 2, 1), (2,), 8),        # 6, 2, 0: alpha first, r = 0, p largest
 ]
 
 
@@ -40,3 +46,21 @@ def test_formula_matches_h_basis_oracle_at_every_lam(mu, nu, l):
     values = {lam: heisenberg_coeff(lam, mu, nu) for lam in partitions_of(l)}
     assert values == {lam: heisenberg_coeff_oracle(lam, mu, nu) for lam in partitions_of(l)}
     assert any(values.values())
+
+
+def test_lowest_degree_splits_no_rest_of_lam(monkeypatch):
+    # p, q, r = 5, 3, 0: the split tables of mu, nu (both orientations) and
+    # lam's first split, and no table of a rest of lam
+    lam, mu, nu = (4, 3, 1), (5, 2, 1), (2, 1)
+    clear_caches()
+    calls = []
+    split_table = coefficients._split_table
+
+    def counted(outer, a, b):
+        calls.append((outer, a, b))
+        return split_table(outer, a, b)
+
+    monkeypatch.setattr(coefficients, "_split_table", counted)
+    assert heisenberg_coeff(lam, mu, nu) == heisenberg_coeff_oracle(lam, mu, nu)
+    assert {outer for outer, _, _ in calls} <= {lam, mu, nu}
+    assert sorted(calls) == sorted([(mu, 5, 3), (nu, 0, 3), (nu, 3, 0), (lam, 5, 3)])
