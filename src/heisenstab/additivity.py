@@ -6,8 +6,8 @@ integer matrix with given row-sum and column-sum vectors (a contingency
 table); these drive the Kronecker product of h-basis elements.  A cornered
 matrix is a (p+1) x (q+1) matrix with a zero top-left corner whose margins
 ignore the first row and first column (each margin is still a full row or
-column sum); these drive the Heisenberg product.  `margin_matrices`
-fills both row by row with capped compositions from `partitions`.
+column sum); these drive the Heisenberg product.  `margin_matrices` fills
+both on a stack, row by row, with capped compositions from `partitions`.
 
 A matrix is additive when row/column potentials x_i + y_j reproduce the
 strict order of its entries.  Additivity is decided in two stages: a 2 x 2
@@ -156,24 +156,27 @@ def margin_matrices(cls: type[KroneckerMatrix], beta: Sequence[int],
     construction."""
     beta, gamma = Composition(beta), Composition(gamma)
     if cls.corner or beta.size == gamma.size:
-        yield from map(cls, _fill(cls, beta, 0, tuple(gamma), []))
+        yield from map(cls, _fill(cls, beta, gamma))
 
 
-def _fill(cls: type[KroneckerMatrix], beta: Sequence[int], i: int, room: tuple[int, ...],
-          acc: list[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Unvalidated rows of every matrix of margin_matrices whose first i rows
-    (inner blocks for a cornered class) are acc, room what they leave of gamma."""
-    if i == len(beta):
-        if cls.corner:
-            yield ((0,) + room, *((b - sum(row),) + row for b, row in zip(beta, acc)))
-        else:
-            yield tuple(acc)
-        return
-    for s in range(0 if cls.corner else beta[i], beta[i] + 1):
-        for row in _bounded_vectors(s, room):
-            acc.append(row)
-            yield from _fill(cls, beta, i + 1, tuple(c - r for c, r in zip(room, row)), acc)
-            acc.pop()
+def _fill(cls: type[KroneckerMatrix], beta: Sequence[int],
+          gamma: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Unvalidated rows of every matrix of margin_matrices(cls, beta, gamma),
+    ordered row by row, top down: a row (inner block for a cornered class)
+    by its sum, then first entry smallest first.  A stack of (rows so far,
+    what they leave of gamma) states, a row's choices over the capped
+    compositions of each sum it may take pushed last first, to pop in order."""
+    stack = [((), tuple(gamma))]
+    while stack:
+        rows, room = stack.pop()
+        if len(rows) == len(beta):
+            yield (((0,) + room, *((b - sum(row),) + row for b, row in zip(beta, rows)))
+                   if cls.corner else rows)
+            continue
+        top = beta[len(rows)]
+        stack.extend(reversed([(rows + (row,), tuple([c - r for c, r in zip(room, row)]))
+                               for s in range(0 if cls.corner else top, top + 1)
+                               for row in _bounded_vectors(s, room)]))
 
 
 def margin_class(cls: type[KroneckerMatrix], beta, gamma, alpha) -> Iterator[KroneckerMatrix]:
@@ -371,31 +374,6 @@ def build_constraint_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     cells = _positions(HeisenbergMatrix([(0,) * (q + 1)] * (p + 1)))
     return (tuple(tuple(int(i == r) for i, _ in cells) for r in range(1, p + 1))
             + tuple(tuple(int(j == c) for _, j in cells) for c in range(1, q + 1)))
-
-
-def exact_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
-    from fractions import Fraction
-
-    m = [[Fraction(e) for e in row] for row in rows]
-    rank = 0
-    col = 0
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    while rank < n_rows and col < n_cols:
-        pivot = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(n_rows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def flatten(A: KroneckerMatrix) -> tuple[int, ...]:

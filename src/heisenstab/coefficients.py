@@ -209,7 +209,7 @@ def _split_table(outer: Shape, a: int,
         return {y: tuple(xs) for y, xs in by_y.items()}
     ys: dict[Shape, Shape] = {}  # equal y's of different x share one object
     return {x: tuple((ys.setdefault(y, y), c) for y, c in _lr_fillings(outer, x).items())
-            for x in _inside(outer, 0, a, a, [])}
+            for x in _inside(outer, a)}
 
 
 @lru_cache(maxsize=None)
@@ -653,7 +653,7 @@ def _h_expansion(cls: type[KroneckerMatrix], mu: Shape,
     for delta, a in _schur_in_h(mu):
         for eps, b in _schur_in_h(nu):
             w = a * b
-            for rows in _fill(cls, delta, 0, eps, []):
+            for rows in _fill(cls, delta, eps):
                 entries = filter(None, itertools.chain.from_iterable(rows))
                 out[tuple(sorted(entries, reverse=True))] += w
     return tuple((theta, v) for theta, v in out.items() if v != 0)

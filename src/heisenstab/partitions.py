@@ -11,11 +11,11 @@ rational vectors, not just partitions, and is always exact: its entries
 are ints and `fractions.Fraction`s, and a float is refused, never
 compared.
 
-The package's enumerators: partitions inside a shape (`_inside`, which
-yields the plain tuples the engines keep; its public forms
-`subpartitions_of_size` and `partitions_of(n)`, the n x n box, yield
-Partitions), and capped compositions (`_bounded_vectors`), the rows of
-margin matrices and the horizontal strips of Kostka numbers.
+The package's enumerators, each a loop over an explicit stack: partitions
+inside a shape (`_inside`, which yields the plain tuples the engines keep;
+its public forms `subpartitions_of_size` and `partitions_of(n)`, the n x n
+box, yield Partitions), and capped compositions (`_bounded_vectors`), the
+rows of margin matrices and the horizontal strips of Kostka numbers.
 """
 
 from __future__ import annotations
@@ -234,41 +234,53 @@ def is_dominated_by(a: Sequence[Rational], b: Sequence[Rational]) -> bool:
 
 def _bounded_vectors(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Nonnegative integer vectors with the given sum, entry i <= caps[i],
-    first entry smallest first."""
-    if not caps:
-        if total == 0:
-            yield ()
-    elif 0 <= total <= sum(caps):
-        for head in range(min(caps[0], total) + 1):
-            for tail in _bounded_vectors(total - head, caps[1:]):
-                yield (head,) + tail
+    first entry smallest first: a stack of (head, what is left) states with
+    no dead end, and once nothing is left the zero tail comes at once."""
+    stack = [((), total, sum(caps))] if 0 <= total <= sum(caps) else []
+    while stack:
+        head, rem, room = stack.pop()  # room: what the caps from entry i on hold
+        i = len(head)
+        if rem == 0:
+            yield head + (0,) * (len(caps) - i)
+        else:  # pushed largest first, so that the smallest pops first
+            room -= caps[i]
+            stack.extend([(head + (t,), rem - t, room) for t in
+                          range(min(caps[i], rem), max(rem - room, 0) - 1, -1)])
 
 
-def _inside(outer: Sequence[int], i: int, rem: int, bound: int,
-            acc: list[int]) -> Iterator[tuple[int, ...]]:
-    """acc extended by every partition of rem with parts <= bound that fits
-    rows i.. of outer, largest part first, as plain tuples: the engines
-    keep these in their memos, and the cyclic GC untracks a plain tuple of
-    ints, never a Partition."""
-    if rem == 0:
-        yield tuple(acc)
-        return
-    if i >= len(outer):
-        return
-    cap = outer[i] if outer[i] < bound else bound  # not min(): a third faster here
-    if cap * (len(outer) - i) < rem:
-        return  # not enough room left below
-    for part in range(cap if cap < rem else rem, 0, -1):
-        acc.append(part)
-        yield from _inside(outer, i + 1, rem - part, part, acc)
-        acc.pop()
+def _inside(outer: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of size inside outer, largest part first, as plain
+    tuples: the engines keep these in their memos, and the cyclic GC
+    untracks a plain tuple of ints, never a Partition.  A stack of (head,
+    what is left, bound on the next part) states: the next parts after which
+    the rows below could hold the rest, pushed smallest first so the largest
+    pops first; a tail of parts 1 comes at once."""
+    if size == 0:
+        yield ()
+    stack = [((), size, size)] if 0 < size <= sum(outer) else []
+    while stack:
+        head, rem, bound = stack.pop()
+        i = len(head)
+        cap = outer[i] if outer[i] < bound else bound  # not min(): a third faster here
+        if cap == 1:
+            yield head + (1,) * rem  # the only way on, and the rows below hold it
+            continue
+        m = len(outer) - 1 - i  # rows below, each to hold at most min(part, below) of the rest
+        below = outer[i + 1] if m else 0
+        low = -(-rem // (m + 1))
+        if low > below:
+            low = rem - below * m
+        stack.extend([(head + (part,), rem - part, part)
+                      for part in range(low, cap + 1 if cap < rem else rem)])
+        if cap >= rem:
+            yield head + (rem,)  # the part rem ends the partition, and would pop first
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, largest part first; none when n < 0.  They are
     the partitions of n inside the n x n box."""
     (n,) = _integer_parts((n,), ValueError)
-    return map(_trusted, _inside((n,) * n, 0, n, n, []))
+    return map(_trusted, _inside((n,) * n, n))
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
@@ -278,6 +290,4 @@ def partitions_up_to(n: int) -> Iterator[Partition]:
 
 def subpartitions_of_size(outer: Sequence[int], size: int) -> Iterator[Partition]:
     """All partitions of `size` contained in `outer` (coordinatewise)."""
-    outer = tuple(outer)
-    if 0 <= size <= sum(outer):
-        yield from map(_trusted, _inside(outer, 0, size, size, []))
+    yield from map(_trusted, _inside(tuple(outer), size))

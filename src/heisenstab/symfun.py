@@ -5,9 +5,9 @@ from the Murnaghan-Nakayama border-strip recursion: whole vectors
 (`character_vector`) a block of classes at a time, from one memo keyed by
 (shape, bound on the parts) (`_mn_vector`); single values (`character`) by
 a strip walk over the parts of the cycle type, which builds no vector.
-Kostka numbers from the horizontal-strip recursion over capped
-compositions; the Schur-to-complete-homogeneous change of basis from the
-Jacobi-Trudi determinant as a strip walk over its special rim hooks.
+Kostka numbers by the horizontal-strip rule on a stack over one memo;
+the Schur-to-complete-homogeneous change of basis from the Jacobi-Trudi
+determinant as a strip walk over its special rim hooks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from operator import add, neg, sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .partitions import Composition, Partition, _bounded_vectors, _inside, pi_sequence
 
@@ -133,7 +133,7 @@ def dimension(lam: Sequence[int]) -> int:
 def cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
     """Cycle types of S_n in a fixed order, as plain tuples: largest part
     first, so the classes with parts <= k are a suffix."""
-    return tuple(_inside((n,) * n, 0, n, n, []))
+    return tuple(_inside((n,) * n, n))
 
 
 @lru_cache(maxsize=None)
@@ -151,22 +151,34 @@ def character_vector(lam: tuple[int, ...]) -> tuple[int, ...]:
 # Kostka numbers
 
 
-def _horizontal_strip_shrinks(lam: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
-    """Shapes mu with lam/mu a horizontal strip of size k: row i gives up
-    t_i <= lam_i - lam_{i+1} boxes, so lam_{i+1} <= mu_i <= lam_i."""
-    caps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
-    return (tuple(a - t for a, t in zip(lam, ts) if a > t) for ts in _bounded_vectors(k, caps))
+_KOSTKA_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
 
-@lru_cache(maxsize=None)
 def _kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if len(lam) > len(mu):
-        return 0  # a column holds distinct letters, so no filling has more rows
-    if len(lam) <= 1:
-        return 1  # |lam| = |mu|: a single row (or none) has exactly one filling
-    last = mu[-1]
-    rest = mu[:-1]
-    return sum(_kostka(shape, rest) for shape in _horizontal_strip_shrinks(lam, last))
+    """K(lam, mu) by the horizontal-strip rule: mu's last letter fills a
+    horizontal strip, row i giving up t_i <= lam_i - lam_{i+1} boxes (so
+    lam_{i+1} <= nu_i <= lam_i), and K(lam, mu) sums K(nu, mu[:-1]) over
+    the shapes nu left.  An explicit stack over `_KOSTKA_CACHE`, keyed by
+    (shape, prefix of mu): a state lists its children on its first visit
+    and sums them on its second."""
+    memo = _KOSTKA_CACHE
+    stack = [] if (lam, mu) in memo else [((lam, mu), None)]
+    while stack:
+        (shape, content), kids = stack.pop()
+        if kids is not None:
+            memo[shape, content] = sum([memo[kid] for kid in kids])
+        elif len(shape) > len(content):
+            memo[shape, content] = 0  # a column holds distinct letters, so no filling has more rows
+        elif len(shape) <= 1:
+            memo[shape, content] = 1  # |lam| = |mu|: a single row (or none) has exactly one filling
+        else:
+            rest, caps = content[:-1], [a - b for a, b in zip(shape, shape[1:] + (0,))]
+            kids = [(tuple([a - t for a, t in zip(shape, ts) if a > t]), rest)
+                    for ts in _bounded_vectors(content[-1], caps)]
+            stack.append(((shape, content), kids))
+            # each pushed once: its siblings differ, and prefixes under them are shorter
+            stack += [(kid, None) for kid in kids if kid not in memo]
+    return memo[lam, mu]
 
 
 def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
@@ -216,11 +228,11 @@ def schur_in_h_basis(lam: Sequence[int]) -> dict[Partition, int]:
 
 
 # the originals, so that a caller who rebinds the module names still clears them
-_MEMOS = (_border_strip_removals, _class_count, _mn_vector, _kostka, _schur_in_h, cycle_types,
-          class_sizes)
+_MEMOS = (_border_strip_removals, _class_count, _mn_vector, _schur_in_h, cycle_types, class_sizes)
 
 
 def clear_caches() -> None:
     """Empty every memo of this module."""
     for memo in _MEMOS:
         memo.cache_clear()
+    _KOSTKA_CACHE.clear()

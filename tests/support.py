@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: triple enumeration by size pattern,
 and independent oracles: a hook-length dimension formula, a brute-force
 Kostka count, the per-class Murnaghan-Nakayama recursion and the plain
-Kronecker character sum over it, and the Jacobi-Trudi determinant expanded
-over all permutations."""
+Kronecker character sum over it, the Jacobi-Trudi determinant expanded
+over all permutations, and the rational rank of an integer matrix."""
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Sequence
@@ -132,3 +133,27 @@ def schur_in_h_by_permutations(lam: Sequence[int]) -> dict[tuple[int, ...], int]
         key = tuple(sorted((d for d in degrees if d), reverse=True))
         coeffs[key] = coeffs.get(key, 0) + (-1) ** inversions
     return {k: v for k, v in coeffs.items() if v}
+
+
+def exact_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals by fraction-exact Gaussian elimination (test
+    oracle for the margin constraint matrix)."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    rank = 0
+    col = 0
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    while rank < n_rows and col < n_cols:
+        pivot = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for r in range(n_rows):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col] / pv
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        col += 1
+    return rank

@@ -29,7 +29,6 @@ from heisenstab import (
     lr_coeff,
     lr_coeff_hive,
 )
-from heisenstab.additivity import exact_rank
 from heisenstab.partitions import (
     Dominance,
     Partition,
@@ -40,7 +39,7 @@ from heisenstab.partitions import (
 )
 from heisenstab.stability import coefficient, stabilization_sequence
 from heisenstab.symfun import character_vector, class_sizes
-from support import direction_triples, hook_length_dimension, size_triples
+from support import direction_triples, exact_rank, hook_length_dimension, size_triples
 
 P = Partition
 

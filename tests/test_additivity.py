@@ -33,6 +33,7 @@ from heisenstab.additivity import (
 )
 from heisenstab.partitions import Partition, is_dominated_by, partitions_up_to
 from heisenstab.ratfeas import solve_strict
+from support import exact_rank
 
 P = Partition
 
@@ -123,6 +124,20 @@ def test_margin_matrices_match_brute_force(cls):
             expected = _brute_force_margin_matrices(cls, beta, gamma)
             assert len(rows) == len(set(rows)) == len(expected), (beta, gamma)
             assert set(rows) == expected, (beta, gamma)
+
+
+@pytest.mark.parametrize("cls", [KroneckerMatrix, HeisenbergMatrix])
+def test_margin_matrices_come_in_row_order(cls):
+    # rows top down, each (inner block for a cornered class) by its sum,
+    # then first entry smallest first
+    margins = [c for length in range(4) for c in itertools.product(range(3), repeat=length)
+               if sum(c) <= 3]
+    k = cls.corner
+    for beta in margins:
+        for gamma in margins:
+            expected = sorted(_brute_force_margin_matrices(cls, beta, gamma), key=lambda rows: [
+                (sum(row[k:]), row[k:]) for row in rows[k:]])
+            assert [A.rows for A in margin_matrices(cls, beta, gamma)] == expected, (beta, gamma)
 
 
 def test_heisenberg_matrix_enumeration_small():
@@ -453,7 +468,7 @@ def test_constraint_matrix_2_3_bit_exact():
 def test_constraint_matrix_rows_independent():
     for p in range(1, 5):
         for q in range(1, 5):
-            assert additivity.exact_rank(build_constraint_matrix(p, q)) == p + q
+            assert exact_rank(build_constraint_matrix(p, q)) == p + q
 
 
 @pytest.mark.parametrize("p, q", [(0, 2), (2, 0)])
@@ -471,7 +486,7 @@ def test_constraint_matrix_refuses_an_empty_side(p, q):
     ([(1, 1), (1, -1)], 2),
 ])
 def test_exact_rank_eliminates_rows_that_share_a_pivot_column(rows, rank):
-    assert additivity.exact_rank(rows) == rank
+    assert exact_rank(rows) == rank
 
 
 def test_constraint_matrix_reproduces_margins():

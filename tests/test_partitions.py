@@ -9,6 +9,8 @@ from heisenstab.partitions import (
     Dominance,
     NotAPartitionError,
     Partition,
+    _bounded_vectors,
+    _inside,
     add,
     dominates,
     is_dominated_by,
@@ -217,6 +219,29 @@ def test_subpartitions_of_size():
         assert all(p <= q for p, q in zip(lam, (4, 2, 1)))
     assert list(subpartitions_of_size((2, 1), 0)) == [Partition(())]
     assert list(subpartitions_of_size((2, 1), 4)) == []
+
+
+def test_inside_yields_every_subpartition_largest_part_first():
+    # brute force: every vector under outer, kept when weakly decreasing;
+    # partitions of one size, largest part first, are in descending order
+    for n in range(11):
+        for outer in partitions_of(n):
+            by_size: dict[int, list[tuple[int, ...]]] = {}
+            for v in itertools.product(*(range(p + 1) for p in outer)):
+                if all(a >= b for a, b in zip(v, v[1:])):
+                    by_size.setdefault(sum(v), []).append(tuple(filter(None, v)))
+            for size in range(-1, n + 2):
+                assert list(_inside(tuple(outer), size)) == sorted(
+                    by_size.get(size, []), reverse=True), (outer, size)
+
+
+def test_bounded_vectors_come_first_entry_smallest_first():
+    for caps in itertools.chain.from_iterable(
+            itertools.product(range(4), repeat=k) for k in range(5)):
+        for total in range(-1, sum(caps) + 2):
+            expected = [v for v in itertools.product(*(range(c + 1) for c in caps))
+                        if sum(v) == total]
+            assert list(_bounded_vectors(total, caps)) == expected, (total, caps)
 
 
 @pytest.mark.parametrize("data", [[(1, 2), 3], [3, (1, 2)], [[1], 2, [3]]],

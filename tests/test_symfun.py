@@ -3,8 +3,9 @@ from math import factorial
 
 import pytest
 
-from heisenstab import symfun
-from heisenstab.partitions import Partition, is_dominated_by, partitions_of
+from heisenstab import heisenberg_coeff, heisenberg_product, symfun
+from heisenstab.additivity import kronecker_matrices
+from heisenstab.partitions import Partition, _bounded_vectors, is_dominated_by, partitions_of
 from heisenstab.symfun import (
     character,
     character_vector,
@@ -117,6 +118,17 @@ def test_dimension_and_kostka_of_a_long_row_stay_within_the_recursion_limit():
     assert sys.getrecursionlimit() <= 1000
     assert dimension((990,)) == 1
     assert kostka((1100,), (1,) * 1100) == 1
+
+
+def test_long_shapes_of_every_enumerator_stay_within_the_recursion_limit():
+    # each enumerator walks one stack level per part, row or cap
+    assert sys.getrecursionlimit() <= 1000
+    assert heisenberg_coeff((1,) * 1100, (1,) * 1000, (1,) * 100) == 1
+    assert heisenberg_product((1,) * 1200, (1,)).terms == {
+        (2,) + (1,) * 1198: 1, (1,) * 1200: 1, (2,) + (1,) * 1199: 1, (1,) * 1201: 1}
+    assert kostka((1099, 1), (1,) * 1100) == 1099
+    assert [A.rows for A in kronecker_matrices((1,) * 1100, (1100,))] == [((1,),) * 1100]
+    assert next(_bounded_vectors(3, (1,) * 1100)) == (0,) * 1097 + (1, 1, 1)
 
 
 def test_character_table_columns_are_orthogonal():
