@@ -121,6 +121,14 @@ class HeisenbergMatrix(KroneckerMatrix):
             raise MatrixParseError("top-left corner must be 0")
 
 
+def _trusted_matrix(cls: type[KroneckerMatrix], rows: tuple[tuple[int, ...], ...]):
+    """A class-`cls` matrix of rows the caller built as valid tuples of
+    nonnegative ints, without the checks of cls(rows)."""
+    A = object.__new__(cls)
+    A.rows = rows
+    return A
+
+
 MATRIX_KINDS = dict(zip(_MATRIX_KIND_KEYS, (KroneckerMatrix, HeisenbergMatrix),
                         strict=True))
 
@@ -156,7 +164,8 @@ def margin_matrices(cls: type[KroneckerMatrix], beta: Sequence[int],
     construction."""
     beta, gamma = Composition(beta), Composition(gamma)
     if cls.corner or beta.size == gamma.size:
-        yield from map(cls, _fill(cls, beta, gamma))
+        for rows in _fill(cls, beta, gamma):
+            yield _trusted_matrix(cls, rows)
 
 
 def _fill(cls: type[KroneckerMatrix], beta: Sequence[int],
@@ -349,14 +358,30 @@ def is_additive(A: KroneckerMatrix) -> Optional[AdditivityCertificate]:
 
 def check_certificate(A: KroneckerMatrix, cert: AdditivityCertificate) -> bool:
     """Independent verification: every strict entry pair must have strictly
-    ordered potential sums.  Checks all pairs, not just consecutive levels."""
+    ordered potential sums, over all pairs of cells, not just consecutive
+    levels.  With one sum x_i + y_j per cell, that holds exactly when at
+    each value level the smallest sum exceeds the largest sum of the level
+    below: that sum is at least the level's own smallest, so by induction
+    every lower level's sums lie below it too."""
     if (len(cert.x), len(cert.y)) != A.shape:
         raise ValueError("certificate dimensions do not match the matrix")
-    pos = _positions(A)
-    for (i, j), (k, l) in itertools.permutations(pos, 2):
-        if A.rows[i][j] > A.rows[k][l]:
-            if cert.x[i] + cert.y[j] <= cert.x[k] + cert.y[l]:
-                return False
+    x, y, rows = cert.x, cert.y, A.rows
+    extremes: dict[int, list] = {}  # value -> [smallest sum, largest sum]
+    for i, j in _positions(A):
+        s = x[i] + y[j]
+        ends = extremes.get(rows[i][j])
+        if ends is None:
+            extremes[rows[i][j]] = [s, s]
+        elif s < ends[0]:
+            ends[0] = s
+        elif s > ends[1]:
+            ends[1] = s
+    below = None  # the largest sum of the level below
+    for value in sorted(extremes):
+        smallest, largest = extremes[value]
+        if below is not None and not smallest > below:
+            return False
+        below = largest
     return True
 
 

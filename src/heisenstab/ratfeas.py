@@ -10,6 +10,10 @@ system by Fourier-Motzkin elimination on integer rows (rows with
 the answer is exact: either a rational point satisfying every row, or
 None.
 
+Back-substitution stays in integers too: the values are numerators over
+one common denominator, each bound is compared by cross-multiplication,
+and `Fraction`s are built only for the returned point.
+
 Every returned point is re-checked against all original rows before it is
 handed back; an internal inconsistency raises instead of returning.
 """
@@ -17,10 +21,14 @@ handed back; an internal inconsistency raises instead of returning.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # the engines load this module, not fractions
     from fractions import Fraction
+
+# each stage: (eliminated variable, the integer rows in which it occurred)
+Stage = tuple[int, list[tuple[int, ...]]]
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
@@ -31,8 +39,28 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
 
 def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Fraction, ...]]:
     """Find rational z with row . z >= 1 for every row, or None if infeasible."""
+    eliminated = _eliminate(rows, num_vars)
+    if eliminated is None:
+        return None
+    exact, stages = eliminated
+    numerators = _back_substitute(stages, num_vars)
     from fractions import Fraction
 
+    if not exact:
+        return (Fraction(0),) * num_vars
+    # the point is numerators / D for some D > 0; dividing by its smallest
+    # slack min(row . numerators) / D cancels D
+    low = min(sum(map(mul, row, numerators)) for row in exact)
+    if not low > 0:
+        raise RuntimeError("solver produced an invalid assignment")
+    return tuple(Fraction(n, low) for n in numerators)
+
+
+def _eliminate(rows: Sequence[Sequence], num_vars: int
+               ) -> Optional[tuple[list[tuple], list[Stage]]]:
+    """The rows as given (a row with a non-int entry as `Fraction`s) and the
+    Fourier-Motzkin stages of their integer system, in elimination order; None
+    when elimination reaches the zero row, 0 > 0."""
     exact = []
     system: set[tuple[int, ...]] = set()
     for row in rows:
@@ -42,6 +70,8 @@ def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Frac
             row = tuple(row)
             system.add(_primitive(row))
         else:
+            from fractions import Fraction
+
             # a positive integer multiple keeps the solutions of r . z > 0
             row = tuple(Fraction(c) for c in row)
             m = lcm(*(c.denominator for c in row))
@@ -50,8 +80,7 @@ def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Frac
 
     zero = (0,) * num_vars
     alive = list(range(num_vars))
-    # each stage: (eliminated variable, the rows in which it occurred)
-    stages: list[tuple[int, list[tuple[int, ...]]]] = []
+    stages: list[Stage] = []
     while system:
         if zero in system:  # 0 > 0: infeasible
             return None
@@ -82,34 +111,48 @@ def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Frac
             for rn in neg_rows:
                 b = -rn[k]
                 system.add(_primitive([b * p + a * n for p, n in zip(rp, rn)]))
+    return exact, stages
 
-    # Back-substitution in reverse elimination order: each row c*z_k + rest > 0
-    # bounds z_k strictly by -rest/c, from below when c > 0, above when c < 0.
-    # Variables no stage eliminated stay 0.
-    values = [Fraction(0)] * num_vars
+
+def _back_substitute(stages: Sequence[Stage], num_vars: int) -> list[int]:
+    """Numerators N of a point N / D (D > 0) with every stage row . z > 0.
+
+    Stages are undone in reverse elimination order.  A row c*z_k + rest > 0,
+    where rest / D is the part over the variables already chosen, bounds z_k
+    strictly by -rest / (c D): from below when c > 0, from above when c < 0.
+    Each bound is kept as p / q with q = |c| > 0, which shares the factor
+    1 / D with every other bound of the stage, so two bounds compare by
+    p1 * q2 against p2 * q1.  Between two bounds z_k is their midpoint;
+    with one, the bound plus or minus 1.  Choosing z_k = num / (s D)
+    rescales N and D by s, then their gcd is divided out.  Variables no
+    stage eliminated stay 0, as does z_k while its stage is read."""
+    N = [0] * num_vars
+    D = 1
     for k, stage_rows in reversed(stages):
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
+        lo = hi = None  # (p, q): the bound p / (q D)
         for r in stage_rows:
-            rest = sum(c * values[i] for i, c in enumerate(r) if c and i != k)
-            bound = Fraction(-rest, r[k])
-            if r[k] > 0:
-                if lo is None or bound > lo:
-                    lo = bound
-            elif hi is None or bound < hi:
-                hi = bound
+            rest = sum(map(mul, r, N))
+            c = r[k]
+            if c > 0:
+                if lo is None or -rest * lo[1] > lo[0] * c:
+                    lo = (-rest, c)
+            elif hi is None or rest * hi[1] < hi[0] * -c:
+                hi = (rest, -c)
         if lo is not None and hi is not None:
-            if not lo < hi:
+            (lp, lq), (hp, hq) = lo, hi
+            if not lp * hq < hp * lq:
                 raise RuntimeError("Fourier-Motzkin back-substitution interval empty")
-            values[k] = (lo + hi) / 2
+            num, s = lp * hq + hp * lq, 2 * lq * hq
         elif lo is not None:
-            values[k] = lo + 1
-        elif hi is not None:
-            values[k] = hi - 1
-
-    if not exact:
-        return tuple(values)
-    low = min(sum(c * v for c, v in zip(row, values)) for row in exact)
-    if not low > 0:
-        raise RuntimeError("solver produced an invalid assignment")
-    return tuple(v / low for v in values)
+            num, s = lo[0] + lo[1] * D, lo[1]
+        else:
+            num, s = hi[0] - hi[1] * D, hi[1]
+        if s > 1:
+            N = [n * s for n in N]
+            D *= s
+        N[k] = num
+        g = gcd(D, *N)
+        if g > 1:
+            N = [n // g for n in N]
+            D //= g
+    return N

@@ -2,7 +2,9 @@
 and independent oracles: a hook-length dimension formula, a brute-force
 Kostka count, the per-class Murnaghan-Nakayama recursion and the plain
 Kronecker character sum over it, the Jacobi-Trudi determinant expanded
-over all permutations, and the rational rank of an integer matrix."""
+over all permutations, the rational rank of an integer matrix, the
+Fourier-Motzkin back-substitution in `Fraction`s, and the all-pairs
+additivity certificate check."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
-from heisenstab import Composition, Kind, Partition
+from heisenstab import Composition, Kind, Partition, ratfeas
 from heisenstab.partitions import partitions_of, partitions_up_to
 from heisenstab.symfun import class_size
 from heisenstab.stability import coefficient, size_pattern_ok
@@ -157,3 +159,53 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def solve_strict_by_fractions(rows, num_vars: int):
+    """`ratfeas.solve_strict` with its back-substitution in `Fraction`s (test
+    oracle): the library's elimination stages, then in reverse elimination
+    order each variable between its strict bounds -rest/c, at the midpoint
+    of two, one past a single bound, and the point divided by its smallest
+    slack."""
+    eliminated = ratfeas._eliminate(rows, num_vars)
+    if eliminated is None:
+        return None
+    exact, stages = eliminated
+    values = [Fraction(0)] * num_vars
+    for k, stage_rows in reversed(stages):
+        lo = hi = None
+        for r in stage_rows:
+            rest = sum(c * values[i] for i, c in enumerate(r) if c and i != k)
+            bound = Fraction(-rest, r[k])
+            if r[k] > 0:
+                if lo is None or bound > lo:
+                    lo = bound
+            elif hi is None or bound < hi:
+                hi = bound
+        if lo is not None and hi is not None:
+            if not lo < hi:
+                raise RuntimeError("Fourier-Motzkin back-substitution interval empty")
+            values[k] = (lo + hi) / 2
+        elif lo is not None:
+            values[k] = lo + 1
+        elif hi is not None:
+            values[k] = hi - 1
+    if not exact:
+        return tuple(values)
+    low = min(sum(c * v for c, v in zip(row, values)) for row in exact)
+    if not low > 0:
+        raise RuntimeError("solver produced an invalid assignment")
+    return tuple(v / low for v in values)
+
+
+def certificate_by_all_pairs(A, cert) -> bool:
+    """`check_certificate` over every ordered pair of cells (test oracle): a
+    strictly larger entry needs a strictly larger potential sum."""
+    if (len(cert.x), len(cert.y)) != A.shape:
+        raise ValueError("certificate dimensions do not match the matrix")
+    n_rows, n_cols = A.shape
+    cells = [(i, j) for i in range(n_rows) for j in range(n_cols)
+             if not (A.corner and i == j == 0)]
+    return all(cert.x[i] + cert.y[j] > cert.x[k] + cert.y[l]
+               for (i, j), (k, l) in itertools.permutations(cells, 2)
+               if A.rows[i][j] > A.rows[k][l])

@@ -1,7 +1,9 @@
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -33,7 +35,7 @@ from heisenstab.additivity import (
 )
 from heisenstab.partitions import Partition, is_dominated_by, partitions_up_to
 from heisenstab.ratfeas import solve_strict
-from support import exact_rank
+from support import certificate_by_all_pairs, exact_rank
 
 P = Partition
 
@@ -243,6 +245,37 @@ def test_cornered_inner_permutation_block_not_additive():
 def test_certificate_dimension_mismatch():
     with pytest.raises(ValueError):
         check_certificate(WORKED, AdditivityCertificate(x=(F(0),), y=(F(0),)))
+
+
+def test_the_level_check_agrees_with_all_pairs():
+    # solver certificates, the same scaled to integers, each perturbed at
+    # one potential, and small integer potentials, whose sums tie often
+    rng = random.Random(20261020)
+    margins = list(partitions_up_to(4))
+    verdicts = Counter()
+    for cls in (KroneckerMatrix, HeisenbergMatrix):
+        for beta, gamma in itertools.product(margins, repeat=2):
+            for A in margin_matrices(cls, beta, gamma):
+                n_rows, n_cols = A.shape
+                certs = [AdditivityCertificate(
+                    x=tuple(rng.randint(-1, 1) for _ in range(n_rows)),
+                    y=tuple(rng.randint(-1, 1) for _ in range(n_cols))) for _ in range(2)]
+                cert = is_additive(A)
+                if cert is not None:
+                    scale = lcm(*(v.denominator for v in cert.x + cert.y))
+                    certs += [cert, AdditivityCertificate(x=tuple(int(v * scale) for v in cert.x),
+                                                          y=tuple(int(v * scale) for v in cert.y))]
+                    for _ in range(4 if A.rows else 0):
+                        x, y = list(cert.x), list(cert.y)
+                        side = rng.choice((x, y))
+                        side[rng.randrange(len(side))] += rng.choice((1, -1)) * rng.choice(
+                            (F(1, 2), 1, 2, 3))
+                        certs.append(AdditivityCertificate(x=tuple(x), y=tuple(y)))
+                for c in certs:
+                    verdict = certificate_by_all_pairs(A, c)
+                    assert check_certificate(A, c) == verdict, (A, c)
+                    verdicts[verdict] += 1
+    assert min(verdicts.values()) > 1000, verdicts
 
 
 def test_the_matrix_class_decides_additivity():

@@ -373,12 +373,15 @@ def test_bottom_degree_of_the_heisenberg_expansion_is_the_kronecker_one():
 
 
 def test_the_h_basis_route_builds_no_matrix(monkeypatch):
-    # the route reads the enumerator's rows; only margin_matrices builds,
-    # and so validates, matrix objects
+    # the route reads the enumerator's rows; only margin_matrices builds
+    # matrix objects, each through _trusted_matrix
     calls = []
     validated_rows = additivity._validated_rows
     monkeypatch.setattr(additivity, "_validated_rows",
                         lambda rows: calls.append(rows) or validated_rows(rows))
+    trusted_matrix = additivity._trusted_matrix
+    monkeypatch.setattr(additivity, "_trusted_matrix",
+                        lambda cls, rows: calls.append(rows) or trusted_matrix(cls, rows))
     clear_caches()
     assert coefficients._kron_route(P((30, 30)), P((40, 20)), P((45, 15))) \
         is coefficients._kron_by_h_basis

@@ -1,4 +1,3 @@
-import fractions
 import itertools
 import random
 from fractions import Fraction
@@ -92,11 +91,11 @@ def test_soundness_on_random_wider_systems():
 
 
 # The two internal-consistency checks raise rather than hand back a wrong
-# point; only a broken arithmetic helper can reach them.
-def test_an_empty_back_substitution_interval_raises(monkeypatch):
-    monkeypatch.setattr(fractions, "Fraction", lambda *args: 0)
+# point; only a broken helper or an inconsistent stage can reach them.
+def test_an_empty_back_substitution_interval_raises():
+    # z_0 > 0 and z_0 < 0: elimination never hands over such a stage
     with pytest.raises(RuntimeError, match="Fourier-Motzkin back-substitution interval empty"):
-        solve_strict([(1, 0), (-1, 1)], 2)
+        ratfeas._back_substitute([(0, [(1,), (-1,)])], 1)
 
 
 def test_an_assignment_that_fails_a_row_raises(monkeypatch):

@@ -1,10 +1,14 @@
 """Integer Fourier-Motzkin: Fraction rows, gcd normalisation, exact points."""
 
+import itertools
 import random
 from fractions import Fraction as F
 from math import lcm
 
+from heisenstab.additivity import HeisenbergMatrix, KroneckerMatrix, _strict_system, margin_matrices
+from heisenstab.partitions import partitions_up_to
 from heisenstab.ratfeas import solve_strict
+from support import solve_strict_by_fractions
 
 
 def _slacks(rows, z):
@@ -44,3 +48,36 @@ def test_integer_elimination_on_fraction_rows_and_common_factors():
             assert min(_slacks(rows, z)) >= 1, (rows, z)
             assert min(_slacks(scaled, z_int)) >= 1, (scaled, z_int)
     assert 0 < feasible < 150
+
+
+def _same_point(rows, num_vars):
+    """solve_strict and the Fraction back-substitution return the same tuple."""
+    z = solve_strict(rows, num_vars)
+    assert z == solve_strict_by_fractions(rows, num_vars), rows
+    assert z is None or all(type(v) is F for v in z)
+    return z
+
+
+def test_integer_back_substitution_matches_fractions_on_margin_classes():
+    # every strict system of the plain and cornered classes with margins of
+    # size <= 4, refuted by a trade or not
+    margins = list(partitions_up_to(4))
+    systems = feasible = 0
+    for cls in (KroneckerMatrix, HeisenbergMatrix):
+        for beta, gamma in itertools.product(margins, repeat=2):
+            for A in margin_matrices(cls, beta, gamma):
+                systems += 1
+                feasible += _same_point(*_strict_system(A)) is not None
+    assert (systems, feasible) == (2285, 287)
+
+
+def test_integer_back_substitution_matches_fractions_on_random_systems():
+    rng = random.Random(20261020)
+    feasible = 0
+    for _ in range(400):
+        num_vars = rng.randint(1, 5)
+        rows = [tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+                      for _ in range(num_vars))
+                for _ in range(rng.randint(1, 7))]
+        feasible += _same_point(rows, num_vars) is not None
+    assert 50 < feasible < 350
