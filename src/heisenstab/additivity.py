@@ -32,6 +32,7 @@ from .partitions import (
     _integer_parts,
     _integer_token,
     _MATRIX_KIND_KEYS,
+    _rationals,
     _sorted_entries,
     is_dominated_by,
     pi_sequence,
@@ -89,6 +90,7 @@ class KroneckerMatrix:
         return sum(sum(r) for r in self.rows)
 
     def scaled(self, n: int) -> "KroneckerMatrix":
+        (n,) = _integer_parts((n,), ValueError)
         return type(self)(tuple(tuple(n * e for e in r) for r in self.rows))
 
     def __eq__(self, other):
@@ -358,14 +360,14 @@ def is_additive(A: KroneckerMatrix) -> Optional[AdditivityCertificate]:
 
 def check_certificate(A: KroneckerMatrix, cert: AdditivityCertificate) -> bool:
     """Independent verification: every strict entry pair must have strictly
-    ordered potential sums, over all pairs of cells, not just consecutive
-    levels.  With one sum x_i + y_j per cell, that holds exactly when at
-    each value level the smallest sum exceeds the largest sum of the level
-    below: that sum is at least the level's own smallest, so by induction
-    every lower level's sums lie below it too."""
-    if (len(cert.x), len(cert.y)) != A.shape:
+    ordered potential sums (ints or `Fraction`s; a float, string or bool
+    raises ValueError), over all pairs of cells.  With one sum per cell,
+    that holds exactly when at each value level the smallest sum exceeds
+    the largest sum of the level below: that sum is at least the level's
+    own smallest, so by induction every lower level's sums lie below it."""
+    x, y, rows = _rationals(cert.x), _rationals(cert.y), A.rows
+    if (len(x), len(y)) != A.shape:
         raise ValueError("certificate dimensions do not match the matrix")
-    x, y, rows = cert.x, cert.y, A.rows
     extremes: dict[int, list] = {}  # value -> [smallest sum, largest sum]
     for i, j in _positions(A):
         s = x[i] + y[j]
@@ -394,6 +396,7 @@ def build_constraint_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     every cornered matrix A of inner size p x q: over flatten's cells, one
     row per margin, marking the cells of row r (r = 1..p), then of column c
     (c = 1..q)."""
+    p, q = _integer_parts((p, q), ValueError)
     if p < 1 or q < 1:
         raise ValueError("need p, q >= 1")
     cells = _positions(HeisenbergMatrix([(0,) * (q + 1)] * (p + 1)))

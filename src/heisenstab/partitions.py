@@ -150,18 +150,14 @@ def _sorted_entries(entries: Iterable[int]) -> Partition:
 def pi_sequence(data) -> Partition:
     """Entries of a matrix (iterable of rows) or a flat sequence, sorted
     weakly decreasingly with trailing zeros dropped."""
-    if isinstance(data, Composition):
-        entries = data
-    else:
+    if not isinstance(data, Composition):
         rows = list(data)
         if rows and isinstance(rows[0], (list, tuple)):
             if not all(isinstance(row, (list, tuple)) for row in rows):
                 raise ValueError(f"matrix mixes rows and entries: {rows!r}")
             rows = [e for row in rows for e in row]
-        entries = _integer_parts(rows, ValueError)
-    if any(e < 0 for e in entries):
-        raise ValueError(f"negative entry in {list(entries)}")
-    return _sorted_entries(entries)
+        data = Composition(rows)
+    return _sorted_entries(data)
 
 
 def _padded(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -175,6 +171,7 @@ def add(a: Partition, b: Partition) -> Partition:
 
 
 def scale(n: int, a: Partition) -> Partition:
+    (n,) = _integer_parts((n,), ValueError)
     if n < 0:
         raise ValueError("scale factor must be nonnegative")
     return Partition(n * p for p in a)
@@ -289,5 +286,6 @@ def partitions_up_to(n: int) -> Iterator[Partition]:
 
 
 def subpartitions_of_size(outer: Sequence[int], size: int) -> Iterator[Partition]:
-    """All partitions of `size` contained in `outer` (coordinatewise)."""
-    yield from map(_trusted, _inside(tuple(outer), size))
+    """All partitions of `size` inside the partition `outer`, coordinatewise."""
+    (size,) = _integer_parts((size,), ValueError)
+    return map(_trusted, _inside(Partition(outer), size))

@@ -1,14 +1,14 @@
 """Exact rational feasibility for small systems of strict inequalities.
 
-A system is a list of rational rows r, each demanding r . z >= 1.  Every
-right-hand side is the same positive constant, so the system is feasible
-exactly when the homogeneous strict system r . z > 0 is: a solution of
-the first satisfies the second, and a solution z of the second, divided
-by min(r . z), satisfies the first.  The solver decides the homogeneous
-system by Fourier-Motzkin elimination on integer rows (rows with
-`Fraction` entries are multiplied by the lcm of their denominators), so
-the answer is exact: either a rational point satisfying every row, or
-None.
+A system is a list of rows r of ints and `Fraction`s, each demanding
+r . z >= 1 (a float, string or bool entry or number of variables raises
+ValueError).  Every right-hand side is the same positive constant, so the
+system is feasible exactly when the homogeneous strict system r . z > 0
+is: a solution of the first satisfies the second, and a solution z of the
+second, divided by min(r . z), satisfies the first.  The solver decides
+the homogeneous system by Fourier-Motzkin elimination on integer rows (a
+row with `Fraction`s is multiplied by the lcm of their denominators), so
+the answer is exact: a rational point satisfying every row, or None.
 
 Back-substitution stays in integers too: the values are numerators over
 one common denominator, each bound is compared by cross-multiplication,
@@ -23,6 +23,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence
+
+from .partitions import _integer_parts, _rationals
 
 if TYPE_CHECKING:  # the engines load this module, not fractions
     from fractions import Fraction
@@ -39,6 +41,7 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
 
 def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Fraction, ...]]:
     """Find rational z with row . z >= 1 for every row, or None if infeasible."""
+    (num_vars,) = _integer_parts((num_vars,), ValueError)
     eliminated = _eliminate(rows, num_vars)
     if eliminated is None:
         return None
@@ -58,9 +61,9 @@ def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Frac
 
 def _eliminate(rows: Sequence[Sequence], num_vars: int
                ) -> Optional[tuple[list[tuple], list[Stage]]]:
-    """The rows as given (a row with a non-int entry as `Fraction`s) and the
-    Fourier-Motzkin stages of their integer system, in elimination order; None
-    when elimination reaches the zero row, 0 > 0."""
+    """The rows as given (a row with a non-int entry as `_rationals` reads
+    it) and the Fourier-Motzkin stages of their integer system, in
+    elimination order; None when elimination reaches the zero row, 0 > 0."""
     exact = []
     system: set[tuple[int, ...]] = set()
     for row in rows:
@@ -69,13 +72,10 @@ def _eliminate(rows: Sequence[Sequence], num_vars: int
         if all(type(c) is int for c in row):
             row = tuple(row)
             system.add(_primitive(row))
-        else:
-            from fractions import Fraction
-
-            # a positive integer multiple keeps the solutions of r . z > 0
-            row = tuple(Fraction(c) for c in row)
+        else:  # a positive integer multiple keeps the solutions of r . z > 0
+            row = tuple(_rationals(row))
             m = lcm(*(c.denominator for c in row))
-            system.add(_primitive([int(c * m) for c in row]))
+            system.add(_primitive([c.numerator * (m // c.denominator) for c in row]))
         exact.append(row)
 
     zero = (0,) * num_vars

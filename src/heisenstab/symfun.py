@@ -22,7 +22,12 @@ from .partitions import Composition, Partition, _bounded_vectors, _inside, pi_se
 
 
 def zee(rho: Sequence[int]) -> int:
-    """Order of the centralizer of a permutation with cycle type rho."""
+    """Order of the centralizer of a permutation with cycle type rho, read
+    as `character` reads it (a float, string or bool part raises ValueError)."""
+    return _zee(pi_sequence(Composition(rho)))
+
+
+def _zee(rho: tuple[int, ...]) -> int:
     z = 1
     for i, m in Counter(rho).items():
         z *= i**m * math.factorial(m)
@@ -30,9 +35,13 @@ def zee(rho: Sequence[int]) -> int:
 
 
 def class_size(rho: Sequence[int]) -> int:
-    """Number of permutations in S_n with cycle type rho (n = sum of rho)."""
-    n = sum(rho)
-    return math.factorial(n) // zee(rho)
+    """Number of permutations in S_n with cycle type rho (n = sum of rho),
+    read as `zee` reads it."""
+    return _class_size(pi_sequence(Composition(rho)))
+
+
+def _class_size(rho: tuple[int, ...]) -> int:
+    return math.factorial(sum(rho)) // _zee(rho)
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +147,7 @@ def cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def class_sizes(n: int) -> tuple[int, ...]:
-    return tuple(class_size(rho) for rho in cycle_types(n))
+    return tuple(map(_class_size, cycle_types(n)))
 
 
 def character_vector(lam: tuple[int, ...]) -> tuple[int, ...]:

@@ -3,8 +3,9 @@ and independent oracles: a hook-length dimension formula, a brute-force
 Kostka count, the per-class Murnaghan-Nakayama recursion and the plain
 Kronecker character sum over it, the Jacobi-Trudi determinant expanded
 over all permutations, the rational rank of an integer matrix, the
-Fourier-Motzkin back-substitution in `Fraction`s, and the all-pairs
-additivity certificate check."""
+Fourier-Motzkin back-substitution in `Fraction`s, the all-pairs
+additivity certificate check, and a third Heisenberg engine for the lowest
+degree, by Pieri's rule over horizontal strips."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from math import factorial
 from typing import Sequence
 
 from heisenstab import Composition, Kind, Partition, ratfeas
+from heisenstab.coefficients import kron_coeff_oracle
 from heisenstab.partitions import partitions_of, partitions_up_to
 from heisenstab.symfun import class_size
 from heisenstab.stability import coefficient, size_pattern_ok
@@ -209,3 +211,30 @@ def certificate_by_all_pairs(A, cert) -> bool:
     return all(cert.x[i] + cert.y[j] > cert.x[k] + cert.y[l]
                for (i, j), (k, l) in itertools.permutations(cells, 2)
                if A.rows[i][j] > A.rows[k][l])
+
+
+def horizontal_strips(nu: Sequence[int], p: int):
+    """Every kappa with kappa/nu a horizontal strip of p cells (test oracle,
+    apart from the library's strip walks): kappa_1 >= nu_1, and below it
+    nu_(i-1) >= kappa_i >= nu_i on every row, one row past nu included."""
+    nu = tuple(Partition(nu))
+    rows_below = [range(low, high + 1) for high, low in zip(nu, nu[1:] + (0,))]
+    for rest in itertools.product(*rows_below):
+        top = p - (sum(rest) - sum(nu[1:]))  # the cells left for row 1
+        if top >= 0:
+            yield tuple(k for k in ((nu[0] if nu else 0) + top, *rest) if k)
+
+
+def heisenberg_lowest_by_pieri(lam, mu, nu) -> int:
+    """h^lam_{mu nu} at the lowest degree, |lam| = |mu| >= |nu| (test oracle,
+    a third engine).  With r = 0 the quintuple formula has alpha |- p and
+    rho empty, and h_p * s_alpha = s_alpha (Kronecker product) for alpha |- p,
+    so Littlewood's identity makes the degree-|mu| piece s_mu * (s_nu h_p)
+    with p = |mu| - |nu|.  Pieri's rule writes s_nu h_p as the sum of s_kappa
+    over the horizontal strips kappa/nu of p cells, so h^lam_{mu nu} is the
+    sum of g(lam, mu, kappa) over them, each g from `kron_coeff_oracle`."""
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    if not lam.size == mu.size >= nu.size:
+        raise ValueError("not a lowest-degree query: need |lam| = |mu| >= |nu|")
+    return sum(kron_coeff_oracle(lam, mu, kappa)
+               for kappa in horizontal_strips(nu, mu.size - nu.size))
