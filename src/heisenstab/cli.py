@@ -15,7 +15,10 @@ lines anywhere in the file are skipped with a warning.  `coeff` decodes
 only the records of the query it asks, and two of those that disagree (two
 values for one engine, or a primary and an oracle value) are a fatal
 integrity error (`MismatchError`); `verify-cache` applies the same check
-to every query in the file.
+to every query in the file.  Both read the file in chunks of whole lines,
+so memory is bounded by one chunk plus the records returned, whatever the
+size of the file, and a corrupt line slows only the reading of its own
+chunk.
 
 A command imports the layers it uses when it runs.  A `coeff` whose records
 are all in the cache loads only `partitions` and `stability` besides this
@@ -103,43 +106,42 @@ _RECORD = re.compile(
     r'"value": (?:0|[1-9][0-9]{0,299})\}$', re.MULTILINE)
 
 
-def _lines_to_decode(text: str, q: Optional[str]):
-    """(line number, line) for the lines of text that load_cache decodes:
-    every line when q is None, else the lines of q and every line _RECORD
-    does not match, so that corrupt lines are still found file-wide.  A line
-    _RECORD matches holds the needle below only at its start, and only when
-    its q is q."""
+# The characters load_cache reads at a time.  Each chunk is cut after its
+# last newline, so that the reader sees whole lines only; the rest of the
+# chunk begins the next one.
+_CHUNK_CHARS = 1 << 16
+
+
+def _lines_to_decode(text: str, q: Optional[str], first: int):
+    """(line number, line) for the lines of text, whole lines numbered from
+    first, that load_cache decodes: every line when q is None, else the
+    lines of q and every line _RECORD does not match, so that corrupt lines
+    are still found file-wide.  A line _RECORD matches holds the needle
+    below only at its start, and only when its q is q."""
     if q is None:
-        return enumerate(text.split("\n"), 1)
+        return enumerate(text.split("\n"), first)
     needle = f'{{"q": {json.dumps(q)}, '
     if not _RECORD.sub("", text).strip():
         # every non-blank line is a record as append_cache writes it
         found = []
+        lineno, counted = first, 0
         pos = text.find(needle)
         while pos >= 0:
+            lineno += text.count("\n", counted, pos)
             end = text.find("\n", pos)
             end = len(text) if end < 0 else end
-            found.append((text.count("\n", 0, pos) + 1, text[pos:end]))
-            pos = text.find(needle, end)
+            found.append((lineno, text[pos:end]))
+            counted, pos = end, text.find(needle, end)
         return found
-    return ((lineno, line) for lineno, line in enumerate(text.split("\n"), 1)
+    return ((lineno, line) for lineno, line in enumerate(text.split("\n"), first)
             if line.startswith(needle) or not _RECORD.fullmatch(line))
 
 
-def load_cache(path: str, q: Optional[str]) -> dict[tuple[str, str], int]:
-    """The records of query q in the cache file, keyed (q, engine), or those
-    of every query when q is None.  Corrupt lines anywhere in the file are
-    skipped with a warning; records that conflict among those returned raise
-    MismatchError."""
-    records: dict[tuple[str, str], int] = {}
-    try:
-        # a byte that is not UTF-8 reads as a lone surrogate, so that the
-        # loop refuses only its own line
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            text = fh.read()
-    except OSError:
-        return records
-    for lineno, line in _lines_to_decode(text, q):
+def _decode(records: dict[tuple[str, str], int], lines, q: Optional[str]) -> None:
+    """Add to records the record on each (line number, line) of lines that
+    belongs to q (to any query when q is None).  A corrupt line is skipped
+    with a warning; a second value for one (q, engine) raises MismatchError."""
+    for lineno, line in lines:
         line = line.strip()
         if not line:
             continue
@@ -163,6 +165,45 @@ def load_cache(path: str, q: Optional[str]) -> dict[tuple[str, str], int]:
                 f"cache holds conflicting values for {rec_q} [{engine}]: "
                 f"{records[key]} vs {value}")
         records[key] = value
+
+
+def load_cache(path: str, q: Optional[str]) -> dict[tuple[str, str], int]:
+    """The records of query q in the cache file, keyed (q, engine), or those
+    of every query when q is None.  Corrupt lines anywhere in the file are
+    skipped with a warning; records that conflict among those returned raise
+    MismatchError.  A file that cannot be read holds no records.
+
+    The file is read in chunks of whole lines, about _CHUNK_CHARS characters
+    each, so memory is one chunk plus the records returned.  A chunk whose
+    lines are all records as append_cache writes them is searched for q's
+    without decoding the others; a corrupt line sends only its own chunk
+    down the line-by-line path."""
+    records: dict[tuple[str, str], int] = {}
+    try:
+        # a byte that is not UTF-8 reads as a lone surrogate, so that the
+        # decoder refuses only its own line
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError:
+        return records
+    with fh:
+        lineno, carried = 1, []
+        while True:
+            try:
+                chunk = fh.read(_CHUNK_CHARS)
+            except OSError:
+                return {}
+            cut = chunk.rfind("\n")
+            if cut < 0 and chunk:
+                carried.append(chunk)  # no line ends in this chunk
+                continue
+            # at the end of the file chunk is "", and text is the last line
+            carried.append(chunk[:cut])
+            text = "".join(carried)
+            carried = [chunk[cut + 1:]]
+            _decode(records, _lines_to_decode(text, q, lineno), q)
+            if not chunk:
+                break
+            lineno += text.count("\n") + 1
     for (rec_q, engine), value in records.items():
         other = records.get((rec_q, "oracle" if engine == "primary" else "primary"))
         if other is not None and other != value:

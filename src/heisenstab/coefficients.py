@@ -325,10 +325,15 @@ def lr_coeff_hive(lam, mu, nu) -> int:
     """Same coefficient counted as integer hives, independently of the
     tableau route: triangular arrays with fixed boundary whose unit rhombi
     each sum to at least as much over the short diagonal as over the long,
-    filled column by column through one rhombus table per size (`_hive_plan`)."""
+    filled column by column through one rhombus table per size (`_hive_plan`).
+    The involution omega, s_x -> s_x', is a ring map, so c^lam'_{mu' nu'} =
+    c^lam_{mu nu}: the hive is built on the three conjugates when they have
+    fewer rows, as many as the shapes have columns."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size != mu.size + nu.size:
         return 0
+    if max(lam.part(0), mu.part(0), nu.part(0)) < max(len(lam), len(mu), len(nu)):
+        lam, mu, nu = (_trusted(_conjugate(x)) for x in (lam, mu, nu))
     k = max(len(lam), len(mu), len(nu)) + 1
     cells = _hive_plan(k)
     # H(i, 0) = mu_1+..+mu_i, H(i, i) = lam_1+..+lam_i and H(k, j) = |mu| +
@@ -446,6 +451,12 @@ def _conjugate(x: Shape) -> Shape:
     return tuple(sum(1 for p in x if p > c) for c in range(x[0] if x else 0))
 
 
+def _rows_price(a: int, b: int) -> tuple[int, int]:
+    """The order in which the h-basis route prefers its two factors' row
+    counts a and b, fewest first: the larger count, then the sum."""
+    return max(a, b), a + b
+
+
 def _h_orientation(lam: Shape, mu: Shape, nu: Shape) -> tuple[Shape, Shape, Shape]:
     """The query as (z, x, y) with g(z, x, y) = g(lam, mu, nu), where x and
     y, the two factors the h-basis route expands, have the fewest rows: any
@@ -455,7 +466,7 @@ def _h_orientation(lam: Shape, mu: Shape, nu: Shape) -> tuple[Shape, Shape, Shap
     def rows(candidate):  # a conjugate has as many rows as the shape has columns
         _, x, y, conj = candidate
         a, b = (x[0] if x else 0, y[0] if y else 0) if conj else (len(x), len(y))
-        return max(a, b), a + b
+        return _rows_price(a, b)
 
     z, x, y, conj = min(((z, x, y, conj) for z, x, y in ((lam, mu, nu), (mu, lam, nu), (nu, lam, mu))
                          for conj in (False, True)), key=rows)
@@ -677,17 +688,49 @@ def _from_h_basis(cls: type[KroneckerMatrix], lam: Shape, mu: Shape, nu: Shape) 
     return total
 
 
+def _heis_orientation(lam: Shape, mu: Shape, nu: Shape) -> tuple[Shape, Shape, Shape]:
+    """The Heisenberg query (lam; mu, nu), mu the larger factor, as the
+    query with the same coefficient whose factors have the fewest
+    Jacobi-Trudi rows (`_rows_price`; ties go to the query as given).  With
+    p = |lam| - |nu|, q = |mu| + |nu| - |lam| and r = |lam| - |mu|, two
+    degrees have a conjugate form:
+
+    * q = 0.  The top degree of the Heisenberg product is the ordinary
+      product, so h^lam_{mu nu} = c^lam_{mu nu}.  omega (s_x -> s_x') is a
+      ring map, so c^lam'_{mu' nu'} = c^lam_{mu nu}, and (lam'; mu', nu') is
+      again a top-degree query: conjugate all three.
+    * r = 0.  The quintuple formula with rho empty makes the degree-|mu|
+      component sum c^mu_{alpha beta} s_alpha (s_beta * s_nu) over
+      alpha |- p and beta |- |nu|, * the Kronecker product.  Littlewood's
+      identity (h_p s_nu) * s_mu = sum c^mu_{alpha beta} (h_p * s_alpha)
+      (s_nu * s_beta), with h_p * s_alpha = s_alpha, makes that component
+      (h_p s_nu) * s_mu.  Pieri's rule gives h_p s_nu = sum s_kappa over the
+      kappa with kappa/nu a horizontal strip of p cells, so h^lam_{mu nu} =
+      sum_kappa g(lam, mu, kappa).  s_x' = s_(1^|x|) * s_x, and
+      s_(1^n) * s_(1^n) = s_(n) is the unit of *, so g(lam', mu', kappa) =
+      g(lam, mu, kappa), and (lam'; mu', nu) is again a degree-|mu| query
+      with the same kappa: conjugate lam and mu."""
+    l, m, n = sum(lam), sum(mu), sum(nu)
+    candidates = [(lam, mu, nu)]
+    if l == m + n:
+        candidates.append((_conjugate(lam), _conjugate(mu), _conjugate(nu)))
+    if l == m:
+        candidates.append((_conjugate(lam), _conjugate(mu), nu))
+    return min(candidates, key=lambda c: _rows_price(len(c[1]), len(c[2])))
+
+
 def heisenberg_coeff_oracle(lam, mu, nu) -> int:
     """Second, independent route: expand both factors into the h-basis,
     multiply there via cornered matrices, and convert back through Kostka
-    numbers.  Zero outside max(|mu|,|nu|) <= |lam| <= |mu|+|nu|, without
-    expanding."""
+    numbers, on the orientation of the query that expands the fewest
+    Jacobi-Trudi rows (`_heis_orientation`).  Zero outside max(|mu|,|nu|)
+    <= |lam| <= |mu|+|nu|, without expanding."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if (mu.size, mu) < (nu.size, nu):
         mu, nu = nu, mu
     if not mu.size <= lam.size <= mu.size + nu.size:
         return 0
-    return _from_h_basis(HeisenbergMatrix, lam, mu, nu)
+    return _from_h_basis(HeisenbergMatrix, *_heis_orientation(lam, mu, nu))
 
 
 def kron_coeff_oracle(lam, mu, nu) -> int:

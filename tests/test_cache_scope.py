@@ -12,10 +12,13 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heisenstab import cli
 from heisenstab.cli import MismatchError, load_cache
 
 # q strings that share prefixes, need escaping, or are not ASCII
@@ -140,3 +143,61 @@ def test_every_record_form_is_served(tmp_path, q, form):
     others = [canonical(p, "primary", 1) for p in QUERIES if p != q]
     path.write_text("\n".join(others + [form(q, "oracle", 2)]) + "\n", encoding="utf-8")
     assert load_cache(str(path), q) == {(q, "oracle"): 2}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+@settings(max_examples=100, deadline=None)
+@given(data=cache_files, q=st.sampled_from(QUERIES + [None]))
+def test_scoped_read_is_the_same_across_chunk_boundaries(chunk, data, q):
+    # the files above are smaller than one chunk of the real size: with these
+    # sizes, records, line ends, multi-byte characters and undecodable bytes
+    # fall across chunk boundaries
+    with mock.patch.object(cli, "_CHUNK_CHARS", chunk):
+        test_scoped_read_equals_whole_file_read_restricted_to_q.hypothesis.inner_test(data, q)
+
+
+@pytest.mark.parametrize("q", [QUERIES[0], None])
+def test_a_large_cache_is_read_in_bounded_memory(tmp_path, capsys, q):
+    # 4.3 MB of three repeated records, with one corrupt line in the middle
+    block = "".join(canonical(p, "primary", 1) + "\n" for p in QUERIES[:3])
+    repeats = 4_300_000 // 2 // len(block)
+    path = tmp_path / "cache.jsonl"
+    path.write_text(block * repeats + "not json\n" + block * repeats, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        records = load_cache(str(path), q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert records == {(p, "primary"): 1 for p in (QUERIES[:3] if q is None else [q])}
+    assert capsys.readouterr().err == \
+        f"heisenstab: skipping corrupt cache line {3 * repeats + 1}\n"
+
+
+def test_a_read_error_after_the_first_chunk_returns_no_records(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(canonical(QUERIES[0], "primary", 1) + "\n" * 100, encoding="utf-8")
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", 64)
+    assert load_cache(str(path), QUERIES[0]) == {(QUERIES[0], "primary"): 1}
+
+    class FailsOnSecondRead:
+        def __init__(self, fh):
+            self.fh, self.reads = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size):
+            self.reads += 1
+            if self.reads > 1:
+                raise OSError("read failed")
+            return self.fh.read(size)
+
+    real_open = open
+    monkeypatch.setattr(cli, "open", lambda *a, **k: FailsOnSecondRead(real_open(*a, **k)),
+                        raising=False)
+    assert load_cache(str(path), QUERIES[0]) == {}

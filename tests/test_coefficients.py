@@ -124,6 +124,9 @@ def test_lr_counts_a_skew_shape_of_1200_cells():
 
 def test_hive_counts_a_triple_of_46_parts():
     assert lr_coeff_hive((1,) * 46, (1,) * 23, (1,) * 23) == 1
+    # the columns above run on their one-row conjugates; these hooks have
+    # 45 rows and 46 columns, so the hive keeps its 990 free cells
+    assert lr_coeff_hive((46,) + (1,) * 44, (45,) + (1,) * 44, (1,)) == 1
 
 
 # Past the exhaustive range: the triple that took the row-major hive search
@@ -405,6 +408,34 @@ def test_oracle_agrees_exhaustively_small():
                 for lam in partitions_of(l):
                     assert heisenberg_coeff_oracle(lam, mu, nu) == \
                         heisenberg_coeff(lam, mu, nu), (lam, mu, nu)
+
+
+def test_oracle_agrees_at_the_extreme_degrees():
+    # |lam| = |mu| + |nu| and |lam| = max(|mu|, |nu|): the degrees where the
+    # oracle may run on a conjugate orientation
+    for mu in partitions_up_to(4):
+        for nu in partitions_up_to(4):
+            for l in {mu.size + nu.size, max(mu.size, nu.size)}:
+                for lam in partitions_of(l):
+                    assert heisenberg_coeff_oracle(lam, mu, nu) == \
+                        heisenberg_coeff(lam, mu, nu), (lam, mu, nu)
+
+
+def test_long_column_oracles_expand_one_row_factors(monkeypatch):
+    clear_caches()
+    expanded, plans = [], []
+    schur_in_h, hive_plan = coefficients._schur_in_h, coefficients._hive_plan
+    monkeypatch.setattr(coefficients, "_schur_in_h",
+                        lambda lam: expanded.append(lam) or schur_in_h(lam))
+    monkeypatch.setattr(coefficients, "_hive_plan", lambda k: plans.append(k) or hive_plan(k))
+    ones = lambda n: (1,) * n  # noqa: E731
+    # q = 0, where all three shapes are conjugated, then r = 0, where lam and mu are
+    for lam, mu, nu in ((ones(1001), ones(1000), (1,)), (ones(1000), (1,), ones(1000)),
+                        (ones(1000), ones(1000), (1,)), (ones(600), ones(600), (2,))):
+        assert heisenberg_coeff_oracle(lam, mu, nu) == heisenberg_coeff(lam, mu, nu) == 1
+    assert sorted(set(expanded)) == [(1,), (2,), (600,), (1000,)]
+    assert lr_coeff_hive(ones(1001), ones(1000), (1,)) == lr_coeff(ones(1001), ones(1000), (1,)) == 1
+    assert plans == [2]
 
 
 def test_oracle_unit_law():
