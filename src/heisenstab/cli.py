@@ -15,10 +15,11 @@ lines anywhere in the file are skipped with a warning.  `coeff` decodes
 only the records of the query it asks, and two of those that disagree (two
 values for one engine, or a primary and an oracle value) are a fatal
 integrity error (`MismatchError`); `verify-cache` applies the same check
-to every query in the file.  Both read the file in chunks of whole lines,
-so memory is bounded by one chunk plus the records returned, whatever the
-size of the file, and a corrupt line slows only the reading of its own
-chunk.
+to every query in the file.  Both read the file in chunks of whole lines
+(a fixed number of characters plus the rest of the last line), so memory
+is bounded by one chunk plus the records returned, whatever the size of
+the file.  A chunk that holds only other queries' records is skipped
+without decoding; any other chunk is filtered line by line.
 
 A command imports the layers it uses when it runs.  A `coeff` whose records
 are all in the cache loads only `partitions` and `stability` besides this
@@ -106,33 +107,25 @@ _RECORD = re.compile(
     r'"value": (?:0|[1-9][0-9]{0,299})\}$', re.MULTILINE)
 
 
-# The characters load_cache reads at a time.  Each chunk is cut after its
-# last newline, so that the reader sees whole lines only; the rest of the
-# chunk begins the next one.
+# The characters load_cache reads at a time, before it reads the rest of
+# the chunk's last line, so that the reader sees whole lines only.
 _CHUNK_CHARS = 1 << 16
 
 
 def _lines_to_decode(text: str, q: Optional[str], first: int):
     """(line number, line) for the lines of text, whole lines numbered from
-    first, that load_cache decodes: every line when q is None, else the
-    lines of q and every line _RECORD does not match, so that corrupt lines
-    are still found file-wide.  A line _RECORD matches holds the needle
-    below only at its start, and only when its q is q."""
+    first, that load_cache decodes: every line when q is None.  Else a text
+    that holds only other queries' records, as append_cache writes them, is
+    skipped whole; any other text is filtered line by line, to the lines of
+    q and every line _RECORD does not match, so that corrupt lines are still
+    found file-wide.  A line _RECORD matches holds the needle below only at
+    its start, and only when its q is q."""
     if q is None:
         return enumerate(text.split("\n"), first)
     needle = f'{{"q": {json.dumps(q)}, '
-    if not _RECORD.sub("", text).strip():
-        # every non-blank line is a record as append_cache writes it
-        found = []
-        lineno, counted = first, 0
-        pos = text.find(needle)
-        while pos >= 0:
-            lineno += text.count("\n", counted, pos)
-            end = text.find("\n", pos)
-            end = len(text) if end < 0 else end
-            found.append((lineno, text[pos:end]))
-            counted, pos = end, text.find(needle, end)
-        return found
+    # the text between the records (re.split builds it faster than re.sub)
+    if needle not in text and not "".join(_RECORD.split(text)).strip():
+        return ()
     return ((lineno, line) for lineno, line in enumerate(text.split("\n"), first)
             if line.startswith(needle) or not _RECORD.fullmatch(line))
 
@@ -173,11 +166,11 @@ def load_cache(path: str, q: Optional[str]) -> dict[tuple[str, str], int]:
     skipped with a warning; records that conflict among those returned raise
     MismatchError.  A file that cannot be read holds no records.
 
-    The file is read in chunks of whole lines, about _CHUNK_CHARS characters
-    each, so memory is one chunk plus the records returned.  A chunk whose
-    lines are all records as append_cache writes them is searched for q's
-    without decoding the others; a corrupt line sends only its own chunk
-    down the line-by-line path."""
+    The file is read in chunks of whole lines, each _CHUNK_CHARS characters
+    plus the rest of its last line, so memory is one chunk plus the records
+    returned.  A chunk that holds only other queries' records, as
+    append_cache writes them, is skipped without decoding; any other chunk
+    is filtered line by line."""
     records: dict[tuple[str, str], int] = {}
     try:
         # a byte that is not UTF-8 reads as a lone surrogate, so that the
@@ -186,24 +179,17 @@ def load_cache(path: str, q: Optional[str]) -> dict[tuple[str, str], int]:
     except OSError:
         return records
     with fh:
-        lineno, carried = 1, []
+        lineno = 1
         while True:
             try:
-                chunk = fh.read(_CHUNK_CHARS)
+                text = fh.read(_CHUNK_CHARS)
+                text += fh.readline()  # the rest of the chunk's last line
             except OSError:
                 return {}
-            cut = chunk.rfind("\n")
-            if cut < 0 and chunk:
-                carried.append(chunk)  # no line ends in this chunk
-                continue
-            # at the end of the file chunk is "", and text is the last line
-            carried.append(chunk[:cut])
-            text = "".join(carried)
-            carried = [chunk[cut + 1:]]
-            _decode(records, _lines_to_decode(text, q, lineno), q)
-            if not chunk:
+            if not text:
                 break
-            lineno += text.count("\n") + 1
+            _decode(records, _lines_to_decode(text, q, lineno), q)
+            lineno += text.count("\n")
     for (rec_q, engine), value in records.items():
         other = records.get((rec_q, "oracle" if engine == "primary" else "primary"))
         if other is not None and other != value:

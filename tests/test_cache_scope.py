@@ -175,15 +175,18 @@ def test_a_large_cache_is_read_in_bounded_memory(tmp_path, capsys, q):
         f"heisenstab: skipping corrupt cache line {3 * repeats + 1}\n"
 
 
-def test_a_read_error_after_the_first_chunk_returns_no_records(tmp_path, monkeypatch):
+@pytest.mark.parametrize("method", ["read", "readline"])
+def test_a_read_error_after_the_first_chunk_returns_no_records(tmp_path, monkeypatch, method):
     path = tmp_path / "cache.jsonl"
     path.write_text(canonical(QUERIES[0], "primary", 1) + "\n" * 100, encoding="utf-8")
     monkeypatch.setattr(cli, "_CHUNK_CHARS", 64)
     assert load_cache(str(path), QUERIES[0]) == {(QUERIES[0], "primary"): 1}
 
-    class FailsOnSecondRead:
+    class FailsOnSecondCall:
+        """The file, whose `method` raises OSError from its second call on."""
+
         def __init__(self, fh):
-            self.fh, self.reads = fh, 0
+            self.fh, self.calls = fh, 0
 
         def __enter__(self):
             return self
@@ -192,12 +195,19 @@ def test_a_read_error_after_the_first_chunk_returns_no_records(tmp_path, monkeyp
             self.fh.close()
 
         def read(self, size):
-            self.reads += 1
-            if self.reads > 1:
-                raise OSError("read failed")
-            return self.fh.read(size)
+            return self._call("read", size)
+
+        def readline(self):
+            return self._call("readline")
+
+        def _call(self, name, *args):
+            if name == method:
+                self.calls += 1
+                if self.calls > 1:
+                    raise OSError(f"{name} failed")
+            return getattr(self.fh, name)(*args)
 
     real_open = open
-    monkeypatch.setattr(cli, "open", lambda *a, **k: FailsOnSecondRead(real_open(*a, **k)),
+    monkeypatch.setattr(cli, "open", lambda *a, **k: FailsOnSecondCall(real_open(*a, **k)),
                         raising=False)
     assert load_cache(str(path), QUERIES[0]) == {}
