@@ -68,7 +68,7 @@ from typing import Counter as CounterT
 
 from . import symfun
 from .additivity import HeisenbergMatrix, KroneckerMatrix, _fill
-from .partitions import Partition, _inside, _integer_parts, _trusted
+from .partitions import _SHAPES, Partition, _inside, _integer_parts, _trusted
 from .symfun import _kostka, _schur_in_h, character_vector, class_sizes, cycle_types
 
 # A partition as the cores hold it: an exact tuple (see the module docstring)
@@ -83,8 +83,9 @@ _LR_PRODUCT_CACHE: dict[tuple, dict[Shape, int]] = {}
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package: the engines' memos here and the
-    character, Kostka and Jacobi-Trudi memos of `symfun`."""
+    """Empty every memo of the package: the engines' memos here, the
+    character, Kostka and Jacobi-Trudi memos of `symfun`, and the shape
+    table `partitions._SHAPES`."""
     _LR_CACHE.clear()
     _KRON_CACHE.clear()
     _HEIS_CACHE.clear()
@@ -94,6 +95,7 @@ def clear_caches() -> None:
     _hive_plan.cache_clear()
     _h_expansion.cache_clear()
     _weighted_characters.cache_clear()
+    _SHAPES.clear()
     symfun.clear_caches()
 
 

@@ -142,6 +142,19 @@ def _trusted(parts: Iterable[int]) -> Partition:
     return tuple.__new__(Partition, parts)
 
 
+# The first Partition seen of each shape, for the callers that hand the
+# engines many equal shapes (stabilization sequences and stability scans):
+# the memo keys built from equal shapes then share one object.
+# `clear_caches()` empties it with the memos.
+_SHAPES: dict[tuple[int, ...], Partition] = {}
+
+
+def _interned(shape: Partition) -> Partition:
+    """The one Partition of `_SHAPES` equal to shape: shape itself the
+    first time."""
+    return _SHAPES.setdefault(shape, shape)
+
+
 def _sorted_entries(entries: Iterable[int]) -> Partition:
     """pi_sequence of entries the caller knows are nonnegative ints, unchecked."""
     return _trusted(sorted(filter(None, entries), reverse=True))

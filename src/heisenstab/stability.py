@@ -14,7 +14,10 @@ Partitions are validated once, here at the public boundary: `PRIMARY`
 maps each kind to its core in `coefficients`, which takes validated
 partitions and validates nothing again.  `coefficient` and
 `classify_triple` validate their three shapes once; a sequence validates
-its base and direction once and builds each shifted query unchecked.
+its base and direction once and builds each shifted query unchecked.  A
+sequence and a scan hand their engine, for each shape, the one Partition of
+that shape in the table `partitions._SHAPES`, so the memo keys that equal
+shapes end up in share one object.
 `ORACLE` holds the public oracles, which validate on their own.
 
 Loading this module loads no engine: the tables `PRIMARY` and `ORACLE`
@@ -33,7 +36,7 @@ import enum
 from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
-from .partitions import Partition, _integer_parts, _trusted
+from .partitions import Partition, _integer_parts, _interned, _trusted
 
 
 class Kind(enum.Enum):
@@ -164,7 +167,7 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     seq: list[tuple[int, int]] = []
     witness = None
     for n in range(1, n_max + 1):
-        value = engine(*[_trusted([n * p for p in x]) for x in shapes])
+        value = engine(*[_interned(_trusted([n * p for p in x])) for x in shapes])
         seq.append((n, value))
         if value >= 2:
             witness = (n, value)
@@ -189,7 +192,7 @@ def stabilization_sequence(kind: Kind,
     n.  Both the base and the direction must fit the kind's size pattern,
     which makes every shifted query fit it too; NotATripleError (a
     ValueError) names the one that does not."""
-    base = tuple(Partition(x) for x in base)
+    base = tuple(_interned(Partition(x)) for x in base)
     direction = tuple(Partition(x) for x in direction)
     ns = _integer_parts(ns, ValueError)
     if any(n < 0 for n in ns):
@@ -205,7 +208,7 @@ def stabilization_sequence(kind: Kind,
     pairs = [tuple(zip_longest(x, d, fillvalue=0)) for x, d in zip(base, direction)]
     out = []
     for n in ns:
-        shapes = [_trusted([a + n * b for a, b in ab]) for ab in pairs] if n else base
+        shapes = [_interned(_trusted([a + n * b for a, b in ab])) for ab in pairs] if n else base
         out.append((n, engine(*shapes)))
     return out
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import add, neg, sub
 from typing import Sequence
 
-from .partitions import Composition, Partition, _bounded_vectors, _inside, pi_sequence
+from .partitions import Composition, Partition, _bounded_vectors, _inside, _integer_parts, pi_sequence
 
 
 def zee(rho: Sequence[int]) -> int:
@@ -138,16 +138,23 @@ def dimension(lam: Sequence[int]) -> int:
     return character(lam, Partition([1] * lam.size))
 
 
-@lru_cache(maxsize=None)
+# typed: a bool or float key must miss, to be refused, not read as an int's hit
+@lru_cache(maxsize=None, typed=True)
 def cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
     """Cycle types of S_n in a fixed order, as plain tuples: largest part
-    first, so the classes with parts <= k are a suffix."""
+    first, so the classes with parts <= k are a suffix.  n is read as
+    `partitions_of` reads it (a float, string or bool raises ValueError)."""
+    (n,) = _integer_parts((n,), ValueError)
     return tuple(_inside((n,) * n, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def class_sizes(n: int) -> tuple[int, ...]:
-    return tuple(map(_class_size, cycle_types(n)))
+    """The size of each class of S_n, in cycle_types order, read off the
+    cycle types as they are enumerated: no list of them is kept, and
+    `cycle_types(n)` is not filled.  n is read as `cycle_types` reads it."""
+    (n,) = _integer_parts((n,), ValueError)
+    return tuple(map(_class_size, _inside((n,) * n, n)))
 
 
 def character_vector(lam: tuple[int, ...]) -> tuple[int, ...]:

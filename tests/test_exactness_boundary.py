@@ -17,7 +17,7 @@ from heisenstab.additivity import (
 )
 from heisenstab.partitions import NotAPartitionError, Partition, scale, subpartitions_of_size
 from heisenstab.ratfeas import solve_strict
-from heisenstab.symfun import class_size, zee
+from heisenstab.symfun import class_size, class_sizes, cycle_types, zee
 
 WORKED = HeisenbergMatrix([(0, 4, 6, 1), (4, 5, 7, 2), (2, 3, 5, 0)])
 
@@ -47,6 +47,11 @@ BOUNDARIES = {
         [(1, True), (2, False), (0, False), (F(1, 2), True), (F(3, 2), True)]),
     "class_size part": (
         lambda v: class_size((v, 1)), ValueError, False, [(1, 1), (2, 3), (3, 8)]),
+    "cycle_types n": (
+        cycle_types, ValueError, False,
+        [(0, ((),)), (1, ((1,),)), (3, ((3,), (2, 1), (1, 1, 1)))]),
+    "class_sizes n": (
+        class_sizes, ValueError, False, [(0, (1,)), (1, (1,)), (3, (2, 3, 1))]),
     "zee part": (
         lambda v: zee((v, 1)), ValueError, False, [(1, 2), (2, 2), (3, 3)]),
     "subpartitions_of_size outer": (

@@ -287,3 +287,41 @@ def test_coefficient_refuses_a_kind_that_is_not_a_kind():
     for kind in ("kron", "lr", None, ["heis"]):
         with pytest.raises(ValueError, match="not a coefficient kind"):
             coefficient(kind, (1,), (1,), (1,))
+
+
+def _one_object_per_shape(asked):
+    """Whether every shape the engine got is a Partition, and equal shapes
+    are one object."""
+    first = {}
+    return all(type(x) is Partition and first.setdefault(x, x) is x
+               for query in asked for x in query)
+
+
+def test_sequences_hand_the_engine_one_partition_per_shape(monkeypatch):
+    asked = _recording(monkeypatch, Kind.LR)
+    stabilization_sequence(Kind.LR, ((2, 1), (2,), (1,)), ((1,), (1,), ()), range(4))
+    first = {x for query in asked for x in query}
+    stabilization_sequence(Kind.LR, ((3, 1), (3,), (1,)), ((1,), (1,), ()), range(3))
+    # every shape of the second sequence is one of the first: (n + 3, 1), (n + 3,), (1,)
+    assert {x for query in asked[4:] for x in query} < first
+    assert _one_object_per_shape(asked)
+
+
+def test_stability_scans_hand_the_engine_one_partition_per_shape(monkeypatch):
+    triple = classify_triple((2,), (1,), (1, 1))
+    asked = _recording(monkeypatch, Kind.HEISENBERG)
+    stability_check(triple, n_max=4)
+    stability_check(triple, n_max=3)
+    # (2,) is alpha at n = 1 and beta at n = 2, and the second scan repeats the first
+    assert len({x for query in asked for x in query}) < 3 * 4
+    assert _one_object_per_shape(asked)
+
+
+def test_clear_caches_empties_the_shape_table():
+    from heisenstab import clear_caches
+    from heisenstab.partitions import _SHAPES
+
+    stabilization_sequence(Kind.LR, ((2, 1), (2,), (1,)), ((1,), (1,), ()), range(3))
+    assert _SHAPES
+    clear_caches()
+    assert not _SHAPES

@@ -65,6 +65,13 @@ def test_class_sizes():
         assert sum(class_size(rho) for rho in partitions_of(n)) == factorial(n)
 
 
+def test_class_sizes_fill_no_list_of_cycle_types():
+    symfun.clear_caches()
+    sizes = [class_sizes(n) for n in range(15)]
+    assert symfun.cycle_types.cache_info().currsize == 0
+    assert sizes == [tuple(map(class_size, cycle_types(n))) for n in range(15)]
+
+
 def test_zee_times_class_size():
     for n in range(1, 7):
         for rho in partitions_of(n):
