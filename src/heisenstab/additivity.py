@@ -163,11 +163,11 @@ def margin_matrices(cls: type[KroneckerMatrix], beta: Sequence[int],
     beta_i, so the room ends empty when |beta| = |gamma| (and there are no
     matrices otherwise).  A cornered row's inner block takes at most beta_i;
     the first column and the first row absorb the slack, so margins hold by
-    construction."""
+    construction.  The margins are read when it is called, before anything
+    is iterated."""
     beta, gamma = Composition(beta), Composition(gamma)
-    if cls.corner or beta.size == gamma.size:
-        for rows in _fill(cls, beta, gamma):
-            yield _trusted_matrix(cls, rows)
+    fills = _fill(cls, beta, gamma) if cls.corner or beta.size == gamma.size else ()
+    return (_trusted_matrix(cls, rows) for rows in fills)
 
 
 def _fill(cls: type[KroneckerMatrix], beta: Sequence[int],

@@ -66,9 +66,9 @@ from math import factorial
 from operator import mul
 from typing import Counter as CounterT
 
-from . import symfun
+from . import partitions, symfun
 from .additivity import HeisenbergMatrix, KroneckerMatrix, _fill
-from .partitions import _SHAPES, Partition, _inside, _integer_parts, _trusted
+from .partitions import Partition, _inside, _integer_parts, _trusted
 from .symfun import _kostka, _schur_in_h, character_vector, class_sizes, cycle_types
 
 # A partition as the cores hold it: an exact tuple (see the module docstring)
@@ -83,20 +83,14 @@ _LR_PRODUCT_CACHE: dict[tuple, dict[Shape, int]] = {}
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package: the engines' memos here, the
-    character, Kostka and Jacobi-Trudi memos of `symfun`, and the shape
-    table `partitions._SHAPES`."""
-    _LR_CACHE.clear()
-    _KRON_CACHE.clear()
-    _HEIS_CACHE.clear()
-    _LR_PRODUCT_CACHE.clear()
-    _split_table.cache_clear()
-    _strips.cache_clear()
-    _hive_plan.cache_clear()
-    _h_expansion.cache_clear()
-    _weighted_characters.cache_clear()
-    _SHAPES.clear()
-    symfun.clear_caches()
+    """Empty every memo of the package: each lru_cache and each dict named
+    `*_CACHE` in `partitions`, `symfun` and this module."""
+    for namespace in (vars(partitions), vars(symfun), globals()):
+        for name, value in namespace.items():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+            elif name.endswith("_CACHE") and isinstance(value, dict):
+                value.clear()
 
 
 # ---------------------------------------------------------------------------

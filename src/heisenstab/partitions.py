@@ -144,15 +144,15 @@ def _trusted(parts: Iterable[int]) -> Partition:
 
 # The first Partition seen of each shape, for the callers that hand the
 # engines many equal shapes (stabilization sequences and stability scans):
-# the memo keys built from equal shapes then share one object.
-# `clear_caches()` empties it with the memos.
-_SHAPES: dict[tuple[int, ...], Partition] = {}
+# the memo keys built from equal shapes then share one object.  Its
+# `_CACHE` name puts it among the memos that `clear_caches()` empties.
+_SHAPE_CACHE: dict[tuple[int, ...], Partition] = {}
 
 
 def _interned(shape: Partition) -> Partition:
-    """The one Partition of `_SHAPES` equal to shape: shape itself the
+    """The one Partition of `_SHAPE_CACHE` equal to shape: shape itself the
     first time."""
-    return _SHAPES.setdefault(shape, shape)
+    return _SHAPE_CACHE.setdefault(shape, shape)
 
 
 def _sorted_entries(entries: Iterable[int]) -> Partition:

@@ -16,7 +16,7 @@ partitions and validates nothing again.  `coefficient` and
 `classify_triple` validate their three shapes once; a sequence validates
 its base and direction once and builds each shifted query unchecked.  A
 sequence and a scan hand their engine, for each shape, the one Partition of
-that shape in the table `partitions._SHAPES`, so the memo keys that equal
+that shape in the memo `partitions._SHAPE_CACHE`, so the memo keys that equal
 shapes end up in share one object.
 `ORACLE` holds the public oracles, which validate on their own.
 

@@ -242,13 +242,3 @@ def schur_in_h_basis(lam: Sequence[int]) -> dict[Partition, int]:
     lam = Partition(lam)
     return {Partition(k): v for k, v in _schur_in_h(tuple(lam))}
 
-
-# the originals, so that a caller who rebinds the module names still clears them
-_MEMOS = (_border_strip_removals, _class_count, _mn_vector, _schur_in_h, cycle_types, class_sizes)
-
-
-def clear_caches() -> None:
-    """Empty every memo of this module."""
-    for memo in _MEMOS:
-        memo.cache_clear()
-    _KOSTKA_CACHE.clear()

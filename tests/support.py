@@ -4,8 +4,10 @@ Kostka count, the per-class Murnaghan-Nakayama recursion and the plain
 Kronecker character sum over it, the Jacobi-Trudi determinant expanded
 over all permutations, the rational rank of an integer matrix, the
 Fourier-Motzkin back-substitution in `Fraction`s, the all-pairs
-additivity certificate check, and a third Heisenberg engine for the lowest
-degree, by Pieri's rule over horizontal strips."""
+additivity certificate check, a third Heisenberg engine for the lowest
+degree, by Pieri's rule over horizontal strips, and the census of stable
+triples: each one scanned, and its margin classes searched for an additive
+matrix."""
 
 from __future__ import annotations
 
@@ -16,10 +18,17 @@ from math import factorial
 from typing import Sequence
 
 from heisenstab import Composition, Kind, Partition, ratfeas
+from heisenstab.additivity import MATRIX_KINDS, check_budget, is_additive, margin_class
 from heisenstab.coefficients import kron_coeff_oracle
-from heisenstab.partitions import partitions_of, partitions_up_to
+from heisenstab.partitions import BudgetExceededError, partitions_of, partitions_up_to
 from heisenstab.symfun import class_size
-from heisenstab.stability import coefficient, size_pattern_ok
+from heisenstab.stability import (
+    NotATripleError,
+    classify_triple,
+    coefficient,
+    size_pattern_ok,
+    stability_check,
+)
 
 
 def size_triples(kind: Kind, max_size: int):
@@ -238,3 +247,72 @@ def heisenberg_lowest_by_pieri(lam, mu, nu) -> int:
         raise ValueError("not a lowest-degree query: need |lam| = |mu| >= |nu|")
     return sum(kron_coeff_oracle(lam, mu, kappa)
                for kappa in horizontal_strips(nu, mu.size - nu.size))
+
+
+def census(max_size: int, n_max: int) -> dict:
+    """The census of stable-triple candidates: every triple of nonempty
+    partitions of sizes <= max_size that `classify_triple` gives the
+    Kronecker or the Heisenberg kind with coefficient 1, Kronecker triples
+    unordered (ascending), Heisenberg triples up to swapping beta and gamma
+    ((|beta|, beta) >= (|gamma|, gamma)).  Each is scanned to n_max by
+    `stability_check`, and its margin classes are searched for an additive
+    matrix under `check_budget`: every distinct order of a Kronecker triple,
+    both beta/gamma orders of a Heisenberg triple, its own order first.
+
+    Returns {"max_size", "n_max", "kron": records, "heis": records}, a
+    record {"triple", "verdict"} plus the witness [n, value] of a refuted
+    triple and the order and matrix rows of a certificate, as JSON values.
+    The verdict is refuted, certified, budget_refused (no certificate, and
+    the budget refused some order) or uncertified."""
+    shapes = [x for x in partitions_up_to(max_size) if x]
+    table = {"max_size": max_size, "n_max": n_max, "kron": [], "heis": []}
+    for alpha, beta, gamma in itertools.product(shapes, repeat=3):
+        try:
+            triple = classify_triple(alpha, beta, gamma)
+        except NotATripleError:
+            continue
+        if triple.coefficient != 1:
+            continue
+        own = (alpha, beta, gamma)
+        if triple.kind is Kind.KRONECKER and alpha <= beta <= gamma:
+            others = set(itertools.permutations(own))
+        elif triple.kind is Kind.HEISENBERG and (beta.size, beta) >= (gamma.size, gamma):
+            others = {(alpha, gamma, beta)}
+        else:
+            continue
+        orders = [own] + sorted(others - {own})
+        table[triple.kind.value].append(_census_record(triple, orders, n_max))
+    return table
+
+
+def _census_record(triple, orders, n_max: int) -> dict:
+    cls = MATRIX_KINDS["k" if triple.kind is Kind.KRONECKER else "h"]
+    witness = stability_check(triple, n_max).witness
+    refused, certificate = False, {}
+    for alpha, beta, gamma in orders:
+        try:
+            check_budget(cls, beta, gamma)
+        except BudgetExceededError:
+            refused = True
+            continue
+        A = next((A for A in margin_class(cls, beta, gamma, alpha) if is_additive(A)), None)
+        if A is not None:
+            certificate = {"order": [list(alpha), list(beta), list(gamma)],
+                           "matrix": [list(row) for row in A.rows]}
+            break
+    record = {"triple": [list(x) for x in triple[:3]],
+              "verdict": ("refuted" if witness else "certified" if certificate
+                          else "budget_refused" if refused else "uncertified")}
+    if witness:
+        record["witness"] = list(witness)
+    return record | certificate
+
+
+CENSUS_VERDICTS = ("refuted", "certified", "uncertified", "budget_refused")
+
+
+def census_counts(table: dict) -> dict[str, tuple[int, ...]]:
+    """Per kind: (total, refuted, certified, uncertified, budget_refused)."""
+    return {kind: (len(table[kind]), *(sum(r["verdict"] == v for r in table[kind])
+                                       for v in CENSUS_VERDICTS))
+            for kind in ("kron", "heis")}

@@ -14,6 +14,10 @@ from heisenstab.additivity import (
     KroneckerMatrix,
     build_constraint_matrix,
     check_certificate,
+    heisenberg_matrices,
+    kronecker_matrices,
+    margin_class,
+    margin_matrices,
 )
 from heisenstab.partitions import NotAPartitionError, Partition, scale, subpartitions_of_size
 from heisenstab.ratfeas import solve_strict
@@ -99,6 +103,18 @@ def test_subpartitions_of_size_refuses_when_called():
             subpartitions_of_size(outer, 1)
     with pytest.raises(ValueError):
         subpartitions_of_size((2, 1), 1.0)
+
+
+@pytest.mark.parametrize("bad", [(1.5,), (True,), ("1",), (-1,)], ids=["float", "bool", "string", "negative"])
+def test_margin_matrix_enumerators_refuse_when_called(bad):
+    # refused before anything is iterated, as subpartitions_of_size refuses
+    calls = (lambda a, b: margin_matrices(KroneckerMatrix, a, b), kronecker_matrices,
+             heisenberg_matrices, lambda a, b: margin_class(HeisenbergMatrix, a, b, (1,)))
+    for call in calls:
+        for beta, gamma in ((bad, (1,)), ((1,), bad)):
+            with pytest.raises(ValueError):
+                call(beta, gamma)
+    assert [A.rows for A in margin_matrices(KroneckerMatrix, (1,), (1,))] == [((1,),)]
 
 
 def test_zee_and_class_size_read_a_cycle_type_as_character_does():

@@ -4,12 +4,13 @@ h-basis oracle, its one pointwise spot check per degree, and a global
 dimension identity at sizes the pointwise engines do not reach."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
 
 import heisenstab
-from heisenstab import coefficients, symfun
+from heisenstab import coefficients, partitions, symfun
 from heisenstab.coefficients import (
     _lr_product,
     _lr_run,
@@ -237,3 +238,22 @@ def test_clear_caches_empties_every_memo():
     emptied = dict(_memos(coefficients)) | dict(_memos(symfun))
     assert set(emptied) == set(filled)
     assert not any(emptied.values()), emptied
+
+
+def test_every_module_dict_is_a_memo_under_the_rule():
+    # clear_caches empties the dicts named *_CACHE, so no other dict may hold state
+    for module in (partitions, symfun, coefficients):
+        dicts = [name for name, value in vars(module).items()
+                 if isinstance(value, dict) and not name.startswith("__")]
+        assert all(name.endswith("_CACHE") for name in dicts), (module.__name__, dicts)
+
+
+def test_clear_caches_empties_a_memo_added_under_the_rule(monkeypatch):
+    probe_dict = {(1,): 1}
+    probe = lru_cache(maxsize=None)(abs)
+    monkeypatch.setattr(symfun, "_PROBE_CACHE", probe_dict, raising=False)
+    monkeypatch.setattr(symfun, "_probe", probe, raising=False)
+    probe(-1)
+    clear_caches()
+    assert not probe_dict
+    assert probe.cache_info().currsize == 0

@@ -319,9 +319,9 @@ def test_stability_scans_hand_the_engine_one_partition_per_shape(monkeypatch):
 
 def test_clear_caches_empties_the_shape_table():
     from heisenstab import clear_caches
-    from heisenstab.partitions import _SHAPES
+    from heisenstab.partitions import _SHAPE_CACHE
 
     stabilization_sequence(Kind.LR, ((2, 1), (2,), (1,)), ((1,), (1,), ()), range(3))
-    assert _SHAPES
+    assert _SHAPE_CACHE
     clear_caches()
-    assert not _SHAPES
+    assert not _SHAPE_CACHE

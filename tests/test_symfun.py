@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from heisenstab import heisenberg_coeff, heisenberg_product, symfun
+from heisenstab import clear_caches, heisenberg_coeff, heisenberg_product, symfun
 from heisenstab.additivity import kronecker_matrices
 from heisenstab.partitions import Partition, _bounded_vectors, is_dominated_by, partitions_of
 from heisenstab.symfun import (
@@ -66,7 +66,7 @@ def test_class_sizes():
 
 
 def test_class_sizes_fill_no_list_of_cycle_types():
-    symfun.clear_caches()
+    clear_caches()
     sizes = [class_sizes(n) for n in range(15)]
     assert symfun.cycle_types.cache_info().currsize == 0
     assert sizes == [tuple(map(class_size, cycle_types(n))) for n in range(15)]
@@ -111,7 +111,7 @@ def test_character_matches_the_per_class_recursion():
 
 
 def test_a_single_character_builds_no_class_vector():
-    symfun.clear_caches()
+    clear_caches()
     character((20, 10, 5), (7,) * 5)
     assert symfun._mn_vector.cache_info().currsize == 0
 
