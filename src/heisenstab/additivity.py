@@ -91,6 +91,8 @@ class KroneckerMatrix:
 
     def scaled(self, n: int) -> "KroneckerMatrix":
         (n,) = _integer_parts((n,), ValueError)
+        if n < 0:
+            raise ValueError("scale factor must be nonnegative")
         return type(self)(tuple(tuple(n * e for e in r) for r in self.rows))
 
     def __eq__(self, other):

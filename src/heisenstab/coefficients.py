@@ -69,7 +69,7 @@ from typing import Counter as CounterT
 from . import partitions, symfun
 from .additivity import HeisenbergMatrix, KroneckerMatrix, _fill
 from .partitions import Partition, _inside, _integer_parts, _trusted
-from .symfun import _kostka, _schur_in_h, character_vector, class_sizes, cycle_types
+from .symfun import _kostka, _mn_vector, _schur_in_h, class_sizes, cycle_types
 
 # A partition as the cores hold it: an exact tuple (see the module docstring)
 Shape = tuple[int, ...]
@@ -429,14 +429,15 @@ def _kron_closed_form(lam: Shape, mu: Shape, nu: Shape) -> int:
 def _weighted_characters(lam: Shape) -> tuple[int, ...]:
     """Class size times chi^lam, class by class: one factor of the
     character sum."""
-    return tuple(map(mul, class_sizes(sum(lam)), character_vector(lam)))
+    n = sum(lam)
+    return tuple(map(mul, class_sizes(n), _mn_vector(lam, n)))
 
 
 def _kron_by_characters(lam: Shape, mu: Shape, nu: Shape) -> int:
     """The exact character sum over the classes of S_n, divided by n!."""
     n = sum(lam)
     total = sum(map(mul, _weighted_characters(lam),
-                    map(mul, character_vector(mu), character_vector(nu))))
+                    map(mul, _mn_vector(mu, n), _mn_vector(nu, n))))
     if total % factorial(n):
         raise RuntimeError("character sum is not an integer")
     return total // factorial(n)

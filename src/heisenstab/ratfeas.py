@@ -42,6 +42,8 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
 def solve_strict(rows: Sequence[Sequence], num_vars: int) -> Optional[tuple[Fraction, ...]]:
     """Find rational z with row . z >= 1 for every row, or None if infeasible."""
     (num_vars,) = _integer_parts((num_vars,), ValueError)
+    if num_vars < 0:
+        raise ValueError("num_vars must be nonnegative")
     eliminated = _eliminate(rows, num_vars)
     if eliminated is None:
         return None

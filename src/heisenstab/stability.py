@@ -221,6 +221,7 @@ def detect_stable_limit(values: Sequence[int], window: int = 4
     (window,) = _integer_parts((window,), ValueError)
     if window < 2:
         raise ValueError("window must be >= 2")
+    values = _integer_parts(values, ValueError)
     if len(values) < window:
         return None
     tail = values[-window:]

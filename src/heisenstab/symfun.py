@@ -1,10 +1,12 @@
 """Symmetric-group character kernels and basis data.
 
 Everything here is exact integer arithmetic.  Irreducible characters come
-from the Murnaghan-Nakayama border-strip recursion: whole vectors
-(`character_vector`) a block of classes at a time, from one memo keyed by
-(shape, bound on the parts) (`_mn_vector`); single values (`character`) by
-a strip walk over the parts of the cycle type, which builds no vector.
+from the Murnaghan-Nakayama border-strip recursion: whole vectors a block
+of classes at a time, from one memo keyed by (shape, bound on the parts)
+(`_mn_vector`, which the Kronecker character sum reads directly, and
+`character_vector`, which first reads its shape through `Partition`);
+single values (`character`) by a strip walk over the parts of the cycle
+type, which builds no vector.
 Kostka numbers by the horizontal-strip rule on a stack over one memo;
 the Schur-to-complete-homogeneous change of basis from the Jacobi-Trudi
 determinant as a strip walk over its special rim hooks.
@@ -157,10 +159,12 @@ def class_sizes(n: int) -> tuple[int, ...]:
     return tuple(map(_class_size, _inside((n,) * n, n)))
 
 
-def character_vector(lam: tuple[int, ...]) -> tuple[int, ...]:
+def character_vector(lam: Sequence[int]) -> tuple[int, ...]:
     """chi^lam evaluated on every class of S_{|lam|}, in cycle_types order:
-    the memoized `_mn_vector` on parts <= |lam|, which is every class."""
-    return _mn_vector(lam, sum(lam))
+    the memoized `_mn_vector` on parts <= |lam|, which is every class.  lam
+    is read through `Partition`; the engines call `_mn_vector` directly."""
+    lam = Partition(lam)
+    return _mn_vector(tuple(lam), lam.size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: triple enumeration by size pattern,
 and independent oracles: a hook-length dimension formula, a brute-force
-Kostka count, the per-class Murnaghan-Nakayama recursion and the plain
-Kronecker character sum over it, the Jacobi-Trudi determinant expanded
-over all permutations, the rational rank of an integer matrix, the
+Kostka count, the per-class Murnaghan-Nakayama recursion, the plain
+Kronecker character sum over it and whole Heisenberg components by
+restriction and induction of characters, the Jacobi-Trudi determinant
+expanded over all permutations, the rational rank of an integer matrix, the
 Fourier-Motzkin back-substitution in `Fraction`s, the all-pairs
 additivity certificate check, a third Heisenberg engine for the lowest
 degree, by Pieri's rule over horizontal strips, and the census of stable
@@ -12,16 +13,18 @@ matrix."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from typing import Sequence
 
 from heisenstab import Composition, Kind, Partition, ratfeas
 from heisenstab.additivity import MATRIX_KINDS, check_budget, is_additive, margin_class
 from heisenstab.coefficients import kron_coeff_oracle
 from heisenstab.partitions import BudgetExceededError, partitions_of, partitions_up_to
-from heisenstab.symfun import class_size
+from heisenstab.symfun import character_vector, class_size, cycle_types, zee
 from heisenstab.stability import (
     NotATripleError,
     classify_triple,
@@ -29,6 +32,16 @@ from heisenstab.stability import (
     size_pattern_ok,
     stability_check,
 )
+
+
+class Index:
+    """An integer-like object: `operator.index` reads it as n."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __index__(self) -> int:
+        return self.n
 
 
 def size_triples(kind: Kind, max_size: int):
@@ -129,6 +142,44 @@ def kron_by_class_sum(lam, mu, nu) -> int:
     if total % factorial(n):
         raise ValueError("character sum is not a multiple of n!")
     return total // factorial(n)
+
+
+def heisenberg_component_by_characters(mu, nu, degree: int) -> dict[tuple[int, ...], int]:
+    """The piece of degree l of s_mu # s_nu as {lam: h^lam_{mu nu}}, nonzero
+    terms only (test oracle for whole components).  With mu the larger
+    factor, as `heisenberg_component` orders them, and p, q, r = l - |nu|,
+    |mu| + |nu| - l, l - |mu|, restriction and induction (Aguiar, Ferrer
+    Santos and Moreira) give h^lam = sum over a |- p, b |- q, c |- r of
+    chi^mu(a u b) chi^nu(b u c) chi^lam(a u b u c) / (z_a z_b z_c).  The
+    weights are summed per class a u b u c, scaled by p! q! r!, with chi^mu
+    and chi^nu from `mn_character`; each lam |- l is then one dot product
+    with `character_vector(lam)`.  Every division must be exact."""
+    mu, nu = Partition(mu), Partition(nu)
+    if (mu.size, mu) < (nu.size, nu):
+        mu, nu = nu, mu
+    p, q, r = degree - nu.size, mu.size + nu.size - degree, degree - mu.size
+
+    def exact(n: int, d: int) -> int:
+        quotient, rest = divmod(n, d)
+        if rest:
+            raise ArithmeticError(f"{n} / {d} is not an integer")
+        return quotient
+
+    def classes(k: int):  # each class of S_k with k! / z
+        return [(tuple(a), exact(factorial(k), zee(a))) for a in partitions_of(k)]
+
+    def union(*parts) -> tuple[int, ...]:
+        return tuple(sorted(itertools.chain(*parts), reverse=True))
+
+    weights: Counter[tuple[int, ...]] = Counter()
+    for (a, wa), (b, wb), (c, wc) in itertools.product(classes(p), classes(q), classes(r)):
+        weights[union(a, b, c)] += (mn_character(tuple(mu), union(a, b))
+                                    * mn_character(tuple(nu), union(b, c)) * wa * wb * wc)
+    w = [weights[rho] for rho in cycle_types(degree)]
+    scale = factorial(p) * factorial(q) * factorial(r)
+    terms = {lam: exact(sum(map(mul, w, character_vector(lam))), scale)
+             for lam in partitions_of(degree)}
+    return {lam: h for lam, h in terms.items() if h}
 
 
 def schur_in_h_by_permutations(lam: Sequence[int]) -> dict[tuple[int, ...], int]:

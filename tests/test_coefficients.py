@@ -226,13 +226,13 @@ def fresh_memos():
 
 
 def test_kron_refuses_a_character_sum_that_is_not_an_integer(fresh_memos, monkeypatch):
-    exact = coefficients.character_vector
+    exact = coefficients._mn_vector
 
-    def off_at_identity(lam):  # the identity class (1^n) comes last
-        chi = exact(lam)
+    def off_at_identity(lam, k):  # the identity class (1^n) comes last
+        chi = exact(lam, k)
         return chi[:-1] + (chi[-1] + 1,)
 
-    monkeypatch.setattr(coefficients, "character_vector", off_at_identity)
+    monkeypatch.setattr(coefficients, "_mn_vector", off_at_identity)
     with pytest.raises(RuntimeError, match="not an integer"):
         kron_coeff((2, 1), (2, 1), (2, 1))  # the sum is 25, not a multiple of 3! = 6
 

@@ -3,7 +3,6 @@ products, its agreement with the pointwise quintuple formula and the
 h-basis oracle, its one pointwise spot check per degree, and a global
 dimension identity at sizes the pointwise engines do not reach."""
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -23,8 +22,7 @@ from heisenstab.coefficients import (
     lr_coeff_hive,
 )
 from heisenstab.partitions import Partition, partitions_of, partitions_up_to, subpartitions_of_size
-from support import hook_length_dimension
-from test_input_validation import Three
+from support import heisenberg_component_by_characters, hook_length_dimension
 
 
 def _splits(outer, a, b):
@@ -183,12 +181,17 @@ def test_component_refuses_a_term_the_pointwise_engine_disagrees_with(monkeypatc
         heisenberg_component((3, 2, 1), (2, 2), 8)
 
 
-def test_component_degree_must_be_an_integer():
-    for bad in (True, False, 3.0, 3.5, "3", Fraction(3), None):
-        with pytest.raises(ValueError):
-            heisenberg_component((1,), (1, 1), bad)
-    assert heisenberg_component((2, 1), (1,), Three()) == heisenberg_component((2, 1), (1,), 3)
-    assert heisenberg_component((2, 1), (1,), Three()).degree_range == (3, 3)
+@pytest.mark.parametrize("pairs, count", [
+    ([(mu, nu) for mu in partitions_up_to(5) for nu in partitions_up_to(5) if mu and nu], 1355),
+    ([(Partition((4, 3, 2, 1)),) * 2], 11),
+], ids=["sizes to 5", "(4,3,2,1)^2"])
+def test_whole_components_agree_with_the_character_route(pairs, count):
+    # every term of every degree, against restriction and induction of characters
+    queries = [(mu, nu, l) for mu, nu in pairs
+               for l in range(max(mu.size, nu.size), mu.size + nu.size + 1)]
+    assert len(queries) == count
+    for q in queries:
+        assert heisenberg_component(*q).terms == heisenberg_component_by_characters(*q), q
 
 
 def test_heisenberg_dimension_identity_to_size_six():

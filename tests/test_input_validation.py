@@ -2,45 +2,12 @@
 at construction; the engines behind the public functions run on the
 validated tuples."""
 
-from fractions import Fraction
-
 import pytest
 
 from heisenstab.coefficients import heisenberg_coeff, kron_coeff, lr_coeff
-from heisenstab.partitions import (
-    Composition,
-    NotAPartitionError,
-    Partition,
-    partitions_of,
-    partitions_up_to,
-)
-from heisenstab.stability import (
-    ORACLE,
-    PRIMARY,
-    Kind,
-    classify_triple,
-    coefficient,
-    detect_stable_limit,
-    stability_check,
-    stabilization_sequence,
-)
-
-
-class Three:
-    """An integer-like object: operator.index accepts it."""
-
-    def __index__(self):
-        return 3
-
-
-def test_non_integer_parts_are_rejected():
-    for bad in ([2.7], [2.0], [True], [2, False], ["3"], [Fraction(2)], [None]):
-        with pytest.raises(NotAPartitionError):
-            Partition(bad)
-        with pytest.raises(ValueError):
-            Composition(bad)
-    assert Partition([Three(), 1]) == (3, 1)
-    assert Composition([0, Three()]) == (0, 3)
+from heisenstab.partitions import Composition, NotAPartitionError, Partition
+from heisenstab.stability import ORACLE, PRIMARY, Kind, coefficient, stabilization_sequence
+from support import Index
 
 
 def test_parts_are_read_in_one_pass():
@@ -48,7 +15,9 @@ def test_parts_are_read_in_one_pass():
     assert Composition(p for p in (0, 2, 0)) == (0, 2, 0)
     with pytest.raises(NotAPartitionError):
         Partition(p for p in (2, 1.5))
-
+    base, direction = ((2,), (1,), (1,)), ((1,), (1,), ())
+    seq = stabilization_sequence(Kind.LR, base, direction, (n for n in (Index(3), 2)))
+    assert seq == [(3, 1), (2, 1)] and type(seq[0][0]) is int
 
 def test_a_partition_is_not_revalidated():
     lam = Partition((3, 1))
@@ -77,14 +46,8 @@ def test_kind_tables_cover_every_kind():
 
 
 def test_matrix_entries_must_be_integers():
-    from heisenstab.additivity import HeisenbergMatrix, KroneckerMatrix, MatrixParseError, parse_matrix
+    from heisenstab.additivity import HeisenbergMatrix, MatrixParseError, parse_matrix
 
-    for bad in (2.7, 2.0, True, False, "3", Fraction(5, 2), Fraction(2), None):
-        with pytest.raises(MatrixParseError):
-            KroneckerMatrix([[1, bad]])
-        with pytest.raises(MatrixParseError):
-            HeisenbergMatrix([[0, bad], [1, 1]])
-    assert KroneckerMatrix([[Three(), 1]]).rows == ((3, 1),)
     assert HeisenbergMatrix(row for row in ([0, 3], (1, 2))).rows == ((0, 3), (1, 2))
     assert parse_matrix("0 3\n1 2\n", "h").rows == ((0, 3), (1, 2))
     with pytest.raises(MatrixParseError):
@@ -134,45 +97,3 @@ def test_parse_matrix_takes_ascii_digits_only():
     with pytest.raises(ValueError, match="unknown matrix kind"):
         parse_matrix("0 1\n", "x")
 
-
-# integer arguments besides parts: bools and integral floats are not counts
-NOT_INTEGERS = (True, False, 2.0, 2.5, "2", Fraction(2), None)
-
-
-def test_partitions_of_takes_an_integer():
-    for bad in NOT_INTEGERS:
-        with pytest.raises(ValueError):
-            partitions_of(bad)
-    assert list(partitions_of(Three())) == [(3,), (2, 1), (1, 1, 1)]
-    assert list(partitions_of(-1)) == []
-
-
-def test_partitions_up_to_takes_an_integer():
-    for bad in NOT_INTEGERS:
-        with pytest.raises(ValueError):
-            partitions_up_to(bad)
-    assert list(partitions_up_to(Three())) == list(partitions_up_to(3))
-
-
-def test_stabilization_sequence_takes_integer_steps():
-    base, direction = ((2,), (1,), (1,)), ((1,), (1,), ())
-    for bad in NOT_INTEGERS:
-        with pytest.raises(ValueError):
-            stabilization_sequence(Kind.LR, base, direction, [bad, 2])
-    seq = stabilization_sequence(Kind.LR, base, direction, (n for n in (Three(), 2)))
-    assert seq == [(3, 1), (2, 1)] and type(seq[0][0]) is int
-
-
-def test_stability_check_takes_an_integer_n_max():
-    t = classify_triple((2,), (1,), (1,))
-    for bad in NOT_INTEGERS:
-        with pytest.raises(ValueError):
-            stability_check(t, n_max=bad)
-    assert stability_check(t, n_max=Three()).n_max == 3
-
-
-def test_detect_stable_limit_takes_an_integer_window():
-    for bad in NOT_INTEGERS:
-        with pytest.raises(ValueError):
-            detect_stable_limit([1, 2, 2, 2], window=bad)
-    assert detect_stable_limit([1, 2, 2, 2], window=Three()) == (2, 1)

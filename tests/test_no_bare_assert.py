@@ -39,8 +39,9 @@ def test_package_never_sets_the_recursion_limit():
 SELF_CALLING = {
     # to depth 1: the table for a < b is the transpose of the one for (b, a)
     "_split_table",
-    # reached only through character_vector, whose result has p(n) entries,
-    # so only for an n far below the recursion limit
+    # reached only through character_vector and the Kronecker character
+    # sum, whose vectors have p(n) entries, so only for an n far below the
+    # recursion limit
     "_mn_vector",
     "_class_count",
 }
