@@ -2,9 +2,10 @@
 
 Everything here is exact integer arithmetic.  Irreducible characters come
 from the Murnaghan-Nakayama border-strip recursion: whole vectors a block
-of classes at a time, from one memo keyed by (shape, bound on the parts)
-(`_mn_vector`, which the Kronecker character sum reads directly, and
-`character_vector`, which first reads its shape through `Partition`);
+of classes at a time, from one memo holding one vector per shape, the
+longest suffix of its classes asked for so far (`_mn_vector`, which the
+Kronecker character sum reads directly, and `character_vector`, which
+first reads its shape through `Partition`);
 single values (`character`) by a strip walk over the parts of the cycle
 type, which builds no vector.
 Kostka numbers by the horizontal-strip rule on a stack over one memo;
@@ -77,18 +78,20 @@ def _border_strip_removals(lam: tuple[int, ...], k: int) -> tuple[tuple[tuple[in
 
 
 @lru_cache(maxsize=None)
-def _class_count(m: int, k: int) -> int:
-    """Number of partitions of m whose parts are all <= k."""
-    if m == 0:
-        return 1
-    if k <= 0:
-        return 0
-    if k > m:
-        return _class_count(m, m)
-    return _class_count(m, k - 1) + _class_count(m - k, k)
+def _class_counts(m: int) -> tuple[int, ...]:
+    """The number of partitions of m whose parts are all <= k, for k =
+    0..m: the usual table, one part size at a time, with no recursion."""
+    table, row = [1] + [0] * m, [int(m == 0)]
+    for k in range(1, m + 1):
+        for s in range(k, m + 1):
+            table[s] += table[s - k]
+        row.append(table[m])
+    return tuple(row)
 
 
-@lru_cache(maxsize=None)
+_MN_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def _mn_vector(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
     """chi^lam on the classes of S_|lam| whose parts are all <= k, in
     cycle_types order, for 0 <= k <= |lam| (k >= 1 unless lam is empty).
@@ -97,13 +100,30 @@ def _mn_vector(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
     parts <= j.  By Murnaghan-Nakayama block j is the signed sum, over the
     border strips of size j, of the remaining shape's vector on parts <= j;
     it is zero when lam has no such strip, so every block past the longest
-    hook is."""
+    hook is.
+
+    Block j depends on (lam, j) alone, never on k, so `_MN_CACHE` keeps one
+    vector per shape: the longest suffix asked for so far.  A shorter
+    request is its tail; a longer one computes only the blocks above it."""
+    try:  # a subscript, not .get: this is the character sum's hit path
+        have = _MN_CACHE[lam]
+    except KeyError:
+        have = ()
     n = sum(lam)
+    counts = _class_counts(n)
+    want = counts[k]
+    if len(have) == want:
+        return have
+    if len(have) > want:
+        return have[len(have) - want:]
     if n == 0:
-        return (1,)
+        have = _MN_CACHE[lam] = (1,)
+        return have
     top = min(k, lam[0] + len(lam) - 1)  # the longest hook is the (0, 0) one
-    out = [0] * (_class_count(n, k) - _class_count(n, top))
+    out = [0] * (want - max(counts[top], len(have)))
     for j in range(top, 0, -1):
+        if counts[j] <= len(have):
+            break  # blocks j, ..., 1 are stored
         block = None
         for shape, height in _border_strip_removals(lam, j):
             v = _mn_vector(shape, min(j, n - j))
@@ -111,8 +131,10 @@ def _mn_vector(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
                 block = list(map(neg, v)) if height & 1 else v
             else:
                 block = list(map(sub if height & 1 else add, block, v))
-        out.extend([0] * _class_count(n - j, j) if block is None else block)
-    return tuple(out)
+        out.extend([0] * _class_counts(n - j)[min(j, n - j)] if block is None else block)
+    out.extend(have)
+    have = _MN_CACHE[lam] = tuple(out)
+    return have
 
 
 def character(lam: Sequence[int], rho: Sequence[int]) -> int:
@@ -161,8 +183,9 @@ def class_sizes(n: int) -> tuple[int, ...]:
 
 def character_vector(lam: Sequence[int]) -> tuple[int, ...]:
     """chi^lam evaluated on every class of S_{|lam|}, in cycle_types order:
-    the memoized `_mn_vector` on parts <= |lam|, which is every class.  lam
-    is read through `Partition`; the engines call `_mn_vector` directly."""
+    `_mn_vector` on parts <= |lam|, which is every class, so the shape's
+    whole vector is what its memo holds from then on.  lam is read through
+    `Partition`; the engines call `_mn_vector` directly."""
     lam = Partition(lam)
     return _mn_vector(tuple(lam), lam.size)
 

@@ -234,7 +234,7 @@ def test_clear_caches_empties_every_memo():
     filled = dict(_memos(coefficients)) | dict(_memos(symfun))
     assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE",
             "_split_table", "_strips", "_hive_plan", "_h_expansion",
-            "_border_strip_removals", "_mn_vector", "_KOSTKA_CACHE",
+            "_border_strip_removals", "_MN_CACHE", "_KOSTKA_CACHE",
             "_schur_in_h", "cycle_types", "class_sizes"} <= set(filled)
     assert all(filled.values()), filled
     clear_caches()

@@ -43,7 +43,6 @@ SELF_CALLING = {
     # sum, whose vectors have p(n) entries, so only for an n far below the
     # recursion limit
     "_mn_vector",
-    "_class_count",
 }
 
 

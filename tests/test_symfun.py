@@ -1,3 +1,4 @@
+import random
 import sys
 from math import factorial
 
@@ -113,7 +114,56 @@ def test_character_matches_the_per_class_recursion():
 def test_a_single_character_builds_no_class_vector():
     clear_caches()
     character((20, 10, 5), (7,) * 5)
-    assert symfun._mn_vector.cache_info().currsize == 0
+    assert not symfun._MN_CACHE
+
+
+def test_mn_vector_keeps_the_longest_suffix_of_each_shape(monkeypatch):
+    clear_caches()
+    exact, k_max = symfun._mn_vector, {}
+
+    def recording(lam, k):  # the recursion reads the module's name too
+        k_max[lam] = max(k, k_max.get(lam, k))
+        return exact(lam, k)
+
+    monkeypatch.setattr(symfun, "_mn_vector", recording)
+    requests = [(tuple(lam), k) for n in range(1, 9) for lam in partitions_of(n)
+                for k in range(1, n + 1)]
+    random.Random(43).shuffle(requests)
+    for lam, k in requests:
+        want = tuple(character(lam, rho) for rho in cycle_types(sum(lam)) if rho[0] <= k)
+        assert symfun._mn_vector(lam, k) == want, (lam, k)
+    assert ({lam: len(v) for lam, v in symfun._MN_CACHE.items()}
+            == {lam: symfun._class_counts(sum(lam))[k] for lam, k in k_max.items()})
+
+
+def test_mn_vector_grows_a_suffix_by_the_missing_blocks_only(monkeypatch):
+    clear_caches()
+    lam = (3, 2, 1)
+    short = symfun._mn_vector(lam, 2)
+    strips, blocks = symfun._border_strip_removals, []
+
+    def recording(shape, j):
+        if shape == lam:
+            blocks.append(j)
+        return strips(shape, j)
+
+    monkeypatch.setattr(symfun, "_border_strip_removals", recording)
+    full = symfun._mn_vector(lam, 6)
+    assert blocks == [5, 4, 3]  # the longest hook is 5, so block 6 is zero
+    assert full == tuple(character(lam, rho) for rho in cycle_types(6))
+    assert symfun._mn_vector(lam, 2) == short == full[-len(short):]
+    assert symfun._MN_CACHE[lam] is full
+
+
+def test_class_counts_match_the_partitions_and_need_no_recursion():
+    for m in range(13):
+        tops = [max(lam, default=0) for lam in partitions_of(m)]
+        assert symfun._class_counts(m) == tuple(sum(1 for top in tops if top <= k)
+                                                for k in range(m + 1)), m
+    clear_caches()
+    assert sys.getrecursionlimit() <= 1000
+    assert symfun._class_counts(500)[500] == 2300165032574323995027  # p(500)
+    assert symfun._class_counts(1100)[2] == 551
 
 
 def test_dimension_of_a_large_shape_needs_no_class_list():
