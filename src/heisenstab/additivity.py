@@ -294,6 +294,37 @@ def _strict_system(A: KroneckerMatrix) -> tuple[list[tuple[int, ...]], int]:
     return rows, num_vars
 
 
+def _first_trade(lines: Sequence[tuple[int, ...]],
+                 corner: int) -> Optional[tuple[int, int, int, int]]:
+    """The first crossing pair of `lines` as (i, k, up, down), or None:
+    lines i < k with lines[i][up] > lines[k][up] and lines[i][down] <
+    lines[k][down], up and down each the first such position.  Pairs come
+    in itertools.combinations order; a corner at position 0 of line 0 is
+    skipped.  A pair's first unequal position is the first of its kind,
+    and the first position of the other kind completes the pair, so the
+    scan stops there."""
+    start = corner
+    for i, a in enumerate(lines):
+        n = len(a)
+        for k in range(i + 1, len(lines)):
+            b = lines[k]
+            j = start
+            while j < n and a[j] == b[j]:
+                j += 1
+            if j == n:
+                continue
+            if a[j] > b[j]:
+                for down in range(j + 1, n):
+                    if a[down] < b[down]:
+                        return i, k, j, down
+            else:
+                for up in range(j + 1, n):
+                    if a[up] > b[up]:
+                        return i, k, up, j
+        start = 0
+    return None
+
+
 def _trade(A: KroneckerMatrix) -> Optional[tuple]:
     """A 2 x 2 trade of A as (upper cells, lower cells), or None.
 
@@ -303,33 +334,28 @@ def _trade(A: KroneckerMatrix) -> Optional[tuple]:
     than its partner (the lower cell at the same position).  Potentials
     would need s(i, j) > s(k, j) and s(k, l) > s(i, l); adding these gives
     0 > 0, so A is not additive (Scott's simplest cancellation condition).
-    Pairs of columns are searched the same way, pairing cells along rows.
     A cornered matrix's corner cell is never compared.
+
+    The scan (`_first_trade`) takes pairs of rows (i, k) in
+    itertools.combinations order and, within a pair, the first column j
+    where row i is larger and the first column l where it is smaller; it
+    stops at the first pair that has both.  Only when no two rows cross
+    are pairs of columns searched the same way, pairing cells along rows.
 
     No graph search is needed for longer cycles of orders forced within one
     row or column: without a 2 x 2 conflict, any two rows (and any two
     columns) are comparable entry by entry, and that order is transitive.
     None does not mean additive; Fourier-Motzkin stays the complete
     decision procedure."""
-    corner = A.corner
-
-    def conflict(lines, cell):
-        for i, k in itertools.combinations(range(len(lines)), 2):
-            a, b = lines[i], lines[k]
-            up = down = None
-            # the corner is position 0 of line 0
-            for j in range(corner if i == 0 else 0, len(a)):
-                if a[j] > b[j]:
-                    if up is None:
-                        up = j
-                elif a[j] < b[j] and down is None:
-                    down = j
-            if up is not None and down is not None:
-                return (cell(i, up), cell(k, down)), (cell(k, up), cell(i, down))
-        return None
-
-    return (conflict(A.rows, lambda i, j: (i, j))
-            or conflict(tuple(zip(*A.rows)), lambda j, i: (i, j)))
+    found = _first_trade(A.rows, A.corner)
+    if found is not None:
+        i, k, j, l = found
+        return ((i, j), (k, l)), ((k, j), (i, l))
+    found = _first_trade(tuple(zip(*A.rows)), A.corner)
+    if found is not None:
+        j, l, i, k = found
+        return ((i, j), (k, l)), ((i, l), (k, j))
+    return None
 
 
 def is_additive(A: KroneckerMatrix) -> Optional[AdditivityCertificate]:

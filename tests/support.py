@@ -5,10 +5,10 @@ Kronecker character sum over it and whole Heisenberg components by
 restriction and induction of characters, the Jacobi-Trudi determinant
 expanded over all permutations, the rational rank of an integer matrix, the
 Fourier-Motzkin back-substitution in `Fraction`s, the all-pairs
-additivity certificate check, a third Heisenberg engine for the lowest
-degree, by Pieri's rule over horizontal strips, and the census of stable
-triples: each one scanned, and its margin classes searched for an additive
-matrix."""
+additivity certificate check, the first 2 x 2 trade by brute force, a third
+Heisenberg engine for the lowest degree, by Pieri's rule over horizontal
+strips, and the census of stable triples: each one scanned, and its margin
+classes searched for an additive matrix."""
 
 from __future__ import annotations
 
@@ -271,6 +271,25 @@ def certificate_by_all_pairs(A, cert) -> bool:
     return all(cert.x[i] + cert.y[j] > cert.x[k] + cert.y[l]
                for (i, j), (k, l) in itertools.permutations(cells, 2)
                if A.rows[i][j] > A.rows[k][l])
+
+
+def first_trade(A):
+    """The 2 x 2 trade `additivity._trade` must return, as (upper cells,
+    lower cells), or None (test oracle): row pairs i < k in order, each with
+    the first column where row i is strictly larger and the first where it
+    is strictly smaller, the corner excluded; the first pair that has both
+    gives the trade.  Then column pairs the same way."""
+    rows = A.rows
+    for lines, cell in ((rows, lambda line, place: (line, place)),
+                        (tuple(zip(*rows)), lambda line, place: (place, line))):
+        for i, k in itertools.combinations(range(len(lines)), 2):
+            order = [(x > y) - (x < y) for x, y in zip(lines[i], lines[k])]
+            if A.corner and i == 0 and order:
+                order[0] = 0  # the corner is never compared
+            if 1 in order and -1 in order:
+                up, down = order.index(1), order.index(-1)
+                return (cell(i, up), cell(k, down)), (cell(k, up), cell(i, down))
+    return None
 
 
 def horizontal_strips(nu: Sequence[int], p: int):
