@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 # The submodule that defines each public name.
 _EXPORTS = {
     **dict.fromkeys((
-        "Composition", "Dominance", "NotAPartitionError", "Partition", "add",
-        "dominates", "is_dominated_by", "partitions_of", "pi_sequence", "scale",
+        "Composition", "NotAPartitionError", "Partition", "add",
+        "is_dominated_by", "partitions_of", "pi_sequence", "scale",
     ), "partitions"),
     **dict.fromkeys((
         "character", "class_size", "dimension", "kostka", "schur_in_h_basis",

@@ -66,7 +66,7 @@ class KroneckerMatrix:
     corner = 0
 
     def __init__(self, rows):
-        object.__setattr__(self, "rows", _validated_rows(rows))
+        self.rows = _validated_rows(rows)
 
     @property
     def shape(self) -> tuple[int, int]:

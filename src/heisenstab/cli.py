@@ -5,8 +5,11 @@ JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 parse error, 3 size-pattern error, 4 engine mismatch or cache integrity
 failure, 5 enumeration budget exceeded, 1 selftest failure or stdout closed
 by its reader.  Each command returns the JSON object it reports, or raises;
-`main` alone writes that object to stdout, and maps each error a command
-raises to its exit code and stderr line through the one table `_EXITS`.
+`main` writes that object to stdout, and maps each error a command raises
+to its exit code and stderr line through the one table `_EXITS`.  Two
+commands also write stdout themselves: `enumerate` streams its matrices as
+text before `main` writes its count, and `selftest` prints its PASS table
+and returns None, so `main` writes no JSON for it.
 
 A persistent cache of coefficient values lives in a single append-friendly
 text file (one JSON record per line) at ~/.cache/heisenstab.cache, or

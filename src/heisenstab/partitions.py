@@ -6,10 +6,11 @@ tuple is the unique partition of 0.  Both share `size`, a `repr` naming
 their class, and the comma syntax: `str` writes it ("0" when empty) and
 `parse` reads it.  Either is a tuple under `+` and `*` (concatenation,
 repetition); the vector arithmetic `add` and `scale` is coordinatewise
-with implicit zero padding.  The dominance comparison works on arbitrary
-rational vectors, not just partitions, and is always exact: its entries
-are ints and `fractions.Fraction`s, and a float is refused, never
-compared.
+with implicit zero padding.  `pi_sequence` sorts the entries of one flat
+sequence into a Partition; pi of a matrix is the matrix's `.pi`.  The one
+majorization relation, `is_dominated_by`, works on arbitrary rational
+vectors, not just partitions, and is always exact: its entries are ints
+and `fractions.Fraction`s, and a float is refused, never compared.
 
 The package's enumerators, each a loop over an explicit stack: partitions
 inside a shape (`_inside`, which yields the plain tuples the engines keep;
@@ -20,7 +21,6 @@ rows of margin matrices and the horizontal strips of Kostka numbers.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import operator
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
@@ -160,17 +160,10 @@ def _sorted_entries(entries: Iterable[int]) -> Partition:
     return _trusted(sorted(filter(None, entries), reverse=True))
 
 
-def pi_sequence(data) -> Partition:
-    """Entries of a matrix (iterable of rows) or a flat sequence, sorted
-    weakly decreasingly with trailing zeros dropped."""
-    if not isinstance(data, Composition):
-        rows = list(data)
-        if rows and isinstance(rows[0], (list, tuple)):
-            if not all(isinstance(row, (list, tuple)) for row in rows):
-                raise ValueError(f"matrix mixes rows and entries: {rows!r}")
-            rows = [e for row in rows for e in row]
-        data = Composition(rows)
-    return _sorted_entries(data)
+def pi_sequence(data: Iterable[int]) -> Partition:
+    """The entries of a flat sequence, read as a `Composition`, sorted
+    weakly decreasingly with zeros dropped.  pi of a matrix is its `.pi`."""
+    return _sorted_entries(Composition(data))
 
 
 def _padded(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -190,14 +183,6 @@ def scale(n: int, a: Partition) -> Partition:
     return Partition(n * p for p in a)
 
 
-class Dominance(enum.Enum):
-    STRICTLY_DOMINATED = "strictly_dominated"  # a < b in dominance, pi(a) != pi(b)
-    EQUAL_PI = "equal_pi"
-    DOMINATES = "dominates"                    # a > b
-    INCOMPARABLE = "incomparable"
-    DIFFERENT_SUM = "different_sum"
-
-
 def _rationals(entries: Iterable[Rational]) -> list[Rational]:
     """Fraction entries as they are, and every other entry as _integer_parts
     reads it: a float, string or bool raises ValueError, never coerced."""
@@ -207,39 +192,14 @@ def _rationals(entries: Iterable[Rational]) -> list[Rational]:
             for e in entries]
 
 
-def dominates(a: Sequence[Rational], b: Sequence[Rational]) -> Dominance:
-    """Majorization comparison of a against b, on sorted entries.
-
-    Returns how `a` relates to `b`: STRICTLY_DOMINATED means a is strictly
-    below b (every prefix sum of sorted(a) is <= the one of sorted(b), sums
-    equal, sorted entries not all equal).  Entries are ints or Fractions;
-    anything else raises ValueError."""
-    xs, ys = _padded(_rationals(a), _rationals(b))
-    if sum(xs) != sum(ys):
-        return Dominance.DIFFERENT_SUM
-    xs = sorted(xs, reverse=True)
-    ys = sorted(ys, reverse=True)
-    if xs == ys:
-        return Dominance.EQUAL_PI
-    below = above = True
-    px = py = 0
-    for x, y in zip(xs, ys):
-        px += x
-        py += y
-        if px > py:
-            below = False
-        if px < py:
-            above = False
-    if below:
-        return Dominance.STRICTLY_DOMINATED
-    if above:
-        return Dominance.DOMINATES
-    return Dominance.INCOMPARABLE
-
-
 def is_dominated_by(a: Sequence[Rational], b: Sequence[Rational]) -> bool:
-    """a <= b in dominance order (equality of sorted entries allowed)."""
-    return dominates(a, b) in (Dominance.STRICTLY_DOMINATED, Dominance.EQUAL_PI)
+    """a <= b in dominance (majorization) order: padded with zeros to one
+    length and sorted decreasingly, a and b have equal sums and every prefix
+    sum of a is at most the matching one of b.  Entries are ints or
+    Fractions; anything else raises ValueError."""
+    xs, ys = (sorted(v, reverse=True) for v in _padded(_rationals(a), _rationals(b)))
+    return sum(xs) == sum(ys) and all(
+        p <= q for p, q in zip(itertools.accumulate(xs), itertools.accumulate(ys)))
 
 
 def _bounded_vectors(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:

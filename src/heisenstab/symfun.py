@@ -21,13 +21,13 @@ from functools import lru_cache
 from operator import add, neg, sub
 from typing import Sequence
 
-from .partitions import Composition, Partition, _bounded_vectors, _inside, _integer_parts, pi_sequence
+from .partitions import Partition, _bounded_vectors, _inside, _integer_parts, pi_sequence
 
 
 def zee(rho: Sequence[int]) -> int:
     """Order of the centralizer of a permutation with cycle type rho, read
     as `character` reads it (a float, string or bool part raises ValueError)."""
-    return _zee(pi_sequence(Composition(rho)))
+    return _zee(pi_sequence(rho))
 
 
 def _zee(rho: tuple[int, ...]) -> int:
@@ -40,7 +40,7 @@ def _zee(rho: tuple[int, ...]) -> int:
 def class_size(rho: Sequence[int]) -> int:
     """Number of permutations in S_n with cycle type rho (n = sum of rho),
     read as `zee` reads it."""
-    return _class_size(pi_sequence(Composition(rho)))
+    return _class_size(pi_sequence(rho))
 
 
 def _class_size(rho: tuple[int, ...]) -> int:
@@ -143,7 +143,7 @@ def character(lam: Sequence[int], rho: Sequence[int]) -> int:
     largest first, over the signed counts of the shapes left after removing
     border strips of those sizes; no class vector is built."""
     lam = Partition(lam)
-    rho = pi_sequence(Composition(rho))
+    rho = pi_sequence(rho)
     if lam.size != rho.size:
         raise ValueError(f"|lam| = {lam.size} but |rho| = {rho.size}")
     counts = {tuple(lam): 1}
@@ -231,7 +231,7 @@ def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     version, so it is canonicalized first.
     """
     lam = Partition(lam)
-    mu_sorted = pi_sequence(Composition(mu))
+    mu_sorted = pi_sequence(mu)
     if lam.size != mu_sorted.size:
         raise ValueError(f"|lam| = {lam.size} but |mu| = {mu_sorted.size}")
     return _kostka(tuple(lam), tuple(mu_sorted))

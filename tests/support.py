@@ -1,14 +1,15 @@
 """Shared helpers for the test suite: triple enumeration by size pattern,
-and independent oracles: a hook-length dimension formula, a brute-force
-Kostka count, the per-class Murnaghan-Nakayama recursion, the plain
-Kronecker character sum over it and whole Heisenberg components by
-restriction and induction of characters, the Jacobi-Trudi determinant
-expanded over all permutations, the rational rank of an integer matrix, the
-Fourier-Motzkin back-substitution in `Fraction`s, the all-pairs
-additivity certificate check, the first 2 x 2 trade by brute force, a third
-Heisenberg engine for the lowest degree, by Pieri's rule over horizontal
-strips, and the census of stable triples: each one scanned, and its margin
-classes searched for an additive matrix."""
+and independent oracles: a hook-length dimension formula, the dominance
+order by Brylawski's box transfers, a brute-force Kostka count, the
+per-class Murnaghan-Nakayama recursion, the plain Kronecker character sum
+over it and whole Heisenberg components by restriction and induction of
+characters, the Jacobi-Trudi determinant expanded over all permutations,
+the rational rank of an integer matrix, the Fourier-Motzkin
+back-substitution in `Fraction`s, the all-pairs additivity certificate
+check, the first 2 x 2 trade by brute force, a third Heisenberg engine for
+the lowest degree, by Pieri's rule over horizontal strips, and the census
+of stable triples: each one scanned, and its margin classes searched for an
+additive matrix."""
 
 from __future__ import annotations
 
@@ -72,6 +73,27 @@ def hook_length_dimension(lam: Partition) -> int:
         for c in range(row):
             denom *= (row - c) + (conj[c] - r) - 1
     return factorial(n) // denom
+
+
+def transfers_from(lam: Sequence[int]) -> set[Partition]:
+    """Every partition reached from lam, lam included, by moving one box
+    from a row to a row at least two shorter, an empty row below the last
+    included (test oracle for the dominance order: Brylawski's moves reach
+    exactly the partitions of |lam| that lam dominates)."""
+    start = Partition(lam)
+    seen, stack = {start}, [start]
+    while stack:
+        rows = stack.pop() + (0,)
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            if rows[i] - rows[j] >= 2:
+                moved = list(rows)
+                moved[i] -= 1
+                moved[j] += 1
+                mu = Partition(sorted(moved, reverse=True))
+                if mu not in seen:
+                    seen.add(mu)
+                    stack.append(mu)
+    return seen
 
 
 def kostka_by_enumeration(lam: Sequence[int], mu: Sequence[int]) -> int:

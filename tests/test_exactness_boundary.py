@@ -27,10 +27,9 @@ from heisenstab.additivity import (
 from heisenstab.coefficients import Decomposition, heisenberg_component
 from heisenstab.partitions import (
     Composition,
-    Dominance,
     NotAPartitionError,
     Partition,
-    dominates,
+    is_dominated_by,
     partitions_of,
     partitions_up_to,
     scale,
@@ -140,9 +139,10 @@ BOUNDARIES = {
     "character_vector part": (
         lambda v: character_vector([v, 1]), NotAPartitionError, False, 0,
         [(1, (-1, 1)), (2, (-1, 0, 2)), (3, (-1, 0, -1, 1, 3))]),
-    "dominates entry": (
-        lambda v: dominates((v, 1), (2, 1)), ValueError, True, None,
-        [(2, Dominance.EQUAL_PI), (-1, Dominance.DIFFERENT_SUM), (F(2), Dominance.EQUAL_PI)]),
+    "is_dominated_by entry": (
+        lambda v: (is_dominated_by((v, 1, 1), (2, 2)), is_dominated_by((2, 2), (v, 1, 1))),
+        ValueError, True, None,
+        [(2, (True, False)), (-1, (False, False)), (F(2), (True, False))]),
 }
 
 # integral, fractional and not numbers at all; a Fraction is exact where a

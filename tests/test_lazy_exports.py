@@ -11,11 +11,11 @@ import pytest
 
 import heisenstab
 
-# Every name the package exported when its __init__ imported each submodule.
+# Every name the package exports, by the submodule that defines it.
 EXPORTS = {
     "partitions": (
-        "Composition", "Dominance", "NotAPartitionError", "Partition", "add",
-        "dominates", "is_dominated_by", "partitions_of", "pi_sequence", "scale"),
+        "Composition", "NotAPartitionError", "Partition", "add",
+        "is_dominated_by", "partitions_of", "pi_sequence", "scale"),
     "symfun": (
         "character", "class_size", "dimension", "kostka", "schur_in_h_basis"),
     "coefficients": (
@@ -40,7 +40,7 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 def test_all_lists_the_exports():
-    assert len(NAMES) == 54
+    assert len(NAMES) == 52
     assert sorted(heisenstab.__all__) == sorted(NAMES)
     assert heisenstab.__version__ == "0.1.0"
 

@@ -4,21 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from heisenstab.additivity import KroneckerMatrix
 from heisenstab.partitions import (
     Composition,
-    Dominance,
     NotAPartitionError,
     Partition,
     _bounded_vectors,
     _inside,
     add,
-    dominates,
     is_dominated_by,
     partitions_of,
     pi_sequence,
     scale,
     subpartitions_of_size,
 )
+from support import transfers_from
 
 
 def test_construction_normalizes_trailing_zeros():
@@ -83,16 +83,21 @@ def test_a_partition_is_a_composition_with_the_same_repr_and_str():
 
 
 def test_pi_sequence_of_matrix():
+    # pi of a matrix is its .pi: pi_sequence of its entries as one flat sequence
     rows = [(0, 4, 6, 1), (4, 5, 7, 2), (2, 3, 5, 0)]
-    assert pi_sequence(rows) == (7, 6, 5, 5, 4, 4, 3, 2, 2, 1)
+    assert KroneckerMatrix(rows).pi == pi_sequence(itertools.chain.from_iterable(rows)) \
+        == (7, 6, 5, 5, 4, 4, 3, 2, 2, 1)
 
 
 def test_pi_sequence_zero_matrix_is_empty():
-    assert pi_sequence([(0, 0), (0, 0)]) == ()
+    assert KroneckerMatrix([(0, 0), (0, 0)]).pi == pi_sequence([0, 0, 0, 0]) == ()
 
 
 def test_pi_sequence_of_composition():
-    assert pi_sequence(Composition((1, 3, 0, 2))) == (3, 2, 1)
+    # a Composition, a list and an iterator of the same entries read alike
+    for data in (Composition((1, 3, 0, 2)), [1, 3, 0, 2], iter((1, 3, 0, 2))):
+        got = pi_sequence(data)
+        assert type(got) is Partition and got == (3, 2, 1)
 
 
 def test_composition_parse_reads_zero_and_blank_as_empty():
@@ -101,12 +106,14 @@ def test_composition_parse_reads_zero_and_blank_as_empty():
 
 def test_pi_sequence_rejects_negative():
     with pytest.raises(ValueError):
-        pi_sequence([(1, -1)])
+        pi_sequence([1, -1])
 
 
-@pytest.mark.parametrize("data", [("1",), [(1, "1")]], ids=["flat", "matrix"])
+# a row is not an entry, ragged or not: pi of a matrix is its .pi
+@pytest.mark.parametrize("data", [("1",), [(1, "1")], [[2, 0], [1, 3]], [(1, 2), (3,)]],
+                         ids=["flat", "matrix", "rows", "ragged_rows"])
 def test_pi_sequence_rejects_non_integer_entries(data):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-integer part"):
         pi_sequence(data)
 
 
@@ -122,18 +129,28 @@ def test_add_scale():
     assert 2 * Partition((2, 1)) == (2, 1, 2, 1)
 
 
+# (a, b, a ⊴ b, b ⊴ a): strictly below, strictly below at unequal lengths,
+# equal pi, different sums, incomparable, and with negative entries
+DOMINANCE = [
+    ((1, 1, 1), (3, 0, 0), True, False),
+    ((2, 2), (3, 0, 1), True, False),
+    ((3, 1), (1, 3), True, True),
+    ((1,), (2,), False, False),
+    ((3, 1, 1, 1), (2, 2, 2), False, False),
+    ((0, 0), (1, -1), True, False),
+]
+
+
 def test_dominates_basic_verdicts():
-    assert dominates((1, 1, 1), (3, 0, 0)) == Dominance.STRICTLY_DOMINATED
-    assert dominates((2, 2), (3, 0, 1)) == Dominance.STRICTLY_DOMINATED
-    assert dominates((3, 0, 1), (2, 2)) == Dominance.DOMINATES
-    assert dominates((3, 1), (1, 3)) == Dominance.EQUAL_PI
-    assert dominates((1,), (2,)) == Dominance.DIFFERENT_SUM
-    assert dominates((3, 1, 1, 1), (2, 2, 2)) == Dominance.INCOMPARABLE
+    for a, b, below, above in DOMINANCE:
+        assert is_dominated_by(a, b) is below, (a, b)
+        assert is_dominated_by(b, a) is above, (b, a)
 
 
 def test_dominates_exact_rationals():
     a = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    assert dominates(a, (1, 0, 0)) == Dominance.STRICTLY_DOMINATED
+    assert is_dominated_by(a, (1, 0, 0)) is True
+    assert is_dominated_by((1, 0, 0), a) is False
     assert is_dominated_by(a, a)
 
 
@@ -141,13 +158,12 @@ def test_dominates_exact_rationals():
                          ids=["floats", "float_among_fractions", "string", "bool", "none"])
 def test_dominance_refuses_entries_that_are_not_exact_rationals(entries):
     # 0.1 + 0.2 != 0.3 in binary floating point, so a float comparison
-    # would answer DIFFERENT_SUM here instead of refusing
+    # would find the sums different here instead of refusing
     with pytest.raises(ValueError):
-        dominates(entries, (Fraction(3, 10),))
+        is_dominated_by(entries, (Fraction(3, 10),))
     with pytest.raises(ValueError):
         is_dominated_by((Fraction(3, 10),), entries)
-    assert dominates((Fraction(1, 10), Fraction(2, 10)), (Fraction(3, 10),)) \
-        == Dominance.STRICTLY_DOMINATED
+    assert is_dominated_by((Fraction(1, 10), Fraction(2, 10)), (Fraction(3, 10),))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), max_size=6))
@@ -160,12 +176,8 @@ def test_pi_invariant_under_permutation(entries):
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5),
        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5))
 def test_dominance_antisymmetry_at_pi_level(xs, ys):
-    rel = dominates(xs, ys)
-    rev = dominates(ys, xs)
-    if rel == Dominance.STRICTLY_DOMINATED:
-        assert rev == Dominance.DOMINATES
-    if rel == Dominance.EQUAL_PI:
-        assert rev == Dominance.EQUAL_PI
+    both = is_dominated_by(xs, ys) and is_dominated_by(ys, xs)
+    assert both == (pi_sequence(xs) == pi_sequence(ys))
 
 
 def test_dominance_extremes_among_partitions():
@@ -175,6 +187,20 @@ def test_dominance_extremes_among_partitions():
     for lam in partitions_of(n):
         assert is_dominated_by(lam, top)
         assert is_dominated_by(bottom, lam)
+
+
+def test_dominance_is_reachability_by_transfers():
+    # an oracle that never forms a prefix sum: mu ⊴ lam exactly when moving
+    # boxes down from lam reaches mu; 919 pairs of one size
+    pairs = 0
+    for n in range(9):
+        parts = list(partitions_of(n))
+        for lam in parts:
+            reach = transfers_from(lam)
+            for mu in parts:
+                assert is_dominated_by(mu, lam) == (mu in reach), (mu, lam)
+                pairs += 1
+    assert pairs == 919
 
 
 def test_dominance_transitive_on_small_partitions():

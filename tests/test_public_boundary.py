@@ -65,7 +65,7 @@ def test_the_engine_memos_hold_no_partition(monkeypatch):
     assert [n for n, _ in seq] == [0, 1, 2, 3] and all(v > 0 for _, v in seq)
     assert all(type(lam) is Partition for lam in partitions_of(6))
     assert all(type(lam) is Partition for lam in subpartitions_of_size((3, 2, 1), 3))
-    assert type(pi_sequence([[2, 0], [1, 3]])) is Partition
+    assert type(pi_sequence([2, 0, 1, 3])) is Partition
     assert type(KroneckerMatrix([[2, 0], [1, 3]]).pi) is Partition
 
 
