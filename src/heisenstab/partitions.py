@@ -155,6 +155,29 @@ def _interned(shape: Partition) -> Partition:
     return _SHAPE_CACHE.setdefault(shape, shape)
 
 
+# The ray {n: x + n*d} of each pair (x, d) of Partitions, at the n asked for
+# so far.  `_on_ray` is the one builder of the shifted shapes of a sequence
+# and of the scaled shapes n*x of a scan (the ray from () along x); each
+# shape it puts on a ray is interned, so equal shapes on different rays are
+# one object.
+_RAY_CACHE: dict[tuple[Partition, Partition], dict[int, Partition]] = {}
+
+
+def _on_ray(x: Partition, d: Partition, ns: Sequence[int]) -> list[Partition]:
+    """x + n*d for each nonnegative int n of ns, read from the ray of (x, d),
+    which grows by the n it lacks.  For n >= 1 every part of x + n*d is
+    positive (each position has a positive part of x or of d), so it is
+    built unchecked; n = 0 gives x itself."""
+    ray = _RAY_CACHE.get((x, d))
+    if ray is None:
+        ray = _RAY_CACHE[x, d] = {0: _interned(x)}
+    for n in ns:
+        if n not in ray:
+            ray[n] = _interned(_trusted(
+                [a + n * b for a, b in itertools.zip_longest(x, d, fillvalue=0)]))
+    return [ray[n] for n in ns]
+
+
 def _sorted_entries(entries: Iterable[int]) -> Partition:
     """pi_sequence of entries the caller knows are nonnegative ints, unchecked."""
     return _trusted(sorted(filter(None, entries), reverse=True))

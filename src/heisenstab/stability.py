@@ -13,11 +13,14 @@ matrix pipeline certifies it externally.
 Partitions are validated once, here at the public boundary: `PRIMARY`
 maps each kind to its core in `coefficients`, which takes validated
 partitions and validates nothing again.  `coefficient` and
-`classify_triple` validate their three shapes once; a sequence validates
-its base and direction once and builds each shifted query unchecked.  A
-sequence and a scan hand their engine, for each shape, the one Partition of
-that shape in the memo `partitions._SHAPE_CACHE`, so the memo keys that equal
-shapes end up in share one object.
+`classify_triple` validate their three shapes once, and so do a sequence
+(its base and direction) and a scan (its triple's shapes, against its
+kind's size pattern too).  One builder makes every shifted shape:
+`partitions._on_ray` reads x + n*d off the ray of (x, d) in the memo
+`partitions._RAY_CACHE`, building it unchecked at the first n that asks for
+it; a scan reads n*x off the ray from () along x.  Each shape on a ray
+is the one Partition of that shape in `partitions._SHAPE_CACHE`, so the
+memo keys that equal shapes end up in share one object.
 `ORACLE` holds the public oracles, which validate on their own.
 
 Loading this module loads no engine: the tables `PRIMARY` and `ORACLE`
@@ -33,10 +36,9 @@ equal to a plain tuple of the same values.
 from __future__ import annotations
 
 import enum
-from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
-from .partitions import Partition, _integer_parts, _interned, _trusted
+from .partitions import Partition, _integer_parts, _on_ray
 
 
 class Kind(enum.Enum):
@@ -60,6 +62,15 @@ def size_pattern_ok(kind: Kind, a: Partition, b: Partition, c: Partition) -> boo
     if kind is Kind.HEISENBERG:
         return max(b.size, c.size) <= a.size <= b.size + c.size
     raise ValueError(f"not a coefficient kind: {kind!r}")
+
+
+def _check_sizes(kind: Kind, name: str, shapes: Sequence[Partition]) -> None:
+    """NotATripleError, naming the three shapes, when their sizes miss the
+    kind's pattern."""
+    a, b, c = shapes
+    if not size_pattern_ok(kind, a, b, c):
+        raise NotATripleError("size_pattern", f"{name} sizes ({a.size}; {b.size}, "
+                              f"{c.size}) violate the {kind.value} pattern")
 
 
 def __getattr__(name: str):
@@ -158,16 +169,19 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     (Knutson-Tao-Woodward); the empty triple fits it too, though it
     classifies as Kronecker.  A value c >= 2 at scale 1 stops the scan with
     the witness (1, c).  Any other triple stays inconclusive: certifying it
-    needs an additivity certificate from the matrix pipeline."""
+    needs an additivity certificate from the matrix pipeline.  A hand-built
+    triple whose sizes miss its kind's pattern raises NotATripleError."""
     (n_max,) = _integer_parts((n_max,), ValueError)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    shapes = (triple.alpha, triple.beta, triple.gamma)
     engine = _primary(triple.kind)
+    shapes = [Partition(x) for x in triple[:3]]
+    _check_sizes(triple.kind, "triple", shapes)
+    origin = Partition()
     seq: list[tuple[int, int]] = []
     witness = None
     for n in range(1, n_max + 1):
-        value = engine(*[_interned(_trusted([n * p for p in x])) for x in shapes])
+        value = engine(*[_on_ray(origin, x, (n,))[0] for x in shapes])
         seq.append((n, value))
         if value >= 2:
             witness = (n, value)
@@ -192,25 +206,16 @@ def stabilization_sequence(kind: Kind,
     n.  Both the base and the direction must fit the kind's size pattern,
     which makes every shifted query fit it too; NotATripleError (a
     ValueError) names the one that does not."""
-    base = tuple(_interned(Partition(x)) for x in base)
+    base = tuple(Partition(x) for x in base)
     direction = tuple(Partition(x) for x in direction)
     ns = _integer_parts(ns, ValueError)
     if any(n < 0 for n in ns):
         raise ValueError("scale factor must be nonnegative")
-    for name, (a, b, c) in (("base", base), ("direction", direction)):
-        if not size_pattern_ok(kind, a, b, c):
-            raise NotATripleError("size_pattern", f"{name} sizes ({a.size}; {b.size}, "
-                                  f"{c.size}) violate the {kind.value} pattern")
+    _check_sizes(kind, "base", base)
+    _check_sizes(kind, "direction", direction)
     engine = _primary(kind)
-    # each shape x with its direction d, padded once: for n >= 1 every part
-    # of x + n*d is positive (each position has a positive part of x or of
-    # d), so it is a partition, built unchecked; n = 0 gives x itself
-    pairs = [tuple(zip_longest(x, d, fillvalue=0)) for x, d in zip(base, direction)]
-    out = []
-    for n in ns:
-        shapes = [_interned(_trusted([a + n * b for a, b in ab])) for ab in pairs] if n else base
-        out.append((n, engine(*shapes)))
-    return out
+    rays = [_on_ray(x, d, ns) for x, d in zip(base, direction)]
+    return [(n, engine(*shapes)) for n, shapes in zip(ns, zip(*rays))]
 
 
 def detect_stable_limit(values: Sequence[int], window: int = 4

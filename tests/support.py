@@ -1,5 +1,8 @@
 """Shared helpers for the test suite: triple enumeration by size pattern,
-and independent oracles: a hook-length dimension formula, the dominance
+and independent oracles: a hook-length dimension formula, both sides of
+the Kronecker character identity on whole rows at classes whose characters
+need no Murnaghan-Nakayama code (the identity, a transposition, the
+n-cycle), the dominance
 order by Brylawski's box transfers, a brute-force Kostka count, the
 per-class Murnaghan-Nakayama recursion, the plain Kronecker character sum
 over it and whole Heisenberg components by restriction and induction of
@@ -17,13 +20,13 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from operator import mul
 from typing import Sequence
 
 from heisenstab import Composition, Kind, Partition, ratfeas
 from heisenstab.additivity import MATRIX_KINDS, check_budget, is_additive, margin_class
-from heisenstab.coefficients import kron_coeff_oracle
+from heisenstab.coefficients import kron_coeff, kron_coeff_oracle
 from heisenstab.partitions import BudgetExceededError, partitions_of, partitions_up_to
 from heisenstab.symfun import character_vector, class_size, cycle_types, zee
 from heisenstab.stability import (
@@ -73,6 +76,43 @@ def hook_length_dimension(lam: Partition) -> int:
         for c in range(row):
             denom *= (row - c) + (conj[c] - r) - 1
     return factorial(n) // denom
+
+
+def content_sum(lam: Sequence[int]) -> int:
+    """The sum of the contents j - i of the cells (i, j) of lam."""
+    return sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam))
+
+
+def kronecker_row_sides(lam, mu) -> list[tuple[int, int]]:
+    """Both sides of sum_nu g(lam, mu, nu) chi^nu(rho) = chi^lam(rho) chi^mu(rho),
+    over every nu of n = |lam| = |mu|, g by `kron_coeff`, at two classes whose
+    characters come from the hook-length formula alone, so that no
+    Murnaghan-Nakayama code runs: the identity, chi^nu = f^nu, and a
+    transposition, chi^nu = f^nu content_sum(nu) / C(n, 2), whose sides are
+    multiplied by C(n, 2)^2 to stay integers.  The first cannot tell nu from
+    its conjugate; the second changes sign under conjugation, so it can."""
+    n, dims, transpositions = sum(lam), 0, 0
+    for nu in partitions_of(n):
+        g = kron_coeff(lam, mu, nu)
+        if g:
+            f = hook_length_dimension(nu)
+            dims += g * f
+            transpositions += g * f * content_sum(nu)
+    f_lam, f_mu = hook_length_dimension(lam), hook_length_dimension(mu)
+    return [(dims, f_lam * f_mu),
+            (transpositions * comb(n, 2), f_lam * content_sum(lam) * f_mu * content_sum(mu))]
+
+
+def n_cycle_sides(lam, mu) -> tuple[int, int]:
+    """Both sides of the same identity at the n-cycle, n = |lam| = |mu| >= 1,
+    where chi^nu is (-1)^k on the hook (n - k, 1^k) and 0 off the hooks: the
+    row asks g only on the n hooks."""
+    def sign(x):
+        return (-1) ** (len(x) - 1) if all(p == 1 for p in x[1:]) else 0
+
+    n = sum(lam)
+    return (sum((-1) ** k * kron_coeff(lam, mu, (n - k,) + (1,) * k) for k in range(n)),
+            sign(Partition(lam)) * sign(Partition(mu)))
 
 
 def transfers_from(lam: Sequence[int]) -> set[Partition]:

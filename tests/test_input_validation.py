@@ -6,7 +6,9 @@ import pytest
 
 from heisenstab.coefficients import heisenberg_coeff, kron_coeff, lr_coeff
 from heisenstab.partitions import Composition, NotAPartitionError, Partition
-from heisenstab.stability import ORACLE, PRIMARY, Kind, coefficient, stabilization_sequence
+from heisenstab.stability import (
+    ORACLE, PRIMARY, Kind, NotATripleError, Triple, classify_triple, coefficient,
+    stability_check, stabilization_sequence)
 from support import Index
 
 
@@ -97,3 +99,23 @@ def test_parse_matrix_takes_ascii_digits_only():
     with pytest.raises(ValueError, match="unknown matrix kind"):
         parse_matrix("0 1\n", "x")
 
+
+def test_a_hand_built_triple_is_validated_before_any_engine_runs(monkeypatch):
+    asked = []
+    monkeypatch.setitem(PRIMARY, Kind.LR, lambda *q: asked.append(q) or 1)
+
+    def hand_built(alpha, beta, gamma):
+        return Triple(alpha=alpha, beta=beta, gamma=gamma, kind=Kind.LR,
+                      flags=frozenset({Kind.LR}), coefficient=1)
+
+    with pytest.raises(NotAPartitionError):
+        stability_check(hand_built([1, 2], [1], [2]))
+    with pytest.raises(NotATripleError) as err:
+        stability_check(hand_built(Partition((3,)), Partition((1,)), Partition((1,))))
+    assert err.value.reason == "size_pattern"
+    assert "triple sizes (3; 1, 1) violate the lr pattern" in str(err.value)
+    assert asked == []
+    monkeypatch.undo()
+    # list shapes that are partitions scan as classify_triple's Partitions do
+    report = stability_check(hand_built([2, 1], [2], [1]), n_max=3)
+    assert report[1:] == stability_check(classify_triple((2, 1), (2,), (1,)), n_max=3)[1:]

@@ -2,7 +2,8 @@
 blocks and the h-basis route, each checked against the per-class oracle of
 `support`, against one another, and for the choice between them: a pure
 function of the query, with the oracle always on a route the primary did
-not take."""
+not take; and whole rows past the h-basis route's size cut, by character
+identities that share no code with the character sum."""
 
 import itertools
 import json
@@ -15,7 +16,7 @@ from heisenstab.cli import main
 from heisenstab.coefficients import clear_caches, kron_coeff, kron_coeff_oracle
 from heisenstab.partitions import Partition, partitions_of
 from heisenstab.stability import Kind
-from support import direction_triples, kron_by_class_sum
+from support import direction_triples, kron_by_class_sum, kronecker_row_sides
 
 P = Partition
 ROUTES = ("_kron_closed_form", "_kron_by_characters", "_kron_by_h_basis")
@@ -143,3 +144,24 @@ def test_a_wrong_closed_form_fails_the_oracle_check(tmp_path, monkeypatch, capsy
         assert "mismatch" in capsys.readouterr().err
     finally:
         clear_caches()
+
+
+# Whole rows g(lam, mu, .) of sizes 20 to 26, past the h-basis route's size
+# cut, where a value has a second engine only pointwise: (lam, mu, the
+# routes besides the closed forms that the row's queries take).  Both
+# (19, 2, 1) and (18, 2, 1, 1) have a border strip of 21 cells, so the
+# classes with a 21-cycle count in their row; the row of (10, 10) with
+# itself meets the closed form g(lam, lam, 1^n).
+ROWS = (((19, 2, 1), (18, 2, 1, 1), {"_kron_by_characters"}),
+        ((12, 10), (9, 7, 6), {"_kron_by_characters", "_kron_by_h_basis"}),
+        ((10, 10), (10, 10), {"_kron_by_h_basis"}),
+        ((12, 12), (14, 10), {"_kron_by_h_basis"}),
+        ((13, 13), (14, 12), {"_kron_by_h_basis"}))
+
+
+def test_whole_rows_past_the_size_cut_meet_two_character_identities(ran):
+    for lam, mu, routes in ROWS:
+        del ran[:]
+        for lhs, rhs in kronecker_row_sides(lam, mu):
+            assert lhs == rhs, (lam, mu)
+        assert {name for name, _ in ran} - {"_kron_closed_form"} == routes, (lam, mu)

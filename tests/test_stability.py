@@ -319,9 +319,81 @@ def test_stability_scans_hand_the_engine_one_partition_per_shape(monkeypatch):
 
 def test_clear_caches_empties_the_shape_table():
     from heisenstab import clear_caches
-    from heisenstab.partitions import _SHAPE_CACHE
+    from heisenstab.partitions import _RAY_CACHE, _SHAPE_CACHE
 
     stabilization_sequence(Kind.LR, ((2, 1), (2,), (1,)), ((1,), (1,), ()), range(3))
     assert _SHAPE_CACHE
+    assert _RAY_CACHE
     clear_caches()
     assert not _SHAPE_CACHE
+    assert not _RAY_CACHE
+
+
+def test_unordered_repeated_and_sparse_steps_read_the_rays():
+    # each ray grows only at the n asked for, in whatever order they come
+    from heisenstab import clear_caches
+    from heisenstab.partitions import _RAY_CACHE, add
+
+    queries = [(Kind.LR, ((2, 1), (2,), (1,)), ((1,), (1,), ())),
+               (Kind.KRONECKER, ((1,), (1,), (1,)), ((2,), (1, 1), (1, 1))),
+               (Kind.HEISENBERG, ((2,), (1,), (1, 1)), ((1,), (1,), (1,))),
+               (Kind.HEISENBERG, ((), (), ()), ((2, 1), (2,), (1,)))]
+    for ns in ([5, 0, 3, 3, 1], range(0, 40, 13), [2], []):
+        clear_caches()
+        for kind, base, direction in queries:
+            want = [(n, coefficient(kind, *(add(x, scale(n, d)) for x, d in zip(base, direction))))
+                    for n in ns]
+            assert stabilization_sequence(kind, base, direction, ns) == want, (kind, ns)
+            # reading them again, off the grown rays, changes nothing
+            assert stabilization_sequence(kind, base, direction, ns) == want, (kind, ns)
+        assert all(set(ray) == {0, *ns} for ray in _RAY_CACHE.values()), ns
+
+
+def test_a_ray_grows_only_at_the_steps_asked_for():
+    from heisenstab.partitions import _RAY_CACHE, _on_ray
+
+    x, d = P((3, 1)), P((2, 2, 1))
+    assert _on_ray(x, d, [10**6]) == [(3 + 2 * 10**6, 1 + 2 * 10**6, 10**6)]
+    assert sorted(_RAY_CACHE[x, d]) == [0, 10**6]
+
+
+def test_step_zero_on_an_empty_base_shape_is_the_empty_partition(monkeypatch):
+    from heisenstab.partitions import _on_ray
+
+    empty = _on_ray(P(), P((2, 1)), [0, 1, 0])
+    assert empty == [(), (2, 1), ()] and type(empty[0]) is Partition
+    assert empty[0] is empty[2]
+    asked = _recording(monkeypatch, Kind.LR)
+    seq = stabilization_sequence(Kind.LR, ((1,), (1,), ()), ((2,), (1,), (1,)), [0, 2])
+    assert seq == [(0, 1), (2, 1)]
+    assert asked[0][2] == () and type(asked[0][2]) is Partition
+    assert _one_object_per_shape(asked)
+
+
+def test_after_clear_caches_the_engine_still_gets_one_partition_per_shape(monkeypatch):
+    from heisenstab import clear_caches
+
+    triple = classify_triple((3, 1), (3,), (1,))
+    asked = _recording(monkeypatch, Kind.LR)
+    stabilization_sequence(Kind.LR, ((2, 1), (2,), (1,)), ((1,), (1,), ()), range(4))
+    clear_caches()
+    del asked[:]
+    stabilization_sequence(Kind.LR, ((2, 1), (2,), (1,)), ((1,), (1,), ()), range(4))
+    stabilization_sequence(Kind.LR, ((3, 1), (3,), (1,)), ((1,), (1,), ()), [2, 0, 1])
+    stability_check(triple, n_max=2)
+    # (3, 1) is on the first ray at n = 1, the second at n = 0, and the scan's ray at n = 1
+    assert len(asked) == 4 + 3 + 2
+    assert _one_object_per_shape(asked)
+
+
+def test_a_scan_reads_the_sequence_from_the_empty_base():
+    triples = [classify_triple((2,), (1,), (1, 1)), classify_triple((2, 2, 1), (2, 1), (2,)),
+               classify_triple((3, 2, 1), (2, 1), (2, 1)), classify_triple((), (), ()),
+               classify_triple(*_first_refutable_equal_size_triple())]
+    for t in triples:
+        for n_max in (1, 4):
+            report = stability_check(t, n_max)
+            want = stabilization_sequence(t.kind, ((), (), ()), t[:3], range(1, n_max + 1))
+            # the scan stops at its witness
+            assert list(report.sequence) == want[:len(report.sequence)], (t, n_max)
+            assert len(report.sequence) == (report.witness or (n_max,))[0]
