@@ -104,22 +104,42 @@ class Composition(tuple):
         return Composition(_integer_token(tok) for tok in text.split(","))
 
 
+def _checked_parts(parts: Iterable[int]) -> tuple[int, ...]:
+    """The parts of a partition as `_integer_parts` reads them, trailing
+    zeros dropped, checked nonnegative and weakly decreasing."""
+    ps = _integer_parts(parts, NotAPartitionError)
+    while ps and ps[-1] == 0:
+        ps = ps[:-1]
+    for i, p in enumerate(ps):
+        if p < 0:
+            raise NotAPartitionError(f"negative part {p} in {ps}")
+        if i and ps[i - 1] < p:
+            raise NotAPartitionError(f"parts not weakly decreasing: {ps}")
+    return ps
+
+
 class Partition(Composition):
-    """Weakly decreasing composition with no zero parts."""
+    """Weakly decreasing composition with no zero parts.
+
+    Parts are read in one pass: exact `int` parts (`type(p) is int`, so no
+    bool) that are positive and weakly decreasing pass an inline test,
+    which accepts only what `_integer_parts` and the checks of
+    `_checked_parts` accept.  At the first part that fails it, the parts
+    read so far, that part and the rest go through `_checked_parts`, so
+    every other value gets the same result or error as it always did."""
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is cls:
             return parts  # immutable and already validated
-        ps = _integer_parts(parts, NotAPartitionError)
-        while ps and ps[-1] == 0:
-            ps = ps[:-1]
-        for i, p in enumerate(ps):
-            if p < 0:
-                raise NotAPartitionError(f"negative part {p} in {ps}")
-            if i and ps[i - 1] < p:
-                raise NotAPartitionError(f"parts not weakly decreasing: {ps}")
+        ps: list[int] = []
+        rest = iter(parts)
+        for p in rest:
+            if type(p) is int and p > 0 and (not ps or p <= ps[-1]):
+                ps.append(p)
+            else:
+                return tuple.__new__(cls, _checked_parts(itertools.chain(ps, (p,), rest)))
         return tuple.__new__(cls, ps)
 
     def part(self, i: int) -> int:
@@ -165,17 +185,20 @@ _RAY_CACHE: dict[tuple[Partition, Partition], dict[int, Partition]] = {}
 
 def _on_ray(x: Partition, d: Partition, ns: Sequence[int]) -> list[Partition]:
     """x + n*d for each nonnegative int n of ns, read from the ray of (x, d),
-    which grows by the n it lacks.  For n >= 1 every part of x + n*d is
-    positive (each position has a positive part of x or of d), so it is
-    built unchecked; n = 0 gives x itself."""
+    which grows by the n it lacks when a read misses.  For n >= 1 every
+    part of x + n*d is positive (each position has a positive part of x or
+    of d), so it is built unchecked; n = 0 gives x itself."""
     ray = _RAY_CACHE.get((x, d))
     if ray is None:
         ray = _RAY_CACHE[x, d] = {0: _interned(x)}
-    for n in ns:
-        if n not in ray:
-            ray[n] = _interned(_trusted(
-                [a + n * b for a, b in itertools.zip_longest(x, d, fillvalue=0)]))
-    return [ray[n] for n in ns]
+    try:
+        return [ray[n] for n in ns]
+    except KeyError:
+        for n in ns:
+            if n not in ray:
+                ray[n] = _interned(_trusted(
+                    [a + n * b for a, b in itertools.zip_longest(x, d, fillvalue=0)]))
+        return [ray[n] for n in ns]
 
 
 def _sorted_entries(entries: Iterable[int]) -> Partition:

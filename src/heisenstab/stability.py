@@ -10,17 +10,18 @@ check; for the other two patterns a scan can only refute (a value >= 2 at
 any scale) or stay inconclusive, unless an additivity certificate from the
 matrix pipeline certifies it externally.
 
-Partitions are validated once, here at the public boundary: `PRIMARY`
-maps each kind to its core in `coefficients`, which takes validated
-partitions and validates nothing again.  `coefficient` and
-`classify_triple` validate their three shapes once, and so do a sequence
-(its base and direction) and a scan (its triple's shapes, against its
-kind's size pattern too).  One builder makes every shifted shape:
+Partitions are validated once, here at the public boundary: `PRIMARY` maps
+each kind to its core in `coefficients`, which takes validated partitions
+and validates nothing again.  `coefficient` and `classify_triple` validate
+their three shapes once, and so do a sequence (its base and direction) and
+a scan (its triple's shapes, against its kind's size pattern too; it
+recomputes the kind and flags from them and checks the triple's coefficient
+against their value).  One builder makes every shifted shape:
 `partitions._on_ray` reads x + n*d off the ray of (x, d) in the memo
 `partitions._RAY_CACHE`, building it unchecked at the first n that asks for
-it; a scan reads n*x off the ray from () along x.  Each shape on a ray
-is the one Partition of that shape in `partitions._SHAPE_CACHE`, so the
-memo keys that equal shapes end up in share one object.
+it; a scan reads n*x off the ray from () along x.  Each shape on a ray is
+the one Partition of that shape in `partitions._SHAPE_CACHE`, so the memo
+keys that equal shapes end up in share one object.
 `ORACLE` holds the public oracles, which validate on their own.
 
 Loading this module loads no engine: the tables `PRIMARY` and `ORACLE`
@@ -55,13 +56,21 @@ class NotATripleError(ValueError):
 
 
 def size_pattern_ok(kind: Kind, a: Partition, b: Partition, c: Partition) -> bool:
+    """Whether the sizes of a; b, c fit the kind's pattern; each shape is
+    summed at most once."""
     if kind is Kind.KRONECKER:
-        return a.size == b.size == c.size
+        return sum(a) == sum(b) == sum(c)
     if kind is Kind.LR:
-        return a.size == b.size + c.size
+        return sum(a) == sum(b) + sum(c)
     if kind is Kind.HEISENBERG:
-        return max(b.size, c.size) <= a.size <= b.size + c.size
+        b, c = sum(b), sum(c)
+        return max(b, c) <= sum(a) <= b + c
     raise ValueError(f"not a coefficient kind: {kind!r}")
+
+
+def _kinds_fitting(a: Partition, b: Partition, c: Partition) -> list[Kind]:
+    """Every kind whose size pattern a; b, c fit, most specific first."""
+    return [k for k in Kind if size_pattern_ok(k, a, b, c)]
 
 
 def _check_sizes(kind: Kind, name: str, shapes: Sequence[Partition]) -> None:
@@ -130,7 +139,7 @@ def classify_triple(alpha, beta, gamma) -> Triple:
     as the Kronecker kind (the interpolating flag is always set too, since
     both special patterns embed in the general one)."""
     alpha, beta, gamma = Partition(alpha), Partition(beta), Partition(gamma)
-    fits = [k for k in Kind if size_pattern_ok(k, alpha, beta, gamma)]
+    fits = _kinds_fitting(alpha, beta, gamma)
     if not fits:
         raise NotATripleError(
             "size_pattern",
@@ -138,11 +147,16 @@ def classify_triple(alpha, beta, gamma) -> Triple:
     kind, flags = fits[0], frozenset(fits)
     value = _primary(kind)(alpha, beta, gamma)
     if value == 0:
-        raise NotATripleError(
-            "zero_coefficient",
-            f"coefficient of kind {kind.value} vanishes on ({alpha}; {beta}, {gamma})")
+        raise _vanishing(kind, alpha, beta, gamma)
     return Triple(alpha=alpha, beta=beta, gamma=gamma, kind=kind,
                   flags=flags, coefficient=value)
+
+
+def _vanishing(kind: Kind, alpha: Partition, beta: Partition, gamma: Partition
+               ) -> NotATripleError:
+    return NotATripleError(
+        "zero_coefficient",
+        f"coefficient of kind {kind.value} vanishes on ({alpha}; {beta}, {gamma})")
 
 
 class Verdict(enum.Enum):
@@ -169,30 +183,46 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     (Knutson-Tao-Woodward); the empty triple fits it too, though it
     classifies as Kronecker.  A value c >= 2 at scale 1 stops the scan with
     the witness (1, c).  Any other triple stays inconclusive: certifying it
-    needs an additivity certificate from the matrix pipeline.  A hand-built
-    triple whose sizes miss its kind's pattern raises NotATripleError."""
+    needs an additivity certificate from the matrix pipeline.
+
+    A hand-built triple is read off its validated shapes: sizes that miss
+    its kind's pattern raise NotATripleError; its kind and flags are
+    recomputed from the sizes as `classify_triple` finds them, and the
+    report holds the triple so recomputed.  A value 0 at scale 1 raises
+    NotATripleError ("zero_coefficient"), as `classify_triple` does, and
+    any other value at scale 1 than the triple's `coefficient` raises
+    ValueError."""
     (n_max,) = _integer_parts((n_max,), ValueError)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    engine = _primary(triple.kind)
     shapes = [Partition(x) for x in triple[:3]]
     _check_sizes(triple.kind, "triple", shapes)
+    fits = _kinds_fitting(*shapes)
+    kind = fits[0]
+    engine = _primary(kind)
     origin = Partition()
     seq: list[tuple[int, int]] = []
     witness = None
     for n in range(1, n_max + 1):
         value = engine(*[_on_ray(origin, x, (n,))[0] for x in shapes])
+        if value == 0:
+            if n == 1:
+                raise _vanishing(kind, *shapes)
+            raise RuntimeError("scaled coefficient vanished on a valid triple")
+        if n == 1 and value != triple.coefficient:
+            raise ValueError(f"triple coefficient {triple.coefficient!r} is not the "
+                             f"{kind.value} coefficient {value} of ({shapes[0]}; "
+                             f"{shapes[1]}, {shapes[2]})")
         seq.append((n, value))
         if value >= 2:
             witness = (n, value)
             break
-        if value == 0:
-            raise RuntimeError("scaled coefficient vanished on a valid triple")
     verdict, certified_by = Verdict.INCONCLUSIVE, None
     if witness is not None:
         verdict = Verdict.REFUTED
-    elif Kind.LR in triple.flags:
+    elif Kind.LR in fits:
         verdict, certified_by = Verdict.CERTIFIED, "finite_lr_check"
+    triple = Triple(*shapes, kind=kind, flags=frozenset(fits), coefficient=seq[0][1])
     return StabilityReport(triple=triple, verdict=verdict, n_max=n_max,
                            sequence=tuple(seq), witness=witness,
                            certified_by=certified_by)
@@ -206,16 +236,16 @@ def stabilization_sequence(kind: Kind,
     n.  Both the base and the direction must fit the kind's size pattern,
     which makes every shifted query fit it too; NotATripleError (a
     ValueError) names the one that does not."""
-    base = tuple(Partition(x) for x in base)
-    direction = tuple(Partition(x) for x in direction)
+    base = tuple(map(Partition, base))
+    direction = tuple(map(Partition, direction))
     ns = _integer_parts(ns, ValueError)
-    if any(n < 0 for n in ns):
+    if ns and min(ns) < 0:
         raise ValueError("scale factor must be nonnegative")
     _check_sizes(kind, "base", base)
     _check_sizes(kind, "direction", direction)
     engine = _primary(kind)
     rays = [_on_ray(x, d, ns) for x, d in zip(base, direction)]
-    return [(n, engine(*shapes)) for n, shapes in zip(ns, zip(*rays))]
+    return list(zip(ns, map(engine, *rays)))
 
 
 def detect_stable_limit(values: Sequence[int], window: int = 4

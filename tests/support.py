@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: triple enumeration by size pattern,
-and independent oracles: a hook-length dimension formula, both sides of
+and independent oracles: `Partition` construction by its checks alone,
+with the exhaustive comparison of the two over short lists of parts, a
+hook-length dimension formula, both sides of
 the Kronecker character identity on whole rows at classes whose characters
 need no Murnaghan-Nakayama code (the identity, a transposition, the
 n-cycle), the dominance
@@ -27,7 +29,13 @@ from typing import Sequence
 from heisenstab import Composition, Kind, Partition, ratfeas
 from heisenstab.additivity import MATRIX_KINDS, check_budget, is_additive, margin_class
 from heisenstab.coefficients import kron_coeff, kron_coeff_oracle
-from heisenstab.partitions import BudgetExceededError, partitions_of, partitions_up_to
+from heisenstab.partitions import (
+    BudgetExceededError,
+    NotAPartitionError,
+    _integer_parts,
+    partitions_of,
+    partitions_up_to,
+)
 from heisenstab.symfun import character_vector, class_size, cycle_types, zee
 from heisenstab.stability import (
     NotATripleError,
@@ -46,6 +54,53 @@ class Index:
 
     def __index__(self) -> int:
         return self.n
+
+
+def reference_partition(parts) -> Partition:
+    """Partition(parts) by the checks alone, as the constructor ran before
+    its one-pass loop: read every part with `_integer_parts`, drop trailing
+    zeros, then refuse a negative part or an increase."""
+    if type(parts) is Partition:
+        return parts
+    ps = _integer_parts(parts, NotAPartitionError)
+    while ps and ps[-1] == 0:
+        ps = ps[:-1]
+    for i, p in enumerate(ps):
+        if p < 0:
+            raise NotAPartitionError(f"negative part {p} in {ps}")
+        if i and ps[i - 1] < p:
+            raise NotAPartitionError(f"parts not weakly decreasing: {ps}")
+    return tuple.__new__(Partition, ps)
+
+
+# Parts the constructor's loop accepts and each kind of part it hands to
+# the checks: zero, negative, increasing, bool, float, Fraction, string,
+# None and an `__index__` object.
+PART_VALUES = (-1, 0, 1, 2, 3, True, 2.0, Fraction(2), "2", None, Index(2))
+PART_FORMS = {"list": list, "tuple": tuple, "generator": lambda ps: (p for p in ps)}
+
+
+def _outcome(build, parts):
+    try:
+        value = build(parts)
+    except Exception as exc:  # the error's type and message are the outcome
+        return type(exc), str(exc)
+    return type(value), tuple(value)
+
+
+def partition_mismatches(max_len: int) -> list:
+    """Every list of at most max_len parts from PART_VALUES, passed in each
+    of PART_FORMS, on which Partition and reference_partition differ in the
+    type and value returned or the type and message raised."""
+    bad = []
+    for length in range(max_len + 1):
+        for parts in itertools.product(PART_VALUES, repeat=length):
+            for form, make in PART_FORMS.items():
+                got = _outcome(Partition, make(parts))
+                want = _outcome(reference_partition, make(parts))
+                if got != want:
+                    bad.append((form, parts, got, want))
+    return bad
 
 
 def size_triples(kind: Kind, max_size: int):

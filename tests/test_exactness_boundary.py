@@ -1,12 +1,16 @@
 """One exactness rule at every public boundary that reads a number: the
 package reads it only through `partitions._integer_parts` (exact ints, no
 bools) or, where a value may be rational, `partitions._rationals` (ints and
-`Fraction`s).  `BOUNDARIES` is the one list of those boundaries.  At each,
-a value that is not an integer (a float, a numeric string, a bool, None, or
-a `Fraction` where only ints are exact) raises, never coerced; an
-`__index__` object reads as the int it stands for; ints and Fractions give
-the pinned results; and a count has a floor: the largest value it refuses,
-or none where a negative count is an ordinary input (no objects)."""
+`Fraction`s).  `Partition`'s one-pass loop takes exact `int` parts that are
+positive and weakly decreasing by an inline test that accepts only what
+`_integer_parts` and the partition checks accept; every other value goes
+through `_integer_parts` (`tests/test_partitions.py` compares the two).
+`BOUNDARIES` is the one list of those boundaries.  At each, a value that is
+not an integer (a float, a numeric string, a bool, None, or a `Fraction`
+where only ints are exact) raises, never coerced; an `__index__` object
+reads as the int it stands for; ints and Fractions give the pinned results;
+and a count has a floor: the largest value it refuses, or none where a
+negative count is an ordinary input (no objects)."""
 
 from fractions import Fraction as F
 

@@ -119,3 +119,26 @@ def test_a_hand_built_triple_is_validated_before_any_engine_runs(monkeypatch):
     # list shapes that are partitions scan as classify_triple's Partitions do
     report = stability_check(hand_built([2, 1], [2], [1]), n_max=3)
     assert report[1:] == stability_check(classify_triple((2, 1), (2,), (1,)), n_max=3)[1:]
+
+
+def _triple(shapes, kind, flags, coefficient):
+    return Triple(*shapes, kind=kind, flags=frozenset(flags), coefficient=coefficient)
+
+
+def test_a_hand_built_triple_is_read_off_its_shapes():
+    # a coefficient the shapes do not have
+    with pytest.raises(ValueError, match="triple coefficient 7 is not the lr coefficient 1"):
+        stability_check(_triple(((2, 1), (2,), (1,)), Kind.LR, {Kind.LR}, 7))
+    # a value 0 at scale 1, refused as classify_triple refuses it
+    with pytest.raises(NotATripleError) as err:
+        stability_check(_triple(((1, 1), (2,), ()), Kind.LR, {Kind.LR}, 1))
+    assert err.value.reason == "zero_coefficient"
+    with pytest.raises(NotATripleError) as classified:
+        classify_triple((1, 1), (2,), ())
+    assert str(err.value) == str(classified.value)
+    # a kind and flags that the sizes contradict: the report is classify_triple's
+    hand_built = _triple(((2, 1), (2,), (1,)), Kind.HEISENBERG, {Kind.HEISENBERG}, 1)
+    report = stability_check(hand_built, n_max=3)
+    assert report == stability_check(classify_triple((2, 1), (2,), (1,)), n_max=3)
+    assert report.verdict.value == "certified" and report.triple.kind is Kind.LR
+    assert report.triple.flags == {Kind.LR, Kind.HEISENBERG}

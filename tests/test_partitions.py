@@ -18,7 +18,7 @@ from heisenstab.partitions import (
     scale,
     subpartitions_of_size,
 )
-from support import transfers_from
+from support import PART_FORMS, PART_VALUES, partition_mismatches, transfers_from
 
 
 def test_construction_normalizes_trailing_zeros():
@@ -33,6 +33,13 @@ def test_construction_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(NotAPartitionError):
         Partition((2, -1))
+
+
+def test_the_one_pass_loop_agrees_with_the_checks():
+    # every list of up to three parts, as a list, a tuple and a generator:
+    # the same type and value, or the same error type and message
+    assert len(PART_VALUES) == 11 and len(PART_FORMS) == 3
+    assert partition_mismatches(3) == []
 
 
 def test_parse_and_str_round_trip():

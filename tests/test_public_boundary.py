@@ -16,6 +16,7 @@ from heisenstab.partitions import (
     subpartitions_of_size,
 )
 from heisenstab.stability import Kind, coefficient, stabilization_sequence
+from support import Index
 
 
 def _partitions_in(obj):
@@ -73,23 +74,36 @@ def test_the_engine_memos_hold_no_partition(monkeypatch):
     (Kind.LR, ((2, 1), (1,), (1, 1)), ((2,), (1,), (1,))),
     (Kind.KRONECKER, ((2, 1), (2, 1), (2, 1)), ((1,), (1,), (1,))),
     (Kind.HEISENBERG, ((2, 1), (2, 1), (1, 1)), ((1,), (1,), (1,))),
+    # a trailing zero and an __index__ part, which the one-pass loop hands on
+    # to the checks; the shapes given as lists are the ones that hold such parts
+    (Kind.LR, ([2, 1, 0], [Index(1)], (1, 1)), ((2,), (1,), (1,))),
 ])
 def test_a_sequence_validates_its_shapes_once(monkeypatch, kind, base, direction):
-    parts = partitions._integer_parts
-    calls = []
+    # each Partition(x) of an x that is not a Partition yet validates x, and
+    # `_checked_parts` reads the shapes that the loop hands on
+    by_checks = sum(type(x) is list for x in (*base, *direction))
+    new = Partition.__new__
+    inputs, checked = [], []
+    checks = partitions._checked_parts
 
-    def counting(*args):
-        calls.append(args)
-        return parts(*args)
+    def counting(cls, parts=()):
+        if type(parts) is not Partition:
+            inputs.append(parts)
+        return new(cls, parts)
 
-    monkeypatch.setattr(partitions, "_integer_parts", counting)
+    def counting_checks(parts):
+        checked.append(parts)
+        return checks(parts)
+
+    monkeypatch.setattr(Partition, "__new__", staticmethod(counting))
+    monkeypatch.setattr(partitions, "_checked_parts", counting_checks)
     counts = []
     for ns in (range(2), range(12)):
         clear_caches()
-        del calls[:]
-        stabilization_sequence(kind, base, direction, ns)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        del inputs[:], checked[:]
+        assert [n for n, _ in stabilization_sequence(kind, base, direction, ns)] == list(ns)
+        counts.append((len(inputs), len(checked)))
+    assert counts[0] == counts[1] == (6, by_checks)
 
 
 def test_coefficient_still_validates():
