@@ -162,24 +162,17 @@ def _trusted(parts: Iterable[int]) -> Partition:
     return tuple.__new__(Partition, parts)
 
 
-# The first Partition seen of each shape, for the callers that hand the
-# engines many equal shapes (stabilization sequences and stability scans):
-# the memo keys built from equal shapes then share one object.  Its
-# `_CACHE` name puts it among the memos that `clear_caches()` empties.
+# The first Partition seen of each shape on any ray of `_RAY_CACHE`, so that
+# the memo keys built from equal shapes share one object.  Its `_CACHE` name
+# puts it among the memos that `clear_caches()` empties.
 _SHAPE_CACHE: dict[tuple[int, ...], Partition] = {}
-
-
-def _interned(shape: Partition) -> Partition:
-    """The one Partition of `_SHAPE_CACHE` equal to shape: shape itself the
-    first time."""
-    return _SHAPE_CACHE.setdefault(shape, shape)
 
 
 # The ray {n: x + n*d} of each pair (x, d) of Partitions, at the n asked for
 # so far.  `_on_ray` is the one builder of the shifted shapes of a sequence
 # and of the scaled shapes n*x of a scan (the ray from () along x); each
-# shape it puts on a ray is interned, so equal shapes on different rays are
-# one object.
+# shape it puts on a ray is the one of its shape in `_SHAPE_CACHE`, so equal
+# shapes on different rays are one object.
 _RAY_CACHE: dict[tuple[Partition, Partition], dict[int, Partition]] = {}
 
 
@@ -187,17 +180,18 @@ def _on_ray(x: Partition, d: Partition, ns: Sequence[int]) -> list[Partition]:
     """x + n*d for each nonnegative int n of ns, read from the ray of (x, d),
     which grows by the n it lacks when a read misses.  For n >= 1 every
     part of x + n*d is positive (each position has a positive part of x or
-    of d), so it is built unchecked; n = 0 gives x itself."""
+    of d), so it is built unchecked; n = 0 gives x's shape."""
     ray = _RAY_CACHE.get((x, d))
     if ray is None:
-        ray = _RAY_CACHE[x, d] = {0: _interned(x)}
+        ray = _RAY_CACHE[x, d] = {0: _SHAPE_CACHE.setdefault(x, x)}
     try:
         return [ray[n] for n in ns]
     except KeyError:
         for n in ns:
             if n not in ray:
-                ray[n] = _interned(_trusted(
-                    [a + n * b for a, b in itertools.zip_longest(x, d, fillvalue=0)]))
+                shape = _trusted(
+                    [a + n * b for a, b in itertools.zip_longest(x, d, fillvalue=0)])
+                ray[n] = _SHAPE_CACHE.setdefault(shape, shape)
         return [ray[n] for n in ns]
 
 

@@ -14,9 +14,9 @@ Partitions are validated once, here at the public boundary: `PRIMARY` maps
 each kind to its core in `coefficients`, which takes validated partitions
 and validates nothing again.  `coefficient` and `classify_triple` validate
 their three shapes once, and so do a sequence (its base and direction) and
-a scan (its triple's shapes, against its kind's size pattern too; it
-recomputes the kind and flags from them and checks the triple's coefficient
-against their value).  One builder makes every shifted shape:
+a scan (its triple's shapes, against its kind's size pattern too; it then
+classifies them once, by `classify_triple`, and checks the triple's
+coefficient against the value found).  One builder makes every shifted shape:
 `partitions._on_ray` reads x + n*d off the ray of (x, d) in the memo
 `partitions._RAY_CACHE`, building it unchecked at the first n that asks for
 it; a scan reads n*x off the ray from () along x.  Each shape on a ray is
@@ -66,11 +66,6 @@ def size_pattern_ok(kind: Kind, a: Partition, b: Partition, c: Partition) -> boo
         b, c = sum(b), sum(c)
         return max(b, c) <= sum(a) <= b + c
     raise ValueError(f"not a coefficient kind: {kind!r}")
-
-
-def _kinds_fitting(a: Partition, b: Partition, c: Partition) -> list[Kind]:
-    """Every kind whose size pattern a; b, c fit, most specific first."""
-    return [k for k in Kind if size_pattern_ok(k, a, b, c)]
 
 
 def _check_sizes(kind: Kind, name: str, shapes: Sequence[Partition]) -> None:
@@ -139,7 +134,7 @@ def classify_triple(alpha, beta, gamma) -> Triple:
     as the Kronecker kind (the interpolating flag is always set too, since
     both special patterns embed in the general one)."""
     alpha, beta, gamma = Partition(alpha), Partition(beta), Partition(gamma)
-    fits = _kinds_fitting(alpha, beta, gamma)
+    fits = [k for k in Kind if size_pattern_ok(k, alpha, beta, gamma)]
     if not fits:
         raise NotATripleError(
             "size_pattern",
@@ -147,16 +142,11 @@ def classify_triple(alpha, beta, gamma) -> Triple:
     kind, flags = fits[0], frozenset(fits)
     value = _primary(kind)(alpha, beta, gamma)
     if value == 0:
-        raise _vanishing(kind, alpha, beta, gamma)
+        raise NotATripleError(
+            "zero_coefficient",
+            f"coefficient of kind {kind.value} vanishes on ({alpha}; {beta}, {gamma})")
     return Triple(alpha=alpha, beta=beta, gamma=gamma, kind=kind,
                   flags=flags, coefficient=value)
-
-
-def _vanishing(kind: Kind, alpha: Partition, beta: Partition, gamma: Partition
-               ) -> NotATripleError:
-    return NotATripleError(
-        "zero_coefficient",
-        f"coefficient of kind {kind.value} vanishes on ({alpha}; {beta}, {gamma})")
 
 
 class Verdict(enum.Enum):
@@ -186,44 +176,38 @@ def stability_check(triple: Triple, n_max: int = 8) -> StabilityReport:
     needs an additivity certificate from the matrix pipeline.
 
     A hand-built triple is read off its validated shapes: sizes that miss
-    its kind's pattern raise NotATripleError; its kind and flags are
-    recomputed from the sizes as `classify_triple` finds them, and the
-    report holds the triple so recomputed.  A value 0 at scale 1 raises
-    NotATripleError ("zero_coefficient"), as `classify_triple` does, and
-    any other value at scale 1 than the triple's `coefficient` raises
-    ValueError."""
+    its kind's pattern raise NotATripleError.  The scan starts from
+    `classify_triple` of those shapes, which gives the value at scale 1
+    (and raises NotATripleError, "zero_coefficient", when it is 0), and the
+    report holds the triple it returns; any other value at scale 1 than
+    the triple's `coefficient` raises ValueError."""
     (n_max,) = _integer_parts((n_max,), ValueError)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     shapes = [Partition(x) for x in triple[:3]]
     _check_sizes(triple.kind, "triple", shapes)
-    fits = _kinds_fitting(*shapes)
-    kind = fits[0]
-    engine = _primary(kind)
     origin = Partition()
-    seq: list[tuple[int, int]] = []
-    witness = None
-    for n in range(1, n_max + 1):
+    found = classify_triple(*[_on_ray(origin, x, (1,))[0] for x in shapes])
+    if found.coefficient != triple.coefficient:
+        raise ValueError(f"triple coefficient {triple.coefficient!r} is not the "
+                         f"{found.kind.value} coefficient {found.coefficient} of "
+                         f"({shapes[0]}; {shapes[1]}, {shapes[2]})")
+    engine = _primary(found.kind)
+    seq = [(1, found.coefficient)]
+    for n in range(2, n_max + 1):
+        if seq[-1][1] >= 2:
+            break
         value = engine(*[_on_ray(origin, x, (n,))[0] for x in shapes])
         if value == 0:
-            if n == 1:
-                raise _vanishing(kind, *shapes)
             raise RuntimeError("scaled coefficient vanished on a valid triple")
-        if n == 1 and value != triple.coefficient:
-            raise ValueError(f"triple coefficient {triple.coefficient!r} is not the "
-                             f"{kind.value} coefficient {value} of ({shapes[0]}; "
-                             f"{shapes[1]}, {shapes[2]})")
         seq.append((n, value))
-        if value >= 2:
-            witness = (n, value)
-            break
+    witness = seq[-1] if seq[-1][1] >= 2 else None
     verdict, certified_by = Verdict.INCONCLUSIVE, None
     if witness is not None:
         verdict = Verdict.REFUTED
-    elif Kind.LR in fits:
+    elif Kind.LR in found.flags:
         verdict, certified_by = Verdict.CERTIFIED, "finite_lr_check"
-    triple = Triple(*shapes, kind=kind, flags=frozenset(fits), coefficient=seq[0][1])
-    return StabilityReport(triple=triple, verdict=verdict, n_max=n_max,
+    return StabilityReport(triple=found, verdict=verdict, n_max=n_max,
                            sequence=tuple(seq), witness=witness,
                            certified_by=certified_by)
 

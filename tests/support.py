@@ -14,7 +14,8 @@ back-substitution in `Fraction`s, the all-pairs additivity certificate
 check, the first 2 x 2 trade by brute force, a third Heisenberg engine for
 the lowest degree, by Pieri's rule over horizontal strips, and the census
 of stable triples: each one scanned, and its margin classes searched for an
-additive matrix."""
+additive matrix, and the other way round, the triples that additive matrices
+generate."""
 
 from __future__ import annotations
 
@@ -27,7 +28,13 @@ from operator import mul
 from typing import Sequence
 
 from heisenstab import Composition, Kind, Partition, ratfeas
-from heisenstab.additivity import MATRIX_KINDS, check_budget, is_additive, margin_class
+from heisenstab.additivity import (
+    MATRIX_KINDS,
+    check_budget,
+    is_additive,
+    margin_class,
+    margin_matrices,
+)
 from heisenstab.coefficients import kron_coeff, kron_coeff_oracle
 from heisenstab.partitions import (
     BudgetExceededError,
@@ -503,3 +510,33 @@ def census_counts(table: dict) -> dict[str, tuple[int, ...]]:
     return {kind: (len(table[kind]), *(sum(r["verdict"] == v for r in table[kind])
                                        for v in CENSUS_VERDICTS))
             for kind in ("kron", "heis")}
+
+
+def generated(max_size: int) -> dict:
+    """The triples that additive matrices generate (Vallejo): every matrix of
+    both families whose margins beta, gamma are nonempty partitions of sizes
+    <= max_size and whose sorted entries alpha are nonempty of size <=
+    max_size, with no budget.  An additive one gives the triple (alpha;
+    beta, gamma) of the first `Kind` its sizes fit, in the census's
+    canonical form: a Kronecker triple sorted, any other with
+    (|beta|, beta) >= (|gamma|, gamma).
+
+    Returns {(kind value, canonical triple): its coefficient by
+    `classify_triple`}; additivity implies the coefficient is 1."""
+    shapes = [x for x in partitions_up_to(max_size) if x]
+    found = {}
+    for cls in MATRIX_KINDS.values():
+        for beta, gamma in itertools.product(shapes, repeat=2):
+            for A in margin_matrices(cls, beta, gamma):
+                alpha = A.pi
+                if not 0 < alpha.size <= max_size:
+                    continue
+                kind = next(k for k in Kind if size_pattern_ok(k, alpha, beta, gamma))
+                if kind is Kind.KRONECKER:
+                    triple = tuple(sorted((alpha, beta, gamma)))
+                else:
+                    triple = (alpha, *sorted((beta, gamma), key=lambda x: (x.size, x),
+                                             reverse=True))
+                if (kind.value, triple) not in found and is_additive(A):
+                    found[kind.value, triple] = classify_triple(*triple).coefficient
+    return found

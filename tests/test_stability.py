@@ -317,6 +317,17 @@ def test_stability_scans_hand_the_engine_one_partition_per_shape(monkeypatch):
     assert _one_object_per_shape(asked)
 
 
+def test_a_scan_asks_the_engine_once_per_scale(monkeypatch):
+    # the value at n = 1 that the scan checks its triple against is its first value, not asked again
+    for shapes, verdict, length in ((((2,), (1,), (1, 1)), Verdict.INCONCLUSIVE, 4),
+                                    (((3, 2, 1),) * 3, Verdict.REFUTED, 1)):
+        triple = classify_triple(*shapes)
+        asked = _recording(monkeypatch, triple.kind)
+        report = stability_check(triple, n_max=4)
+        assert (report.verdict, len(report.sequence)) == (verdict, length), shapes
+        assert len(asked) == len(report.sequence), shapes
+
+
 def test_clear_caches_empties_the_shape_table():
     from heisenstab import clear_caches
     from heisenstab.partitions import _RAY_CACHE, _SHAPE_CACHE
