@@ -93,7 +93,7 @@ class KroneckerMatrix:
         (n,) = _integer_parts((n,), ValueError)
         if n < 0:
             raise ValueError("scale factor must be nonnegative")
-        return type(self)(tuple(tuple(n * e for e in r) for r in self.rows))
+        return _trusted_matrix(type(self), tuple(tuple(n * e for e in r) for r in self.rows))
 
     def __eq__(self, other):
         return type(other) is type(self) and self.rows == other.rows
@@ -427,7 +427,7 @@ def build_constraint_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     p, q = _integer_parts((p, q), ValueError)
     if p < 1 or q < 1:
         raise ValueError("need p, q >= 1")
-    cells = _positions(HeisenbergMatrix([(0,) * (q + 1)] * (p + 1)))
+    cells = [(i, j) for i in range(p + 1) for j in range(q + 1) if i or j]
     return (tuple(tuple(int(i == r) for i, _ in cells) for r in range(1, p + 1))
             + tuple(tuple(int(j == c) for _, j in cells) for c in range(1, q + 1)))
 

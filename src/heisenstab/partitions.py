@@ -5,12 +5,13 @@ A `Composition` is a tuple of nonnegative parts, and a `Partition` is a
 tuple is the unique partition of 0.  Both share `size`, a `repr` naming
 their class, and the comma syntax: `str` writes it ("0" when empty) and
 `parse` reads it.  Either is a tuple under `+` and `*` (concatenation,
-repetition); the vector arithmetic `add` and `scale` is coordinatewise
-with implicit zero padding.  `pi_sequence` sorts the entries of one flat
-sequence into a Partition; pi of a matrix is the matrix's `.pi`.  The one
-majorization relation, `is_dominated_by`, works on arbitrary rational
-vectors, not just partitions, and is always exact: its entries are ints
-and `fractions.Fraction`s, and a float is refused, never compared.
+repetition); the coordinatewise arithmetic `add` and `scale` reads its
+shapes through `Partition`, and `add` zero-pads as `_on_ray` does.
+`pi_sequence` sorts the entries of one flat sequence into a Partition; pi
+of a matrix is the matrix's `.pi`.  The one majorization relation,
+`is_dominated_by`, works on arbitrary rational vectors, not just
+partitions, and is always exact: its entries are ints and
+`fractions.Fraction`s, and a float is refused, never compared.
 
 The package's enumerators, each a loop over an explicit stack: partitions
 inside a shape (`_inside`, which yields the plain tuples the engines keep;
@@ -206,21 +207,18 @@ def pi_sequence(data: Iterable[int]) -> Partition:
     return _sorted_entries(Composition(data))
 
 
-def _padded(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    k = max(len(a), len(b))
-    return (list(a) + [0] * (k - len(a)), list(b) + [0] * (k - len(b)))
+def add(a: Sequence[int], b: Sequence[int]) -> Partition:
+    """a + b, each read through `Partition`, zero-padded as `_on_ray` pads."""
+    pairs = itertools.zip_longest(Partition(a), Partition(b), fillvalue=0)
+    return _trusted([x + y for x, y in pairs])
 
 
-def add(a: Partition, b: Partition) -> Partition:
-    xs, ys = _padded(a, b)
-    return Partition(x + y for x, y in zip(xs, ys))
-
-
-def scale(n: int, a: Partition) -> Partition:
+def scale(n: int, a: Sequence[int]) -> Partition:
+    """n * a: n is read first and refused when negative, then a through `Partition`."""
     (n,) = _integer_parts((n,), ValueError)
     if n < 0:
         raise ValueError("scale factor must be nonnegative")
-    return Partition(n * p for p in a)
+    return _trusted([n * p for p in Partition(a) if n])  # n = 0: a read, no parts
 
 
 def _rationals(entries: Iterable[Rational]) -> list[Rational]:
@@ -237,7 +235,9 @@ def is_dominated_by(a: Sequence[Rational], b: Sequence[Rational]) -> bool:
     length and sorted decreasingly, a and b have equal sums and every prefix
     sum of a is at most the matching one of b.  Entries are ints or
     Fractions; anything else raises ValueError."""
-    xs, ys = (sorted(v, reverse=True) for v in _padded(_rationals(a), _rationals(b)))
+    xs, ys = _rationals(a), _rationals(b)
+    k = max(len(xs), len(ys))
+    xs, ys = (sorted(v + [0] * (k - len(v)), reverse=True) for v in (xs, ys))
     return sum(xs) == sum(ys) and all(
         p <= q for p, q in zip(itertools.accumulate(xs), itertools.accumulate(ys)))
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import add, neg, sub
 from typing import Sequence
 
-from .partitions import Partition, _bounded_vectors, _inside, _integer_parts, pi_sequence
+from .partitions import Partition, _bounded_vectors, _inside, _integer_parts, _trusted, pi_sequence
 
 
 def zee(rho: Sequence[int]) -> int:
@@ -159,7 +159,7 @@ def character(lam: Sequence[int], rho: Sequence[int]) -> int:
 def dimension(lam: Sequence[int]) -> int:
     """Dimension of the irreducible indexed by lam (character at the identity)."""
     lam = Partition(lam)
-    return character(lam, Partition([1] * lam.size))
+    return character(lam, (1,) * lam.size)
 
 
 # typed: a bool or float key must miss, to be refused, not read as an int's hit
@@ -266,6 +266,5 @@ def _schur_in_h(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]
 
 def schur_in_h_basis(lam: Sequence[int]) -> dict[Partition, int]:
     """Signed expansion s_lam = sum_delta coef_delta * h_delta."""
-    lam = Partition(lam)
-    return {Partition(k): v for k, v in _schur_in_h(tuple(lam))}
+    return {_trusted(k): v for k, v in _schur_in_h(tuple(Partition(lam)))}
 

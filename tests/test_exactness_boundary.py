@@ -33,6 +33,7 @@ from heisenstab.partitions import (
     Composition,
     NotAPartitionError,
     Partition,
+    add,
     is_dominated_by,
     partitions_of,
     partitions_up_to,
@@ -98,6 +99,10 @@ BOUNDARIES = {
         [(-1, []), (0, [()]), (2, [(2,), (1, 1)]), (3, [(2, 1)])]),
     "scale n": (
         lambda v: scale(v, (2, 1)), ValueError, False, -1, [(0, ()), (2, (4, 2)), (3, (6, 3))]),
+    "scale part": (
+        lambda v: scale(2, (v, 1)), NotAPartitionError, False, 0, [(1, (2, 2)), (2, (4, 2))]),
+    "add part": (
+        lambda v: add((v, 1), (1,)), NotAPartitionError, False, 0, [(1, (2, 1)), (2, (3, 1))]),
     "build_constraint_matrix p": (
         lambda v: build_constraint_matrix(v, 2), ValueError, False, 0,
         [(1, ((0, 0, 1, 1, 1), (1, 0, 0, 1, 0), (0, 1, 0, 0, 1))), (2, CONSTRAINTS_2x2)]),

@@ -131,6 +131,12 @@ def test_add_scale():
     # the factor is refused before Partition would refuse the negative parts
     with pytest.raises(ValueError, match="scale factor must be nonnegative"):
         scale(-1, (2, 1))
+    # both shapes are read through Partition: no bad shape sums or scales to a good one
+    for call in (lambda: add((2, -1), (0, 1)), lambda: add((1, 2), (3, 0)),
+                 lambda: add((0, 1), (1,)), lambda: scale(2, (True,)),
+                 lambda: scale(2, (None,)), lambda: scale(0, (1, 2))):
+        with pytest.raises(NotAPartitionError):
+            call()
     # the operators keep their tuple meaning: concatenation and repetition
     assert Partition((2, 1)) + (0,) == (2, 1, 0)
     assert 2 * Partition((2, 1)) == (2, 1, 2, 1)
