@@ -7,11 +7,11 @@
   tables with a free one.
 * Kronecker coefficients, each query by its cheapest exact route, chosen
   from the query alone (`_kron_route`): a closed form when one shape is
-  one row or one column; the h-basis route (below) from size 20 on when the
-  two factors it expands have at most two rows; otherwise the exact
-  character sum over conjugacy classes, one class-size-weighted character
-  vector against two plain ones.  The oracle runs a route the primary did
-  not take.
+  one row or one column, or one cell off either (the branching rule); the
+  h-basis route (below) from size 20 on when the two factors it expands
+  have at most two rows; otherwise the exact character sum over conjugacy
+  classes, one class-size-weighted character vector against two plain
+  ones.  The oracle runs a route the primary did not take.
 * Heisenberg coefficients by the quintuple-product formula that splits a
   query into two LR decompositions, one Kronecker factor in the shared
   degree, and two LR recombinations, the larger outer factor split off
@@ -408,21 +408,53 @@ _H_ROUTE_MIN_SIZE = 20
 
 def _kron_route(lam: Shape, mu: Shape, nu: Shape):
     """The primary's route for an ascending triple lam <= mu <= nu of one
-    size, a pure function of the query: the closed form when one shape is
-    one row, (n), which sorts last, or one column, (1^n), which sorts
-    first; the h-basis route from size `_H_ROUTE_MIN_SIZE` on when the two
-    factors it expands have at most two rows; the character sum otherwise."""
-    if len(nu) < 2 or lam[0] == 1:
+    size n, a pure function of the query: the closed form when one shape is
+    one row or one cell off it, (n) or (n-1, 1), which sort last in that
+    order, or one column or one cell off it, (1^n) or (2, 1^(n-2)), which
+    sort first; the h-basis route from size `_H_ROUTE_MIN_SIZE` on when the
+    two factors it expands have at most two rows; the character sum
+    otherwise."""
+    n = sum(lam)
+    if len(nu) < 2 or nu[0] >= n - 1 or len(lam) >= n - 1:
         return _kron_closed_form
-    if sum(lam) >= _H_ROUTE_MIN_SIZE and max(map(len, _h_orientation(lam, mu, nu)[1:])) <= 2:
+    if n >= _H_ROUTE_MIN_SIZE and max(map(len, _h_orientation(lam, mu, nu)[1:])) <= 2:
         return _kron_by_h_basis
     return _kron_by_characters
 
 
 def _kron_closed_form(lam: Shape, mu: Shape, nu: Shape) -> int:
-    """g((n), mu, nu) = [mu = nu] and g((1^n), mu, nu) = [mu = nu'], on an
-    ascending triple whose last shape is (n) or whose first is (1^n)."""
-    return int(lam == mu if len(nu) < 2 else mu == _conjugate(nu))
+    """g on an ascending triple of size n whose last shape is (n) or (n-1, 1)
+    or whose first is (1^n) or (2, 1^(n-2)), the first that applies of:
+
+    * g((n), mu, nu) = [mu = nu], as (n) is the trivial character;
+    * g((1^n), mu, nu) = [mu = nu'], as (1^n) is the sign and tensoring
+      with it conjugates;
+    * g((n-1, 1), mu, nu) = #{one-cell moves taking mu to nu} - [mu = nu].
+      The permutation module C^n = Ind 1 from S_(n-1) is V_(n) + V_(n-1,1),
+      and C^n (x) V_mu = Ind Res V_mu.  By the branching rule, Res V_mu sums
+      V_kappa over the kappa left by removing a corner of mu, and Ind
+      V_kappa sums V_nu over the nu made by adding a cell to kappa, so V_nu
+      occurs once per kappa inside both mu and nu.  For mu != nu, kappa can
+      only be their meet, so the count is 1 when the parts differ by 2 in
+      total and 0 otherwise; for mu = nu it is mu's corners, one per
+      distinct part.  V_(n) (x) V_mu = V_mu accounts for [mu = nu];
+    * g((2, 1^(n-2)), mu, nu) = g((n-1, 1), mu, nu'), as (2, 1^(n-2)) is
+      the conjugate of (n-1, 1)."""
+    if len(nu) < 2:
+        return int(lam == mu)
+    n = sum(lam)
+    if len(lam) == n:
+        return int(mu == _conjugate(nu))
+    if nu[0] == n - 1:
+        return _one_cell_moves(lam, mu)
+    return _one_cell_moves(mu, _conjugate(nu))
+
+
+def _one_cell_moves(mu: Shape, nu: Shape) -> int:
+    """g((n-1, 1), mu, nu) for mu, nu of one size n (see `_kron_closed_form`)."""
+    if mu == nu:
+        return len(set(mu)) - 1
+    return int(sum(abs(a - b) for a, b in itertools.zip_longest(mu, nu, fillvalue=0)) == 2)
 
 
 @lru_cache(maxsize=None)

@@ -7,10 +7,13 @@ longest suffix of its classes asked for so far (`_mn_vector`, which the
 Kronecker character sum reads directly, and `character_vector`, which
 first reads its shape through `Partition`);
 single values (`character`) by a strip walk over the parts of the cycle
-type, which builds no vector.
+type, which builds no vector; dimensions by Frobenius's formula.
 Kostka numbers by the horizontal-strip rule on a stack over one memo;
 the Schur-to-complete-homogeneous change of basis from the Jacobi-Trudi
-determinant as a strip walk over its special rim hooks.
+determinant as a strip walk over its special rim hooks.  The border-strip
+kernel keeps no memo: a stored vector asks each (shape, k) once, as does
+one strip walk, and the Jacobi-Trudi walk keeps the hooks it asks for
+during one expansion.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from operator import add, neg, sub
 from typing import Sequence
 
@@ -47,9 +51,10 @@ def _class_size(rho: tuple[int, ...]) -> int:
     return math.factorial(sum(rho)) // _zee(rho)
 
 
-@lru_cache(maxsize=None)
 def _border_strip_removals(lam: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All ways to remove a border strip of size k from lam.
+    """All ways to remove a border strip of size k from lam.  Not memoized:
+    `_mn_vector` asks each (lam, k) once per stored vector and `character`
+    once per walk, and `_schur_in_h` keeps what it asks for one expansion.
 
     Returns (remaining shape, strip height) pairs, via first-column hook
     coordinates: beta numbers b_i = lam_i + (L - 1 - i); removing a strip of
@@ -157,9 +162,15 @@ def character(lam: Sequence[int], rho: Sequence[int]) -> int:
 
 
 def dimension(lam: Sequence[int]) -> int:
-    """Dimension of the irreducible indexed by lam (character at the identity)."""
+    """Dimension of the irreducible indexed by lam, its character at the
+    identity, by Frobenius's formula on the beta numbers b_i = lam_i + L -
+    1 - i: n! prod_{i<j} (b_i - b_j) / prod_i b_i!.  No strip walk: one
+    would visit every shape inside lam."""
     lam = Partition(lam)
-    return character(lam, (1,) * lam.size)
+    top = len(lam) - 1
+    betas = [part + top - i for i, part in enumerate(lam)]
+    return (math.factorial(lam.size) * math.prod(a - b for a, b in combinations(betas, 2))
+            // math.prod(map(math.factorial, betas)))
 
 
 # typed: a bool or float key must miss, to be refused, not read as an int's hit
@@ -249,16 +260,22 @@ def _schur_in_h(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]
     of the shape left by moving b to 0 (free: lam_{L-1} > 0), a strip of size
     b that leaves fewer rows, with sign (-1)^(L-1-i), the parity of its
     height.  No lower beta number reaches b, so it is the last strip that
-    `_border_strip_removals` lists: special rim hooks (Egecioglu-Remmel)."""
+    `_border_strip_removals` lists: special rim hooks (Egecioglu-Remmel).
+    States of different degrees share shapes, so one dict, kept for this
+    expansion only, holds each shape's hooks: (b, rest, height) per row."""
     counts, out = {(lam, ()): 1}, {}
+    hooks: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int]]] = {}
     while counts:
         left: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
         for (shape, degrees), c in counts.items():
             if not shape:
                 out[degrees] = c  # a key is reached after len(degrees) strips only
-            for i, part in enumerate(shape):
-                b = part + len(shape) - 1 - i
-                rest, height = _border_strip_removals(shape, b)[-1]
+            moves = hooks.get(shape)
+            if moves is None:
+                top = len(shape) - 1
+                moves = hooks[shape] = [(b, *_border_strip_removals(shape, b)[-1])
+                                        for b in (part + top - i for i, part in enumerate(shape))]
+            for b, rest, height in moves:
                 left[rest, tuple(sorted(degrees + (b,), reverse=True))] += -c if height & 1 else c
         counts = {k: v for k, v in left.items() if v}
     return tuple(out.items())

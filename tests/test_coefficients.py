@@ -234,7 +234,7 @@ def test_kron_refuses_a_character_sum_that_is_not_an_integer(fresh_memos, monkey
 
     monkeypatch.setattr(coefficients, "_mn_vector", off_at_identity)
     with pytest.raises(RuntimeError, match="not an integer"):
-        kron_coeff((2, 1), (2, 1), (2, 1))  # the sum is 25, not a multiple of 3! = 6
+        kron_coeff((2, 2), (2, 2), (2, 2))  # the sum is 43, not a multiple of 4! = 24
 
 
 def test_kron_oracle_refuses_a_negative_multiplicity(fresh_memos, monkeypatch):

@@ -18,6 +18,7 @@ from heisenstab.coefficients import (
     heisenberg_coeff_oracle,
     heisenberg_component,
     heisenberg_product,
+    kron_coeff,
     lr_coeff,
     lr_coeff_hive,
 )
@@ -226,15 +227,15 @@ def test_clear_caches_empties_every_memo():
     heisenberg_product((2, 1), (2, 1))
     heisenberg_coeff((2, 1), (2, 1), (1, 1))
     heisenberg_coeff_oracle((2, 1), (2, 1), (1, 1))
+    kron_coeff((2, 2), (2, 2), (2, 2))  # the size-3 keys above all take closed forms
     lr_coeff((2, 1), (1,), (1, 1))
     lr_coeff_hive((2, 1), (1,), (1, 1))
     symfun.kostka((2, 1), (1, 1, 1))
     symfun.schur_in_h_basis((2, 1))
-    symfun.dimension((3, 1))
     filled = dict(_memos(coefficients)) | dict(_memos(symfun))
     assert {"_LR_CACHE", "_KRON_CACHE", "_HEIS_CACHE", "_LR_PRODUCT_CACHE",
             "_split_table", "_strips", "_hive_plan", "_h_expansion",
-            "_border_strip_removals", "_MN_CACHE", "_KOSTKA_CACHE",
+            "_MN_CACHE", "_KOSTKA_CACHE",
             "_schur_in_h", "cycle_types", "class_sizes"} <= set(filled)
     assert all(filled.values()), filled
     clear_caches()

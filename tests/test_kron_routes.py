@@ -63,6 +63,14 @@ def test_closed_forms_for_one_row_and_one_column_up_to_size_10():
             assert kron_by_class_sum(row, mu, mu) == 1 == kron_by_class_sum(column, mu, conjugate(mu))
             if n > 1:
                 assert kron_by_class_sum(row, mu, parts[0] if mu != parts[0] else parts[-1]) == 0
+        # one cell off a row or a column: the branching-rule forms, every key against the oracle
+        for shape in {P((n - 1, 1)), conjugate(P((n - 1, 1)))} if n > 1 else ():
+            for mu, nu in itertools.combinations_with_replacement(parts, 2):
+                want = kron_by_class_sum(shape, mu, nu)
+                key = tuple(sorted((shape, mu, nu)))
+                assert coefficients._kron_route(*key) is coefficients._kron_closed_form, key
+                for args in set(itertools.permutations((shape, mu, nu))):
+                    assert kron_coeff(*args) == want, args
 
 
 def scaled_queries():
@@ -79,7 +87,8 @@ def test_both_routes_agree_on_every_scaled_kronecker_query():
     for key in queries:
         by_characters = coefficients._kron_by_characters(*key)
         assert coefficients._kron_by_h_basis(*key) == by_characters, key
-        if len(key[2]) < 2 or key[0][0] == 1:
+        n = sum(key[0])
+        if len(key[2]) < 2 or key[2][0] >= n - 1 or len(key[0]) >= n - 1:
             assert coefficients._kron_closed_form(*key) == by_characters, key
         assert kron_coeff(*key) == kron_coeff_oracle(*key) == by_characters, key
 
@@ -87,13 +96,15 @@ def test_both_routes_agree_on_every_scaled_kronecker_query():
 def test_each_route_is_taken_where_it_is_cheapest(ran):
     kron_coeff((3, 1), (2, 2), (4,))  # one row
     kron_coeff((2, 1, 1), (1, 1, 1, 1), (3, 1))  # one column
-    kron_coeff((2, 1), (2, 1), (2, 1))
+    kron_coeff((3, 1), (2, 2), (2, 1, 1))  # one cell off a row
+    kron_coeff((3, 2), (2, 1, 1, 1), (2, 2, 1))  # one cell off a column
+    kron_coeff((2, 2), (2, 2), (2, 2))
     kron_coeff((6, 6), (8, 4), (10, 2))  # two rows each, below the crossover
     kron_coeff((12, 12), (16, 8), (20, 4))
     kron_coeff((4,) * 6, (2,) * 12, (2,) * 12)  # two columns: conjugated
     assert [name for name, _ in ran] == [
-        "_kron_closed_form", "_kron_closed_form", "_kron_by_characters",
-        "_kron_by_characters", "_kron_by_h_basis", "_kron_by_h_basis"]
+        "_kron_closed_form", "_kron_closed_form", "_kron_closed_form", "_kron_closed_form",
+        "_kron_by_characters", "_kron_by_characters", "_kron_by_h_basis", "_kron_by_h_basis"]
 
 
 def test_routes_and_values_do_not_depend_on_query_order(ran):
@@ -116,8 +127,10 @@ def test_routes_and_values_do_not_depend_on_query_order(ran):
 
 @pytest.mark.parametrize("query, route", [
     (((4,), (3, 1), (3, 1)), "_kron_closed_form"),
-    (((2, 2), (2, 1, 1), (3, 1)), "_kron_by_characters"),
+    (((2, 2, 1), (3, 1, 1), (3, 2)), "_kron_by_characters"),
     (((24, 24), (32, 16), (40, 8)), "_kron_by_h_basis"),
+    (((2, 2), (2, 1, 1), (3, 1)), "_kron_closed_form"),  # one cell off a row
+    (((2, 1, 1, 1), (2, 2, 1), (3, 2)), "_kron_closed_form"),  # one cell off a column
 ])
 def test_the_oracle_takes_a_route_the_primary_did_not(ran, query, route):
     value = kron_coeff(*query)
@@ -141,6 +154,13 @@ def test_a_wrong_closed_form_fails_the_oracle_check(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(coefficients, "_kron_closed_form", lambda lam, mu, nu: 1 - (lam == mu))
     try:
         assert main(["coeff", "kron", "3", "2,1", "2,1", "--oracle"]) == 4
+        assert "mismatch" in capsys.readouterr().err
+        # the row and column forms alone, read on a shape one cell off a row:
+        # g((3,1)^3) = corners(3,1) - 1 = 1, where they give [(3,1) = (2,1,1)] = 0
+        clear_caches()
+        monkeypatch.setattr(coefficients, "_kron_closed_form",
+                            lambda lam, mu, nu: int(lam == mu if len(nu) < 2 else mu == tuple(conjugate(nu))))
+        assert main(["coeff", "kron", "3,1", "3,1", "3,1", "--oracle"]) == 4
         assert "mismatch" in capsys.readouterr().err
     finally:
         clear_caches()

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -44,7 +45,7 @@ def test_dimension_matches_hook_lengths():
     assert character((2, 1), (1, 1, 1)) == 2
     for n in range(7):
         for lam in partitions_of(n):
-            assert dimension(lam) == hook_length_dimension(lam)
+            assert dimension(lam) == hook_length_dimension(lam) == character(lam, (1,) * n)
 
 
 def test_character_reads_the_cycle_type_in_any_order():
@@ -136,23 +137,50 @@ def test_mn_vector_keeps_the_longest_suffix_of_each_shape(monkeypatch):
             == {lam: symfun._class_counts(sum(lam))[k] for lam, k in k_max.items()})
 
 
+def recorded_strips(monkeypatch):
+    """`_border_strip_removals` counting each (shape, k) it is asked for."""
+    asked, strips = Counter(), symfun._border_strip_removals
+
+    def recording(shape, k):
+        asked[shape, k] += 1
+        return strips(shape, k)
+
+    monkeypatch.setattr(symfun, "_border_strip_removals", recording)
+    return asked
+
+
 def test_mn_vector_grows_a_suffix_by_the_missing_blocks_only(monkeypatch):
     clear_caches()
     lam = (3, 2, 1)
     short = symfun._mn_vector(lam, 2)
-    strips, blocks = symfun._border_strip_removals, []
-
-    def recording(shape, j):
-        if shape == lam:
-            blocks.append(j)
-        return strips(shape, j)
-
-    monkeypatch.setattr(symfun, "_border_strip_removals", recording)
+    asked = recorded_strips(monkeypatch)
     full = symfun._mn_vector(lam, 6)
-    assert blocks == [5, 4, 3]  # the longest hook is 5, so block 6 is zero
+    # the longest hook is 5, so block 6 is zero
+    assert [j for shape, j in asked.elements() if shape == lam] == [5, 4, 3]
     assert full == tuple(character(lam, rho) for rho in cycle_types(6))
     assert symfun._mn_vector(lam, 2) == short == full[-len(short):]
     assert symfun._MN_CACHE[lam] is full
+
+
+def test_a_cold_build_asks_each_border_strip_once(monkeypatch):
+    # why the strips need no process-wide memo: _MN_CACHE keeps what they give
+    clear_caches()
+    asked = recorded_strips(monkeypatch)
+    for n in range(13):
+        for lam in partitions_of(n):
+            assert character_vector(lam) == tuple(mn_character(tuple(lam), rho)
+                                                  for rho in cycle_types(n)), lam
+    assert asked and max(asked.values()) == 1
+    clear_caches()
+
+
+def test_schur_in_h_asks_each_border_strip_once(monkeypatch):
+    clear_caches()
+    asked = recorded_strips(monkeypatch)
+    expansion = symfun._schur_in_h((1,) * 20)
+    assert len(expansion) == len(list(partitions_of(20)))  # every h_mu occurs in e_20
+    assert asked and max(asked.values()) == 1
+    clear_caches()
 
 
 def test_class_counts_match_the_partitions_and_need_no_recursion():
