@@ -7,15 +7,17 @@ need no Murnaghan-Nakayama code (the identity, a transposition, the
 n-cycle), the dominance
 order by Brylawski's box transfers, a brute-force Kostka count, the
 per-class Murnaghan-Nakayama recursion, the plain Kronecker character sum
-over it and whole Heisenberg components by restriction and induction of
-characters, the Jacobi-Trudi determinant expanded over all permutations,
-the rational rank of an integer matrix, the Fourier-Motzkin
-back-substitution in `Fraction`s, the all-pairs additivity certificate
-check, the first 2 x 2 trade by brute force, a third Heisenberg engine for
-the lowest degree, by Pieri's rule over horizontal strips, and the census
-of stable triples: each one scanned, and its margin classes searched for an
-additive matrix, and the other way round, the triples that additive matrices
-generate."""
+over it, whole Heisenberg components and single Heisenberg coefficients by
+restriction and induction of characters, the Jacobi-Trudi determinant
+expanded over all permutations, the rational rank of an integer matrix, the
+Fourier-Motzkin back-substitution in `Fraction`s, the all-pairs additivity
+certificate check, the first 2 x 2 trade by brute force, the margin
+matrices with no trade by a fill that drops a partial matrix at its first
+trade, a third Heisenberg engine for the lowest degree, by Pieri's rule
+over horizontal strips, and the census of stable triples: each one scanned,
+and its margin classes searched for an additive matrix with no cap on the
+shapes, and the other way round, the triples that additive matrices
+generate; both walk only the matrices with no trade."""
 
 from __future__ import annotations
 
@@ -30,15 +32,14 @@ from typing import Sequence
 from heisenstab import Composition, Kind, Partition, ratfeas
 from heisenstab.additivity import (
     MATRIX_KINDS,
-    check_budget,
+    _first_trade,
+    _trusted_matrix,
     is_additive,
-    margin_class,
-    margin_matrices,
 )
 from heisenstab.coefficients import kron_coeff, kron_coeff_oracle
 from heisenstab.partitions import (
-    BudgetExceededError,
     NotAPartitionError,
+    _bounded_vectors,
     _integer_parts,
     partitions_of,
     partitions_up_to,
@@ -268,42 +269,73 @@ def kron_by_class_sum(lam, mu, nu) -> int:
     return total // factorial(n)
 
 
-def heisenberg_component_by_characters(mu, nu, degree: int) -> dict[tuple[int, ...], int]:
-    """The piece of degree l of s_mu # s_nu as {lam: h^lam_{mu nu}}, nonzero
-    terms only (test oracle for whole components).  With mu the larger
-    factor, as `heisenberg_component` orders them, and p, q, r = l - |nu|,
-    |mu| + |nu| - l, l - |mu|, restriction and induction (Aguiar, Ferrer
-    Santos and Moreira) give h^lam = sum over a |- p, b |- q, c |- r of
-    chi^mu(a u b) chi^nu(b u c) chi^lam(a u b u c) / (z_a z_b z_c).  The
-    weights are summed per class a u b u c, scaled by p! q! r!, with chi^mu
-    and chi^nu from `mn_character`; each lam |- l is then one dot product
-    with `character_vector(lam)`.  Every division must be exact."""
-    mu, nu = Partition(mu), Partition(nu)
+def _exact(n: int, d: int) -> int:
+    quotient, rest = divmod(n, d)
+    if rest:
+        raise ArithmeticError(f"{n} / {d} is not an integer")
+    return quotient
+
+
+def _induction_weights(mu: Partition, nu: Partition,
+                       degree: int) -> tuple[Counter[tuple[int, ...]], int]:
+    """The class weights of the piece of degree l of s_mu # s_nu by
+    restriction and induction (Aguiar, Ferrer Santos and Moreira): with mu
+    the larger factor, as `heisenberg_component` and `_heis` order them, and
+    p, q, r = l - |nu|, |mu| + |nu| - l, l - |mu|, h^lam_{mu nu} is the sum
+    over a |- p, b |- q, c |- r of chi^mu(a u b) chi^nu(b u c)
+    chi^lam(a u b u c) / (z_a z_b z_c).  Returns the weights summed per class
+    a u b u c and scaled by p! q! r!, with chi^mu and chi^nu from
+    `mn_character`, and that scale; no weights when p, q or r is negative."""
     if (mu.size, mu) < (nu.size, nu):
         mu, nu = nu, mu
     p, q, r = degree - nu.size, mu.size + nu.size - degree, degree - mu.size
-
-    def exact(n: int, d: int) -> int:
-        quotient, rest = divmod(n, d)
-        if rest:
-            raise ArithmeticError(f"{n} / {d} is not an integer")
-        return quotient
+    weights: Counter[tuple[int, ...]] = Counter()
+    if min(p, q, r) < 0:
+        return weights, 1
 
     def classes(k: int):  # each class of S_k with k! / z
-        return [(tuple(a), exact(factorial(k), zee(a))) for a in partitions_of(k)]
+        return [(tuple(a), _exact(factorial(k), zee(a))) for a in partitions_of(k)]
 
     def union(*parts) -> tuple[int, ...]:
         return tuple(sorted(itertools.chain(*parts), reverse=True))
 
-    weights: Counter[tuple[int, ...]] = Counter()
-    for (a, wa), (b, wb), (c, wc) in itertools.product(classes(p), classes(q), classes(r)):
-        weights[union(a, b, c)] += (mn_character(tuple(mu), union(a, b))
-                                    * mn_character(tuple(nu), union(b, c)) * wa * wb * wc)
+    mu, nu, by_a, by_c = tuple(mu), tuple(nu), classes(p), classes(r)
+    for b, wb in classes(q):  # the terms where a character vanishes are skipped
+        right = [(c, wc * chi) for c, wc in by_c if (chi := mn_character(nu, union(b, c)))]
+        for a, wa in by_a:
+            left = mn_character(mu, union(a, b)) * wa * wb
+            if left:
+                for c, w in right:
+                    weights[union(a, b, c)] += left * w
+    return weights, factorial(p) * factorial(q) * factorial(r)
+
+
+def heisenberg_component_by_characters(mu, nu, degree: int) -> dict[tuple[int, ...], int]:
+    """The piece of degree l of s_mu # s_nu as {lam: h^lam_{mu nu}}, nonzero
+    terms only (test oracle for whole components): each lam |- l is one dot
+    product of `_induction_weights` with `character_vector(lam)`.  Every
+    division must be exact."""
+    weights, scale = _induction_weights(Partition(mu), Partition(nu), degree)
     w = [weights[rho] for rho in cycle_types(degree)]
-    scale = factorial(p) * factorial(q) * factorial(r)
-    terms = {lam: exact(sum(map(mul, w, character_vector(lam))), scale)
+    terms = {lam: _exact(sum(map(mul, w, character_vector(lam))), scale)
              for lam in partitions_of(degree)}
     return {lam: h for lam, h in terms.items() if h}
+
+
+def heisenberg_by_characters(lam, mu, nu) -> int:
+    """h^lam_{mu nu} by restriction and induction, one coefficient at a time
+    (test oracle): `_induction_weights` at degree |lam| read against chi^lam,
+    so zero outside max(|mu|, |nu|) <= |lam| <= |mu| + |nu|.
+
+    What it shares with `_heis`: the class enumeration `partitions_of`,
+    `zee`, and chi^lam from `character_vector`, that is `_mn_vector`, which
+    `_heis` reads only inside `_kron`'s character sum; chi^mu and chi^nu
+    come from `mn_character`.  It uses no LR coefficient, no split table and
+    no Kronecker coefficient."""
+    lam = Partition(lam)
+    weights, scale = _induction_weights(Partition(mu), Partition(nu), lam.size)
+    chi = dict(zip(cycle_types(lam.size), character_vector(lam)))
+    return _exact(sum(w * chi[rho] for rho, w in weights.items()), scale)
 
 
 def schur_in_h_by_permutations(lam: Sequence[int]) -> dict[tuple[int, ...], int]:
@@ -416,6 +448,47 @@ def first_trade(A):
     return None
 
 
+def _pair_trades(upper: tuple[int, ...], lower: tuple[int, ...], corner: int) -> bool:
+    """Whether two full rows form a 2 x 2 trade: `_first_trade` finds a
+    crossing in the pair or in the pair's columns, position 0 of `upper`
+    skipped when it is the corner."""
+    return (_first_trade((upper, lower), corner) is not None
+            or _first_trade(tuple(zip(upper, lower)), corner) is not None)
+
+
+def trade_free_matrices(cls, beta, gamma):
+    """The matrices of `margin_matrices(cls, beta, gamma)` that `_trade`
+    passes, in the same order: `_fill`'s row-by-row stack walk, except that
+    a partial matrix is dropped as soon as its newest row forms a trade
+    with an earlier row, since every completion keeps that trade.  A trade
+    lies in two rows, so checking each pair once finds every trade.  A
+    cornered row is checked whole, its first entry beta_i less the inner
+    row's sum; the top row is known only at the end, and is checked last,
+    its corner skipped."""
+    beta, gamma = Composition(beta), Composition(gamma)
+    if not (cls.corner or beta.size == gamma.size):
+        return
+    stack = [((), tuple(gamma))]
+    while stack:
+        rows, room = stack.pop()
+        if len(rows) == len(beta):
+            if cls.corner:
+                top = (0, *room)
+                if any(_pair_trades(top, row, 1) for row in rows):
+                    continue
+                rows = (top, *rows)
+            yield _trusted_matrix(cls, rows)
+            continue
+        b = beta[len(rows)]
+        kept = []
+        for s in range(0 if cls.corner else b, b + 1):
+            for inner in _bounded_vectors(s, room):
+                row = (b - s, *inner) if cls.corner else inner
+                if not any(_pair_trades(earlier, row, 0) for earlier in rows):
+                    kept.append((rows + (row,), tuple([c - r for c, r in zip(room, inner)])))
+        stack.extend(reversed(kept))
+
+
 def horizontal_strips(nu: Sequence[int], p: int):
     """Every kappa with kappa/nu a horizontal strip of p cells (test oracle,
     apart from the library's strip walks): kappa_1 >= nu_1, and below it
@@ -450,14 +523,17 @@ def census(max_size: int, n_max: int) -> dict:
     unordered (ascending), Heisenberg triples up to swapping beta and gamma
     ((|beta|, beta) >= (|gamma|, gamma)).  Each is scanned to n_max by
     `stability_check`, and its margin classes are searched for an additive
-    matrix under `check_budget`: every distinct order of a Kronecker triple,
-    both beta/gamma orders of a Heisenberg triple, its own order first.
+    matrix through `trade_free_matrices`, with no cap on the shapes: every
+    distinct order of a Kronecker triple, both beta/gamma orders of a
+    Heisenberg triple, its own order first.  An additive matrix has no
+    trade, so the first one found in an order is the first of its whole
+    margin class.
 
     Returns {"max_size", "n_max", "kron": records, "heis": records}, a
     record {"triple", "verdict"} plus the witness [n, value] of a refuted
     triple and the order and matrix rows of a certificate, as JSON values.
-    The verdict is refuted, certified, budget_refused (no certificate, and
-    the budget refused some order) or uncertified."""
+    The verdict is refuted, certified or uncertified (no additive matrix in
+    any order)."""
     shapes = [x for x in partitions_up_to(max_size) if x]
     table = {"max_size": max_size, "n_max": n_max, "kron": [], "heis": []}
     for alpha, beta, gamma in itertools.product(shapes, repeat=3):
@@ -482,31 +558,27 @@ def census(max_size: int, n_max: int) -> dict:
 def _census_record(triple, orders, n_max: int) -> dict:
     cls = MATRIX_KINDS["k" if triple.kind is Kind.KRONECKER else "h"]
     witness = stability_check(triple, n_max).witness
-    refused, certificate = False, {}
+    certificate = {}
     for alpha, beta, gamma in orders:
-        try:
-            check_budget(cls, beta, gamma)
-        except BudgetExceededError:
-            refused = True
-            continue
-        A = next((A for A in margin_class(cls, beta, gamma, alpha) if is_additive(A)), None)
+        A = next((A for A in trade_free_matrices(cls, beta, gamma)
+                  if A.pi == alpha and is_additive(A)), None)
         if A is not None:
             certificate = {"order": [list(alpha), list(beta), list(gamma)],
                            "matrix": [list(row) for row in A.rows]}
             break
     record = {"triple": [list(x) for x in triple[:3]],
               "verdict": ("refuted" if witness else "certified" if certificate
-                          else "budget_refused" if refused else "uncertified")}
+                          else "uncertified")}
     if witness:
         record["witness"] = list(witness)
     return record | certificate
 
 
-CENSUS_VERDICTS = ("refuted", "certified", "uncertified", "budget_refused")
+CENSUS_VERDICTS = ("refuted", "certified", "uncertified")
 
 
 def census_counts(table: dict) -> dict[str, tuple[int, ...]]:
-    """Per kind: (total, refuted, certified, uncertified, budget_refused)."""
+    """Per kind: (total, refuted, certified, uncertified)."""
     return {kind: (len(table[kind]), *(sum(r["verdict"] == v for r in table[kind])
                                        for v in CENSUS_VERDICTS))
             for kind in ("kron", "heis")}
@@ -516,7 +588,8 @@ def generated(max_size: int) -> dict:
     """The triples that additive matrices generate (Vallejo): every matrix of
     both families whose margins beta, gamma are nonempty partitions of sizes
     <= max_size and whose sorted entries alpha are nonempty of size <=
-    max_size, with no budget.  An additive one gives the triple (alpha;
+    max_size, with no budget, walked by `trade_free_matrices`, since a
+    matrix with a trade is not additive.  An additive one gives the triple (alpha;
     beta, gamma) of the first `Kind` its sizes fit, in the census's
     canonical form: a Kronecker triple sorted, any other with
     (|beta|, beta) >= (|gamma|, gamma).
@@ -527,7 +600,7 @@ def generated(max_size: int) -> dict:
     found = {}
     for cls in MATRIX_KINDS.values():
         for beta, gamma in itertools.product(shapes, repeat=2):
-            for A in margin_matrices(cls, beta, gamma):
+            for A in trade_free_matrices(cls, beta, gamma):
                 alpha = A.pi
                 if not 0 < alpha.size <= max_size:
                     continue

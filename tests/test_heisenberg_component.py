@@ -23,7 +23,11 @@ from heisenstab.coefficients import (
     lr_coeff_hive,
 )
 from heisenstab.partitions import Partition, partitions_of, partitions_up_to, subpartitions_of_size
-from support import heisenberg_component_by_characters, hook_length_dimension
+from support import (
+    heisenberg_by_characters,
+    heisenberg_component_by_characters,
+    hook_length_dimension,
+)
 
 
 def _splits(outer, a, b):
@@ -193,6 +197,20 @@ def test_whole_components_agree_with_the_character_route(pairs, count):
     assert len(queries) == count
     for q in queries:
         assert heisenberg_component(*q).terms == heisenberg_component_by_characters(*q), q
+
+
+def test_single_coefficients_agree_with_the_character_route():
+    # every query with |mu|, |nu| <= 4, empty factors included, at each
+    # degree max(|mu|, |nu|) <= |lam| <= |mu| + |nu|
+    queries = [(lam, mu, nu) for mu in partitions_up_to(4) for nu in partitions_up_to(4)
+               for l in range(max(mu.size, nu.size), mu.size + nu.size + 1)
+               for lam in partitions_of(l)]
+    assert len(queries) == 3824
+    for q in queries:
+        assert heisenberg_by_characters(*q) == heisenberg_coeff(*q), q
+    # outside the degree range both read zero
+    assert heisenberg_by_characters((1,), (2,), (1,)) == heisenberg_coeff((1,), (2,), (1,)) == 0
+    assert heisenberg_by_characters((4,), (2,), (1,)) == heisenberg_coeff((4,), (2,), (1,)) == 0
 
 
 def test_heisenberg_dimension_identity_to_size_six():

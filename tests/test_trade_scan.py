@@ -1,5 +1,6 @@
-"""The 2 x 2 trade stage: which trade the scan returns, and that a trade
-keeps a matrix away from Fourier-Motzkin."""
+"""The 2 x 2 trade stage: which trade the scan returns, that a trade
+keeps a matrix away from Fourier-Motzkin, and the fill that drops a
+partial matrix at its first trade (`support.trade_free_matrices`)."""
 
 import itertools
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 
 from heisenstab import additivity
 from heisenstab.additivity import (
+    MATRIX_KINDS,
     HeisenbergMatrix,
     KroneckerMatrix,
     _trade,
@@ -14,7 +16,8 @@ from heisenstab.additivity import (
     is_additive,
     margin_matrices,
 )
-from support import first_trade
+from heisenstab.partitions import partitions_up_to
+from support import first_trade, trade_free_matrices
 
 SAMPLE = ((2, 2, 2, 1), (2, 2, 2, 1))
 
@@ -49,3 +52,18 @@ def test_only_the_trade_free_sample_matrix_reaches_the_solver(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "bench" / "verdicts.json"
     (listed,) = json.loads(path.read_text(encoding="utf-8"))["sample"]["additive"]
     assert reached == [tuple(map(tuple, listed))]
+
+
+def test_the_trade_free_walk_keeps_exactly_the_trade_free_matrices_in_order():
+    # every class of both families whose margins are nonempty partitions of
+    # size <= 5: the walk against the whole class filtered by _trade
+    shapes = [x for x in partitions_up_to(5) if x]
+    kept = total = 0
+    for cls in MATRIX_KINDS.values():
+        for beta, gamma in itertools.product(shapes, repeat=2):
+            every = list(margin_matrices(cls, beta, gamma))
+            walked = list(trade_free_matrices(cls, beta, gamma))
+            assert walked == [A for A in every if _trade(A) is None], (cls, beta, gamma)
+            assert all(type(A) is cls for A in walked)
+            kept, total = kept + len(walked), total + len(every)
+    assert (kept, total) == (752, 18522)
